@@ -289,17 +289,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override a config key (repeatable)",
     )
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", default=None, help="sweep worker processes (>= 1)")
     parser.add_argument("--force", action="store_true", help="overwrite existing outputs")
     return parser
 
 
+def _worker_count(flag) -> int:
+    """Worker count from --workers, else SHRIMPLAB_WORKERS, else 1."""
+    if flag is not None:
+        source, raw = "--workers", flag
+    else:
+        source, raw = "SHRIMPLAB_WORKERS", os.environ.get("SHRIMPLAB_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"expected an integer >= 1, got {raw!r}", key=source)
+    return workers
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("SHRIMPLAB_WORKERS", "1"))
     try:
+        workers = _worker_count(args.workers)
         cfg = load_config(args.config, args.set)
         os.makedirs(args.out, exist_ok=True)
         paths = _DISPATCH[args.command](cfg, args.out, args.force, workers)

@@ -21,6 +21,7 @@ from .sweep import (
     SweepGrid,
     SweepSpec,
     _CODE,
+    _KIND,
 )
 
 
@@ -57,49 +58,55 @@ def grid_metadata(grid: SweepGrid) -> dict:
 
 def export_grid_csv(grid: SweepGrid, path, extra_meta=()):
     spec = grid.spec
-    xs = spec.plane.x_values(spec.nx)
-    ys = spec.plane.y_values(spec.ny)
+    xs = [f"{x:.17g}" for x in spec.plane.x_values(spec.nx).tolist()]
+    ys = [f"{y:.17g}" for y in spec.plane.y_values(spec.ny).tolist()]
+    period_code, chaotic_code = _CODE[KIND_PERIOD], _CODE[KIND_CHAOTIC]
     with open(path, "w", newline="") as fh:
-        for key, value in extra_meta:
-            fh.write(f"# {key} = {value}\n")
-        for key in sorted(grid_metadata(grid)):
-            fh.write(f"# {key} = {grid_metadata(grid)[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", spec.plane.x_name, spec.plane.y_name, "outcome", "value"])
+        _write_meta(fh, grid, extra_meta)
+        csv.writer(fh).writerow(
+            ["i", "j", spec.plane.x_name, spec.plane.y_name, "outcome", "value"]
+        )
+        # no data field ever needs quoting, so rows are joined by hand in
+        # csv.writer's format, one grid column (fixed j) per write
         for j in range(spec.ny):
-            for i in range(spec.nx):
-                o = grid.outcome(i, j)
-                if o.kind == KIND_PERIOD:
-                    value = str(o.period)
-                elif o.kind == KIND_CHAOTIC:
-                    value = f"{o.lyap:.17g}"
+            head = f",{j},"
+            tail = f",{ys[j]},"
+            rows = []
+            for i, (code, p, lam) in enumerate(
+                zip(grid.kind[:, j].tolist(), grid.period[:, j].tolist(), grid.lyap[:, j].tolist())
+            ):
+                if code == period_code:
+                    value = f"{KIND_PERIOD},{p}"
+                elif code == chaotic_code:
+                    value = f"{KIND_CHAOTIC},{lam:.17g}"
                 else:
-                    value = ""
-                writer.writerow(
-                    [i, j, f"{xs[i]:.17g}", f"{ys[j]:.17g}", o.kind, value]
-                )
+                    value = f"{_KIND[code]},"
+                rows.append(f"{i}{head}{xs[i]}{tail}{value}\r\n")
+            fh.write("".join(rows))
     return path
 
 
 def export_grid_pgm(grid: SweepGrid, path, extra_meta=()):
     spec = grid.spec
-    lines = ["P2"]
+    gray = gray_for(KIND_PERIOD, grid.period, spec.max_period)
+    for outcome_kind in (KIND_CHAOTIC, KIND_ESCAPED):
+        gray[grid.kind == _CODE[outcome_kind]] = gray_for(outcome_kind, 0, spec.max_period)
+    text = [str(level) for level in range(256)]
+    with open(path, "w") as fh:
+        fh.write("P2\n")
+        _write_meta(fh, grid, extra_meta)
+        fh.write(f"{spec.nx} {spec.ny}\n255\n")
+        for j in range(spec.ny):
+            fh.write(" ".join([text[level] for level in gray[:, j].tolist()]) + "\n")
+    return path
+
+
+def _write_meta(fh, grid, extra_meta):
     for key, value in extra_meta:
-        lines.append(f"# {key} = {value}")
+        fh.write(f"# {key} = {value}\n")
     meta = grid_metadata(grid)
     for key in sorted(meta):
-        lines.append(f"# {key} = {meta[key]}")
-    lines.append(f"{spec.nx} {spec.ny}")
-    lines.append("255")
-    for j in range(spec.ny):
-        row = []
-        for i in range(spec.nx):
-            o = grid.outcome(i, j)
-            row.append(str(gray_for(o.kind, o.period, spec.max_period)))
-        lines.append(" ".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+        fh.write(f"# {key} = {meta[key]}\n")
 
 
 def export_grid(grid: SweepGrid, csv_path, pgm_path, extra_meta=()):

@@ -118,6 +118,19 @@ def test_cli_workers_env(tmp_path, monkeypatch):
     assert run_cli(sweep_args(out)) == 0
 
 
+def test_cli_rejects_bad_worker_counts(tmp_path, monkeypatch, capsys):
+    for value in ("abc", "0", "-2"):
+        monkeypatch.setenv("SHRIMPLAB_WORKERS", value)
+        assert run_cli(sweep_args(tmp_path / f"env{value}")) == 1
+        message = capsys.readouterr().err
+        assert message.count("\n") == 1 and "SHRIMPLAB_WORKERS" in message
+    monkeypatch.delenv("SHRIMPLAB_WORKERS")
+    for value in ("abc", "0"):
+        assert run_cli(sweep_args(tmp_path / f"flag{value}", ("--workers", value))) == 1
+        message = capsys.readouterr().err
+        assert message.count("\n") == 1 and "--workers" in message
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("sweep.nx = not_a_number\n")

@@ -9,6 +9,7 @@ from shrimplab.families import ModelMap
 from shrimplab.local import LocalNormalForm
 from shrimplab.global_map import saddle_global
 from shrimplab.returnmap import ReturnMapConfig
+from shrimplab import sweep
 from shrimplab.sweep import (
     CellOutcome,
     FamilyPlaneTarget,
@@ -31,10 +32,16 @@ def dp_spec(nx=8, ny=8, **kw):
     return SweepSpec(target=target, plane=plane, nx=nx, ny=ny, **kw)
 
 
-def par_spec(lo, hi, **kw):
+def par_spec(lo, hi, nx=4, **kw):
     target = FamilyPlaneTarget(PAR, "M1", "dummy")
     plane = PlaneSpec("M1", lo, hi, "dummy", 0.0, 1.0)
-    return SweepSpec(target=target, plane=plane, nx=4, ny=2, **kw)
+    return SweepSpec(target=target, plane=plane, nx=nx, ny=2, **kw)
+
+
+def family_spec(family, params, **kw):
+    target = FamilyPlaneTarget(ModelMap(family, params), "M1", "M2")
+    plane = PlaneSpec("M1", -1.0, 1.5, "M2", -1.0, 1.5)
+    return SweepSpec(target=target, plane=plane, nx=12, ny=12, **kw)
 
 
 def test_scan_superstable_fixed_point():
@@ -93,12 +100,35 @@ def test_shrimp3_zero_matches_double_parabola():
     assert plane_sweep(spec_a).same_cells(plane_sweep(spec_b))
 
 
-def test_workers_bit_identical():
-    spec = dp_spec(nx=16, ny=16, transient=256, samples=256)
-    g1 = plane_sweep(spec, workers=1)
-    g2 = plane_sweep(spec, workers=2)
-    g4 = plane_sweep(spec, workers=4)
-    assert g1.same_cells(g2) and g1.same_cells(g4)
+def test_workers_bit_identical(monkeypatch):
+    local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0)
+    cfg = ReturnMapConfig(local, saddle_global(), saddle_global(), 10, 10)
+    quick = dict(transient=128, samples=128, max_period=8)
+    specs = [
+        # the M1 = 2 cells park on the repelling fixed point and take the nudge
+        par_spec(1.0, 2.0, nx=61, **quick),
+        # the orbit at M1 = -0.251 escapes after the window and the Lyapunov
+        # samples, but before a second transient would end: re-running the
+        # transient of unparked cells next to the nudged M1 = 2 cells would
+        # label it escaped in some blocks and chaotic in others
+        par_spec(-0.251, 2.0, nx=61, transient=64, samples=16, max_period=8),
+        dp_spec(nx=16, ny=16, transient=256, samples=256),
+        family_spec("cubic_plus", (0.0, 0.0), **quick),
+        family_spec("cubic_minus", (0.0, 0.0), **quick),
+        family_spec("shrimp3", (0.0, 0.0, 0.1), **quick),
+        SweepSpec(
+            target=RescaledPlaneTarget(cfg), plane=PlaneSpec("M1", -1.0, 3.0, "M2", -2.0, 2.0),
+            nx=8, ny=8, **quick,
+        ),
+    ]
+    for spec in specs:
+        reference = plane_sweep(spec)
+        for block in (7, 1000, 16384):
+            monkeypatch.setattr(sweep, "_BLOCK", block)
+            for workers in (1, 2):
+                grid = plane_sweep(spec, workers=workers)
+                assert grid.same_cells(reference), (spec.target.meta(), block, workers)
+        monkeypatch.undo()
 
 
 def test_shrimp_locate_full_grid():
