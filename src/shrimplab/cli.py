@@ -178,7 +178,7 @@ def _cmd_rescale_verify(cfg, outdir, force, workers):
     for k in ks:
         rcfg = build_return_config(cfg, k=k, m=k)
         frame = rescale_frame(rcfg)
-        report = limit_map_deviation(rcfg, radius, grid)
+        report = limit_map_deviation(rcfg, radius, grid, frame=frame)
         measured = measured_y_linear_coeff(rcfg, frame=frame)
         rows.append(
             (

@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .local import apply_matrix
+
 
 def _norm(v) -> float:
     return float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=float))))
@@ -62,17 +64,23 @@ class GlobalMapTaylor:
         return replace(self, mu=float(mu))
 
 
-def apply_global(g: GlobalMapTaylor, x, y):
-    """Apply the excursion map to a point (x, y) near the unstable axis."""
+def apply_global(g: GlobalMapTaylor, x, y, mu=None):
+    """Apply the excursion map to a point (x, y) near the unstable axis, or
+    to arrays of such points.
+
+    A vector x (saddle-focus) keeps its components on the last axis.  mu, a
+    scalar or one value per point, replaces g.mu when given.
+    """
+    if mu is None:
+        mu = g.mu
     dy = y - g.y_minus
     if g.x_dim == 1:
         xbar = g.x_plus + g.a * x + g.b * dy
-        ybar = g.mu + g.c * x + g.d * dy * dy
+        ybar = mu + g.c * x + g.d * dy * dy
         return xbar, ybar
-    xv = np.asarray(x, dtype=float)
-    xbar = np.asarray(g.x_plus, dtype=float) + np.asarray(g.a, dtype=float) @ xv
-    xbar = xbar + np.asarray(g.b, dtype=float) * dy
-    ybar = g.mu + float(np.asarray(g.c, dtype=float) @ xv) + g.d * dy * dy
+    xbar = np.asarray(g.x_plus, dtype=float) + apply_matrix(np.asarray(g.a, dtype=float), x)
+    xbar = xbar + np.asarray(g.b, dtype=float) * np.expand_dims(dy, -1)
+    ybar = mu + apply_matrix(np.asarray(g.c, dtype=float), x) + g.d * dy * dy
     return xbar, ybar
 
 

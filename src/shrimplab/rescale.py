@@ -28,10 +28,13 @@ from .errors import ConvergenceError, EscapeError, NumericalError
 from .local import (
     SADDLE,
     SADDLE_FOCUS,
+    SOLVED,
     TEST_CUBIC,
     LocalNormalForm,
+    cross_form_points,
     cross_form_solve,
-    local_iterate,
+    iterate_points,
+    raise_unsolved,
 )
 from .global_map import apply_global
 from .returnmap import K_GE_M, K_LT_M, ReturnMapConfig
@@ -76,10 +79,15 @@ class RescaleFrame:
         return mu1, mu2
 
     def chart_x(self, frame_x, b2):
-        """Rescaled X (leading, secondary) to original starting x."""
+        """Rescaled X (leading, secondary) to original starting x.
+
+        For the saddle-focus the pair sits on the last axis of frame_x, so
+        arrays of points map point by point.
+        """
         if np.ndim(self.center_x2) == 0:
             return self.center_x2 + self.x_scale * frame_x
-        x1, x22 = frame_x
+        frame_x = np.asarray(frame_x, dtype=float)
+        x1, x22 = frame_x[..., 0:1], frame_x[..., 1:2]
         b = np.asarray(b2, dtype=float)
         return (
             np.asarray(self.center_x2, dtype=float)
@@ -88,14 +96,14 @@ class RescaleFrame:
         )
 
     def chart_x_inv(self, x, b2):
-        """Original x back to rescaled X coordinates."""
+        """Original x back to rescaled X coordinates (inverse of chart_x)."""
         if np.ndim(self.center_x2) == 0:
             return (x - self.center_x2) / self.x_scale
         v = np.asarray(x, dtype=float) - np.asarray(self.center_x2, dtype=float)
         b = np.asarray(b2, dtype=float)
-        x1 = v[0] / (b[0] * self.beta2)
-        x22 = (v[1] - (b[1] / b[0]) * v[0]) / (self.delta_km * self.beta2)
-        return np.array([x1, x22])
+        x1 = v[..., 0] / (b[0] * self.beta2)
+        x22 = (v[..., 1] - (b[1] / b[0]) * v[..., 0]) / (self.delta_km * self.beta2)
+        return np.stack([x1, x22], axis=-1)
 
     def chart_y(self, frame_y):
         return self.center_y1 + self.beta1 * frame_y
@@ -108,10 +116,6 @@ def _oriented(cfg: ReturnMapConfig):
     if cfg.ordering == K_GE_M:
         return cfg, False
     return cfg.swapped(), True
-
-
-def _lead_pow(local: LocalNormalForm, n: int):
-    return local.leading_power(n)
 
 
 def _dot(row, x):
@@ -145,8 +149,8 @@ def _linear_centers(cfg: ReturnMapConfig):
     """Closed-form chart origins for a linear local map."""
     local, t1, t2, k, m = cfg.local, cfg.t1, cfg.t2, cfg.k, cfg.m
     gamma = local.gamma
-    ak = _lead_pow(local, k)
-    am = _lead_pow(local, m)
+    ak = local.leading_power(k)
+    am = local.leading_power(m)
     eta = float(t1.y_minus)
     if local.kind == SADDLE:
         denom = 1.0 - t2.a * am * t1.a * ak
@@ -164,32 +168,38 @@ def _linear_centers(cfg: ReturnMapConfig):
     return eta, xi, x1c, y2c, mu1c, mu2c
 
 
-def _center_residual(cfg: ReturnMapConfig, eta, xi, mu1, mu2, h=1.0e-6):
-    """Residuals of the four centering conditions through the actual stages."""
+def _center_residual(cfg: ReturnMapConfig, u, h=1.0e-6):
+    """Residuals of the four centering conditions through the actual stages.
+
+    Each row of u is one set of unknowns (eta, xi, mu1, mu2); the rows and
+    their three legs (Y at eta + h, eta - h and eta) run as one batch of
+    points.  Returns one row of residuals per row of u.
+    """
     local, k, m = cfg.local, cfg.k, cfg.m
-    t1 = cfg.t1.with_mu(mu1)
-    t2 = cfg.t2.with_mu(mu2)
-
-    def leg(y11, x02):
-        x11, _ = cross_form_solve(local, x02, y11, k)
-        x01, y01 = apply_global(t1, x11, y11)
-        x12, y12 = local_iterate(local, x01, y01, m)
-        xb, yb = apply_global(t2, x12, y12)
-        _, yb11 = local_iterate(local, xb, yb, k)
-        return y12, xb, yb11
-
-    y12_p, _, _ = leg(eta + h, xi)
-    y12_m, _, _ = leg(eta - h, xi)
-    y12_0, xb_0, yb11_0 = leg(eta, xi)
-    vertex = (y12_p - y12_m) / (2.0 * h)
-    res = [vertex, y12_0 - cfg.t2.y_minus]
-    res.extend(np.atleast_1d(np.asarray(xb_0) - np.asarray(xi)).tolist())
-    res.append(yb11_0 - eta)
-    return np.array(res, dtype=float)
+    xdim = local.x_dim
+    eta, mu1, mu2 = u[:, 0], u[:, -2], u[:, -1]
+    xi = u[:, 1] if xdim == 1 else u[:, 1:3]
+    y11 = np.stack([eta + h, eta - h, eta])
+    x11, _, status = cross_form_points(local, xi, y11, k)
+    raise_unsolved(status, k)
+    x01, y01 = apply_global(cfg.t1, x11, y11, mu1)
+    x12, y12, step_m = iterate_points(local, x01, y01, m)
+    xb, yb = apply_global(cfg.t2, x12, y12, mu2)
+    _, yb11, step_k = iterate_points(local, xb, yb, k)
+    # First escape in the order the rows, their legs and stages run.
+    steps = np.stack([step_m, step_k], axis=-1).swapaxes(0, 1).ravel()
+    if steps.any():
+        raise EscapeError("local orbit left the escape radius", step=int(steps[steps > 0][0]))
+    vertex = (y12[0] - y12[1]) / (2.0 * h)
+    x_res = (xb[2] - xi).reshape(len(u), xdim)
+    return np.column_stack([vertex, y12[2] - cfg.t2.y_minus, x_res, yb11[2] - eta])
 
 
 def _polish_centers(cfg: ReturnMapConfig, eta, xi, mu1, mu2, tol=1.0e-12):
-    """Newton-polish the chart origins through the concrete composition."""
+    """Newton-polish the chart origins through the concrete composition.
+
+    The Jacobian is a central difference; its 2n probes run as one batch.
+    """
     xdim = cfg.local.x_dim
     u = np.concatenate(
         [[eta], np.atleast_1d(np.asarray(xi, dtype=float)), [mu1, mu2]]
@@ -200,21 +210,18 @@ def _polish_centers(cfg: ReturnMapConfig, eta, xi, mu1, mu2, tol=1.0e-12):
             return v[0], float(v[1]), v[2], v[3]
         return v[0], v[1:3].copy(), v[3], v[4]
 
+    n = u.size
+    diag = np.arange(n)
     for _ in range(30):
-        r = _center_residual(cfg, *unpack(u))
+        r = _center_residual(cfg, u[None, :])[0]
         if np.max(np.abs(r)) <= tol:
             break
-        n = u.size
-        jac = np.empty((n, n))
-        for j in range(n):
-            step = 1.0e-7 * (1.0 + abs(u[j]))
-            up, um = u.copy(), u.copy()
-            up[j] += step
-            um[j] -= step
-            jac[:, j] = (
-                _center_residual(cfg, *unpack(up))
-                - _center_residual(cfg, *unpack(um))
-            ) / (2.0 * step)
+        step = 1.0e-7 * (1.0 + np.abs(u))
+        up, um = np.tile(u, (n, 1)), np.tile(u, (n, 1))
+        up[diag, diag] += step
+        um[diag, diag] -= step
+        probes = _center_residual(cfg, np.concatenate([up, um]))
+        jac = ((probes[:n] - probes[n:]) / (2.0 * step)[:, None]).T
         try:
             u = u - np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as err:
@@ -222,6 +229,15 @@ def _polish_centers(cfg: ReturnMapConfig, eta, xi, mu1, mu2, tol=1.0e-12):
     else:
         raise ConvergenceError("center polish did not converge")
     return unpack(u)
+
+
+def _parameter_scales(oc: ReturnMapConfig):
+    """Gains (m1_scale, m2_scale) from the splitting parameters to (M1, M2)."""
+    gamma, k, m = oc.local.gamma, oc.k, oc.m
+    d1, d2 = float(oc.t1.d), float(oc.t2.d)
+    m1_scale = -np.cbrt(d1 * d2 * d2) * gamma ** ((4.0 * m + 2.0 * k) / 3.0)
+    m2_scale = -np.cbrt(d2 * d1 * d1) * gamma ** ((4.0 * k + 2.0 * m) / 3.0)
+    return m1_scale, m2_scale
 
 
 def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
@@ -235,15 +251,14 @@ def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
 
     beta1 = -1.0 / np.cbrt(d2 * d1 * d1) * gamma ** (-(k + 2.0 * m) / 3.0)
     beta2 = -1.0 / np.cbrt(d1 * d2 * d2) * gamma ** (-(m + 2.0 * k) / 3.0)
-    m1_scale = -np.cbrt(d1 * d2 * d2) * gamma ** ((4.0 * m + 2.0 * k) / 3.0)
-    m2_scale = -np.cbrt(d2 * d1 * d1) * gamma ** ((4.0 * k + 2.0 * m) / 3.0)
+    m1_scale, m2_scale = _parameter_scales(oc)
     delta_km = gamma ** (-(2.0 * k + m) / 9.0)
 
     eta, xi, x1c, y2c, mu1c, mu2c = _linear_centers(oc)
     if local.nonlinearity == TEST_CUBIC:
         eta, xi, mu1c, mu2c = _polish_centers(oc, eta, xi, mu1c, mu2c)
         x11, _ = cross_form_solve(local, xi, eta, k)
-        x1c, _ = apply_global(t1.with_mu(mu1c), x11, eta)
+        x1c, _ = apply_global(t1, x11, eta, mu1c)
 
     m3_coeff, nu = _y_linear_coefficient(local, t1, t2, m, k)
 
@@ -279,32 +294,41 @@ def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
     )
 
 
-def _pipeline(oc: ReturnMapConfig, frame: RescaleFrame, X, Y):
-    """Rescaled-in, rescaled-out composition (oriented config).
+def _pipeline(
+    oc: ReturnMapConfig,
+    frame: RescaleFrame,
+    X,
+    Y,
+    mu1,
+    mu2,
+    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
+):
+    """Rescaled-in, rescaled-out composition (oriented config) for one point
+    or for arrays of points, with splitting parameters mu1, mu2 per point.
 
-    Array-safe for a linear saddle local map; scalar otherwise.  No escape
-    checks: callers mask or raise on non-finite output.
+    A scalar saddle-focus X stands for the pair (X, 0).  Returns (Xbar, Ybar,
+    status, inside): status is the per-point outcome of the cross-form solve
+    (local.SOLVED where it converged); inside is False where a local stage
+    left escape_radius or the image is not finite or lies beyond it.  Every
+    model runs the same stages, each with the operation order of its
+    one-point form, so a lattice point gets the bits it would get alone.
     """
     local, t1, t2, k, m = oc.local, oc.t1, oc.t2, oc.k, oc.m
-    gamma = local.gamma
+    if local.kind == SADDLE_FOCUS and np.ndim(X) == 0:
+        X = np.array([float(X), 0.0])
     x02 = frame.chart_x(X, t2.b)
     y11 = frame.chart_y(Y)
-    if local.nonlinearity == TEST_CUBIC:
-        x11, _ = cross_form_solve(local, x02, y11, k)
-    else:
-        x11 = _mat_vec(_lead_pow(local, k), x02)
-    x01, y01 = apply_global(t1, x11, y11)
-    if local.nonlinearity == TEST_CUBIC:
-        x12, y12 = local_iterate(local, x01, y01, m)
-    else:
-        x12 = _mat_vec(_lead_pow(local, m), x01)
-        y12 = gamma**m * y01
-    xb02, yb02 = apply_global(t2, x12, y12)
-    if local.nonlinearity == TEST_CUBIC:
-        _, yb11 = local_iterate(local, xb02, yb02, k)
-    else:
-        yb11 = gamma**k * yb02
-    return frame.chart_x_inv(xb02, t2.b), frame.chart_y_inv(yb11)
+    x11, _, status = cross_form_points(local, x02, y11, k)
+    x01, y01 = apply_global(t1, x11, y11, mu1)
+    x12, y12, step_m = iterate_points(local, x01, y01, m, escape_radius)
+    xb02, yb02 = apply_global(t2, x12, y12, mu2)
+    _, yb11, step_k = iterate_points(local, xb02, yb02, k, escape_radius)
+    xbar, ybar = frame.chart_x_inv(xb02, t2.b), frame.chart_y_inv(yb11)
+    x_inside = np.abs(xbar) <= escape_radius
+    if local.kind == SADDLE_FOCUS:
+        x_inside = x_inside.all(axis=-1)
+    inside = (step_m == 0) & (step_k == 0) & x_inside & (np.abs(ybar) <= escape_radius)
+    return xbar, ybar, status, inside
 
 
 def rescaled_return(
@@ -325,14 +349,10 @@ def rescaled_return(
     oc, _ = _oriented(cfg)
     if frame is None:
         frame = rescale_frame(cfg)
-    if M is not None:
-        mu1, mu2 = frame.mus_for(M[0], M[1])
-        oc = oc.with_mus(mu1, mu2)
-    if oc.local.kind == SADDLE_FOCUS and np.ndim(X) == 0:
-        X = np.array([float(X), 0.0])
-    xbar, ybar = _pipeline(oc, frame, X, Y)
-    flat = np.concatenate([np.atleast_1d(xbar).ravel(), np.atleast_1d(ybar).ravel()])
-    if not np.all(np.isfinite(flat)) or np.any(np.abs(flat) > escape_radius):
+    mu1, mu2 = (oc.t1.mu, oc.t2.mu) if M is None else frame.mus_for(M[0], M[1])
+    xbar, ybar, status, inside = _pipeline(oc, frame, X, Y, mu1, mu2, escape_radius)
+    raise_unsolved(status, oc.k)
+    if not inside:
         raise EscapeError("rescaled return escaped", value=(xbar, ybar))
     return xbar, ybar
 
@@ -351,6 +371,7 @@ def limit_map_deviation(
     radius: float,
     grid: int,
     x_value: float = 0.0,
+    frame: RescaleFrame | None = None,
 ) -> DeviationReport:
     """Worst deviation of Ybar from the limit families over a lattice.
 
@@ -358,51 +379,28 @@ def limit_map_deviation(
     ``grid`` points per axis; the leading rescaled state is held at x_value
     (default 0, the center of the covered ball).  err_two_param compares
     against M2 - (M1 - Y^2)^2, err_three_param additionally keeps the linear
-    term coeff*Y carried by the frame.  Lattice points whose image is not
-    finite are skipped and counted.
+    term coeff*Y carried by the frame.  The whole lattice goes through one
+    composition, for every model.  One rule skips lattice points, and counts
+    them: a point is skipped when a local stage leaves the escape radius,
+    when its cross-form solve does not converge, or when its image is not
+    finite or lies beyond the escape radius.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if grid < 2:
         raise ValueError("grid must be >= 2")
     oc, _ = _oriented(cfg)
-    frame = rescale_frame(cfg)
+    if frame is None:
+        frame = rescale_frame(cfg)
     axis = np.linspace(-radius, radius, grid)
     yv, m1v, m2v = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
-
-    if oc.local.kind == SADDLE and oc.local.nonlinearity != TEST_CUBIC:
-        mu1 = frame.mu1_center + m1v / frame.m1_scale
-        mu2 = frame.mu2_center + m2v / frame.m2_scale
-        ocv = oc
-        with np.errstate(over="ignore", invalid="ignore"):
-            t1 = ocv.t1
-            t2 = ocv.t2
-            lead_k = ocv.local.leading_power(ocv.k)
-            lead_m = ocv.local.leading_power(ocv.m)
-            gamma = ocv.local.gamma
-            x02 = frame.center_x2 + frame.x_scale * x_value
-            y11 = frame.center_y1 + frame.beta1 * yv
-            x11 = lead_k * x02
-            x01 = t1.x_plus + t1.a * x11 + t1.b * (y11 - t1.y_minus)
-            y01 = mu1 + t1.c * x11 + t1.d * (y11 - t1.y_minus) ** 2
-            x12 = lead_m * x01
-            y12 = gamma**ocv.m * y01
-            xb = t2.x_plus + t2.a * x12 + t2.b * (y12 - t2.y_minus)
-            yb = mu2 + t2.c * x12 + t2.d * (y12 - t2.y_minus) ** 2
-            ybar = (gamma**ocv.k * yb - frame.center_y1) / frame.beta1
-    else:
-        ybar = np.empty_like(yv)
-        for i in range(yv.size):
-            try:
-                _, ybar[i] = rescaled_return(
-                    cfg, x_value, yv[i], M=(m1v[i], m2v[i]), frame=frame
-                )
-            except (EscapeError, ConvergenceError):
-                ybar[i] = np.nan
+    mu1, mu2 = frame.mus_for(m1v, m2v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, ybar, status, inside = _pipeline(oc, frame, x_value, yv, mu1, mu2)
+    ok = (status == SOLVED) & inside
 
     lim2 = m2v - (m1v - yv**2) ** 2
     lim3 = lim2 + frame.m3_coeff * yv
-    ok = np.isfinite(ybar)
     skipped = int(yv.size - ok.sum())
     if not ok.any():
         raise NumericalError("every lattice point escaped")
@@ -434,13 +432,11 @@ def predict_shrimp_location(cfg: ReturnMapConfig, m_event) -> tuple:
     oc, swapped = _oriented(cfg)
     local, t1, t2, k, m = oc.local, oc.t1, oc.t2, oc.k, oc.m
     gamma = local.gamma
-    d1, d2 = float(t1.d), float(t2.d)
     m_first, m_second = (m_event[1], m_event[0]) if swapped else (m_event[0], m_event[1])
 
     alpha1 = _dot(t1.c, _mat_vec(local.leading_power(k), np.asarray(t2.x_plus)))
     alpha2 = _dot(t2.c, _mat_vec(local.leading_power(m), np.asarray(t1.x_plus)))
-    s1 = -np.cbrt(d1 * d2 * d2) * gamma ** ((4.0 * m + 2.0 * k) / 3.0)
-    s2 = -np.cbrt(d2 * d1 * d1) * gamma ** ((4.0 * k + 2.0 * m) / 3.0)
+    s1, s2 = _parameter_scales(oc)
     mu1 = t2.y_minus / gamma**m - alpha1 + m_first / s1
     mu2 = t1.y_minus / gamma**k - alpha2 + m_second / s2
     if swapped:
@@ -450,11 +446,10 @@ def predict_shrimp_location(cfg: ReturnMapConfig, m_event) -> tuple:
 
 def _rescaled_state_map(cfg, frame, mu1, mu2):
     oc, _ = _oriented(cfg)
-    oc = oc.with_mus(mu1, mu2)
 
     def f(state):
         x, y = state
-        xb, yb = _pipeline(oc, frame, x, y)
+        xb, yb, _, _ = _pipeline(oc, frame, x, y, mu1, mu2)
         return np.array([float(np.atleast_1d(xb)[0]), float(yb)])
 
     return f

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import NumericalError
+
 
 @dataclass(frozen=True)
 class PlanEntry:
@@ -119,7 +121,8 @@ def plan_rotation_sequence(
 
     For each entry, k_j >= m_j is raised until the arccos argument
     s_j/(amplitude*lam^m*gamma^k) drops below 1/growth; entries where no
-    such k exists within the boost budget are skipped.
+    such k exists within the boost budget are skipped.  Raises
+    NumericalError when the gain overflows a double before that.
     """
     if not 0.0 < phi0 < math.pi:
         raise ValueError("phi0 must lie in (0, pi)")
@@ -135,7 +138,13 @@ def plan_rotation_sequence(
         arg = None
         for boost in range(max_k_boost):
             cand = max(m, last_k + 1) + boost
-            gain = amplitude * lam**m * gamma**cand
+            try:
+                gain = amplitude * lam**m * gamma**cand
+            except OverflowError:
+                raise NumericalError(
+                    f"gain lam^m*gamma^k overflows a double at m={m}, k={cand} "
+                    f"(entry {j})"
+                ) from None
             if gain > 0.0 and s / gain <= target:
                 k = cand
                 arg = s / gain

@@ -274,6 +274,26 @@ def test_criterion_4_strict_decrease():
     assert ok
 
 
+def test_criterion_4_strict_decrease_test_cubic():
+    # On the test_cubic model the rescaled map differs from its limit family
+    # by real higher-order terms, so both deviations must decay strictly.
+    local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0, nonlinearity="test_cubic")
+    err2, err3 = [], []
+    for k in (6, 8, 10, 12, 14):
+        cfg = ReturnMapConfig(local, saddle_global(), saddle_global(), k, k)
+        rep = limit_map_deviation(cfg, 2.0, 13)
+        err2.append(rep.err_two_param)
+        err3.append(rep.err_three_param)
+    ok = all(b < a for errs in (err2, err3) for a, b in zip(errs, errs[1:]))
+    report(
+        4,
+        ok,
+        "test_cubic err_2p / err_3p strictly decreasing: "
+        + ", ".join(f"{a:.2g}/{b:.2g}" for a, b in zip(err2, err3)),
+    )
+    assert ok
+
+
 def test_criterion_5_linear_coefficient_law():
     cfg = bench_cfg(12, 12)
     frame = rescale_frame(cfg)

@@ -191,6 +191,15 @@ def test_cli_sequence_plan(tmp_path):
     ]) == 0
 
 
+def test_cli_sequence_plan_gain_overflow_is_numerical_failure(tmp_path, capsys):
+    # The default plan.gamma=128 drives lam^m * gamma^k past a double.
+    code = run_cli(["sequence-plan", "--out", str(tmp_path / "sf"), "--set", "plan.kind=saddle_focus"])
+    assert code == 2
+    message = capsys.readouterr().err
+    assert message.count("\n") == 1 and "Traceback" not in message
+    assert "overflows" in message
+
+
 def test_cli_shrimp_predict(tmp_path):
     out = tmp_path / "pred"
     ystar = -(0.25 ** (1.0 / 3.0))

@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 
 from shrimplab.errors import ConvergenceError, EscapeError
 from shrimplab.local import (
+    SINGULAR,
+    SOLVED,
+    UNCONVERGED,
     LocalNormalForm,
+    cross_form_points,
     cross_form_solve,
     expansion_gain,
     in_ratio_window,
+    iterate_points,
     local_apply,
     local_iterate,
     theta_modulus,
@@ -39,7 +44,7 @@ def test_construction_validation():
         LocalNormalForm(
             kind="saddle_focus", lam=0.4, gamma=2.0, phi=1.0, nonlinearity="test_cubic"
         )
-    saddle(0.4, 2.0, nonlinearity="test_cubic")  # identities hold
+    saddle(0.4, 2.0, nonlinearity="test_cubic")  # accepted for the saddle form
 
 
 def test_gain_examples():
@@ -170,3 +175,99 @@ def test_cross_form_non_contraction_reported():
     loc = saddle(0.4, 2.0, nonlinearity="test_cubic")
     with pytest.raises((ConvergenceError, ValueError)):
         cross_form_solve(loc, 5.0, 40.0, 1, max_sweeps=10)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _cross_form_loop(local, x0, yk, k, max_sweeps, tol=1.0e-12, damping=0.8):
+    """Reference: the damped sweep for one point, written out with scalars.
+    Returns (xk, y0) or the status of the failure."""
+    lam_s = local.sign_lambda * local.lam
+    gam = local.gamma
+    xs = [lam_s**j * x0 for j in range(k + 1)]
+    ys = [gam ** (j - k) * yk for j in range(k + 1)]
+    ys[k] = yk
+    for _ in range(max_sweeps):
+        for j in range(k):
+            xs[j + 1] = lam_s * xs[j] + xs[j] * xs[j] * ys[j]
+        for j in range(k - 1, -1, -1):
+            denom = gam + xs[j] * ys[j]
+            if denom == 0.0:
+                return SINGULAR
+            ys[j] = (1.0 - damping) * ys[j] + damping * (ys[j + 1] / denom)
+        resid = 0.0
+        for j in range(k):
+            rx = xs[j + 1] - (lam_s * xs[j] + xs[j] * xs[j] * ys[j])
+            ry = ys[j + 1] - (gam * ys[j] + xs[j] * ys[j] * ys[j])
+            resid = max(resid, abs(rx), abs(ry))
+        if resid <= tol:
+            return xs[k], ys[0]
+    return UNCONVERGED
+
+
+def test_cross_form_points_match_one_point_sweeps():
+    # Every point of the array core takes exactly the sweeps of the one-point
+    # loop: same bits when solved, same failure otherwise.  The last two
+    # points hit a singular step (k=1) and a non-contracting sweep.
+    loc = saddle(0.4, 2.0, nonlinearity="test_cubic")
+    rng = np.random.default_rng(11)
+    seen = set()
+    for k in (1, 3, 6, 12):
+        x0 = np.append(rng.uniform(-3.0, 3.0, 40), [-2.0, 5.0])
+        yk = np.append(rng.uniform(-40.0, 40.0, 40), [2.0, 40.0])
+        xk, y0, status = cross_form_points(loc, x0, yk, k, max_sweeps=60)
+        for i in range(x0.size):
+            ref = _cross_form_loop(loc, float(x0[i]), float(yk[i]), k, max_sweeps=60)
+            try:
+                one = cross_form_solve(loc, x0[i], yk[i], k, max_sweeps=60)
+            except ConvergenceError as err:
+                one = SINGULAR if "singular" in str(err) else UNCONVERGED
+            if isinstance(ref, tuple):
+                assert status[i] == SOLVED
+                assert _bits((xk[i], y0[i])) == _bits(ref) == _bits(one)
+            else:
+                assert status[i] == ref == one
+            seen.add(int(status[i]))
+    assert seen == {SOLVED, SINGULAR, UNCONVERGED}
+
+
+def test_iterate_points_match_one_point_steps():
+    loc = saddle(0.4, 2.0, nonlinearity="test_cubic")
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-2.0, 2.0, 80)
+    y = rng.uniform(-3.0, 3.0, 80)
+    escapes = 0
+    for n in (1, 5, 14):
+        xn, yn, step = iterate_points(loc, x, y, n, escape_radius=50.0)
+        for i in range(x.size):
+            xc, yc, ref_step = float(x[i]), float(y[i]), 0
+            for s in range(1, n + 1):
+                xc, yc = 0.4 * xc + xc * xc * yc, 2.0 * yc + xc * yc * yc
+                if max(abs(xc), abs(yc)) > 50.0:
+                    ref_step = s
+                    break
+            assert step[i] == ref_step
+            assert _bits((xn[i], yn[i])) == _bits((xc, yc))
+            if ref_step:
+                escapes += 1
+                with pytest.raises(EscapeError) as err:
+                    local_iterate(loc, x[i], y[i], n, escape_radius=50.0)
+                assert err.value.step == ref_step
+            else:
+                assert _bits(local_iterate(loc, x[i], y[i], n, escape_radius=50.0)) == _bits((xc, yc))
+    assert escapes > 0
+
+
+def test_saddle_focus_stage_maps_act_per_point():
+    # A stack of saddle-focus points gets each point's own a @ x bits.
+    sf = LocalNormalForm(kind="saddle_focus", lam=0.4, gamma=2.0, phi=0.3)
+    pts = np.random.default_rng(13).normal(size=(50, 2)) * 1.0e3
+    for n in (3, 10):
+        lead = sf.leading_power(n)
+        xk, _, status = cross_form_points(sf, pts, np.ones(50), n)
+        xn, _, _ = iterate_points(sf, pts, np.ones(50), n)
+        ref = np.array([lead @ p for p in pts])
+        assert _bits(xk) == _bits(xn) == _bits(ref)
+        assert np.all(status == SOLVED)

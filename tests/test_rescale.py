@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shrimplab.errors import ConvergenceError, EscapeError
 from shrimplab.global_map import focus_global, saddle_global
 from shrimplab.local import LocalNormalForm
 from shrimplab.returnmap import ReturnMapConfig
@@ -241,3 +242,56 @@ def test_deviation_saddle_focus_path():
     gap = report.err_two_param - report.err_three_param
     assert report.err_three_param < 1e-6
     assert gap <= 2.0 * abs(fr.m3_coeff) * 1.5
+
+
+def cubic_cfg(k, m):
+    local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0, nonlinearity="test_cubic")
+    return ReturnMapConfig(local, saddle_global(), saddle_global(), k, m)
+
+
+def _pointwise_deviation(cfg, radius, grid):
+    """Reference: the deviation lattice with one rescaled_return call per point."""
+    frame = rescale_frame(cfg)
+    axis = np.linspace(-radius, radius, grid)
+    yv, m1v, m2v = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
+    ybar = np.full(yv.size, np.nan)
+    for i in range(yv.size):
+        try:
+            _, ybar[i] = rescaled_return(cfg, 0.0, yv[i], M=(m1v[i], m2v[i]), frame=frame)
+        except (EscapeError, ConvergenceError):
+            pass
+    lim2 = m2v - (m1v - yv**2) ** 2
+    lim3 = lim2 + frame.m3_coeff * yv
+    ok = np.isfinite(ybar)
+    return (
+        float(np.max(np.abs(ybar[ok] - lim2[ok]))),
+        float(np.max(np.abs(ybar[ok] - lim3[ok]))),
+        int(yv.size - ok.sum()),
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, radius, grid, skips",
+    [
+        (saddle_cfg(10, 8, a=0.6, d=1.7), 2.0, 7, False),
+        (saddle_cfg(6, 9, b=1.3, c=0.8), 40.0, 5, True),
+        (focus_cfg(10, 8), 1.5, 5, False),
+        (focus_cfg(7, 9), 40.0, 5, True),
+        (cubic_cfg(10, 10), 2.0, 5, False),
+        (cubic_cfg(6, 6), 8.0, 5, True),
+    ],
+    ids=["saddle", "saddle-escapes", "focus", "focus-escapes", "cubic", "cubic-escapes"],
+)
+def test_deviation_lattice_matches_pointwise_reference(cfg, radius, grid, skips):
+    report = limit_map_deviation(cfg, radius, grid)
+    err2, err3, skipped = _pointwise_deviation(cfg, radius, grid)
+    assert report.err_two_param == err2
+    assert report.err_three_param == err3
+    assert report.skipped == skipped
+    assert (skipped > 0) == skips
+
+
+def test_deviation_accepts_prebuilt_frame():
+    cfg = cubic_cfg(8, 8)
+    frame = rescale_frame(cfg)
+    assert limit_map_deviation(cfg, 2.0, 5, frame=frame) == limit_map_deviation(cfg, 2.0, 5)
