@@ -8,14 +8,14 @@ to third order, which is what the first Lyapunov value needs.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError
-from .families import ModelMap, eval_jet, eval_map
+from .families import FAMILY_ARITY, ModelMap, eval_jet, eval_map
+from .gridio import write_table
 
 SN = "SN"
 PD = "PD"
@@ -34,8 +34,6 @@ class FamilyYMap:
     """
 
     def __init__(self, family: str):
-        from .families import FAMILY_ARITY
-
         self.family = family
         self.arity = FAMILY_ARITY[family]
 
@@ -91,12 +89,21 @@ def orbit_jet(ymap, y, params, period, order=3):
         nd2 = f2 * d1 * d1 + f1 * d2
         nd3 = f3 * d1**3 + 3.0 * f2 * d1 * d2 + f1 * d3
         v, d1, d2, d3 = fv, nd1, nd2, nd3
-    out = (v, d1)
-    if order >= 2:
-        out += (d2,)
-    if order >= 3:
-        out += (d3,)
-    return out
+    return (v, d1, d2, d3)[: order + 1]
+
+
+def _first_lyapunov(d2, d3):
+    """First Lyapunov value at a flip of g from its 2nd and 3rd derivatives."""
+    return 0.25 * d2 * d2 + d3 / 6.0
+
+
+def _reject_divisor_period(ymap, y, params, period, tol, what):
+    """Raise NumericalError when y recurs at a proper divisor of period."""
+    for div in range(1, period):
+        if period % div == 0:
+            vd, _ = orbit_jet(ymap, y, params, div, order=1)
+            if abs(vd - y) <= tol:
+                raise NumericalError(f"{what} has period {div}, not minimal period {period}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,16 @@ class BifPoint:
     kind: str
     orbit: PeriodicOrbit
     test_values: dict = field(default_factory=dict)
+
+
+def _bif_point(ymap, kind, period, y, params) -> BifPoint:
+    """The point y of a period-cycle at params, with its fixed-point residual
+    and both codim-2 test values (second orbit derivative, first Lyapunov)."""
+    v, d1, d2, d3 = orbit_jet(ymap, y, params, period, order=3)
+    orbit = PeriodicOrbit(period, float(y), float(d1), tuple(params))
+    tests = {"fixed_point": abs(v - y), "second_derivative": d2,
+             "lyapunov_1": _first_lyapunov(d2, d3)}
+    return BifPoint(kind=kind, orbit=orbit, test_values=tests)
 
 
 @dataclass
@@ -153,13 +170,7 @@ def find_periodic_orbit(
             raise ConvergenceError("orbit Newton diverged")
     else:
         raise ConvergenceError(f"orbit Newton did not converge in {max_iter} steps")
-    for div in range(1, period):
-        if period % div == 0:
-            vd, _ = orbit_jet(ymap, y, params, div, order=1)
-            if abs(vd - y) <= distinct_tol:
-                raise NumericalError(
-                    f"solution has period {div}, not minimal period {period}"
-                )
+    _reject_divisor_period(ymap, y, params, period, distinct_tol, "solution")
     v, mult = orbit_jet(ymap, y, params, period, order=1)
     if abs(v - y) > 1.0e-10:
         raise ConvergenceError("orbit residual above verification tolerance")
@@ -213,22 +224,11 @@ def solve_codim1(
     else:
         raise ConvergenceError(f"codim-1 Newton did not converge in {max_iter} steps")
     params[free_index] = p
-    for div in range(1, period):
-        if period % div == 0:
-            vd, _ = orbit_jet(ymap, y, params, div, order=1)
-            if abs(vd - y) <= 1.0e-6:
-                raise NumericalError(
-                    f"codim-1 solution has period {div}, not minimal period {period}"
-                )
-    v, d1, d2, d3 = orbit_jet(ymap, y, params, period, order=3)
-    orbit = PeriodicOrbit(period, float(y), float(d1), tuple(params))
-    tests = {
-        "fixed_point": abs(v - y),
-        "multiplier_offset": abs(d1 - (1.0 if kind == SN else -1.0)),
-        "second_derivative": d2,
-        "lyapunov_1": 0.25 * d2 * d2 + d3 / 6.0,
-    }
-    return BifPoint(kind=kind, orbit=orbit, test_values=tests)
+    _reject_divisor_period(ymap, y, params, period, 1.0e-6, "codim-1 solution")
+    point = _bif_point(ymap, kind, period, y, params)
+    offset = point.orbit.multiplier - (1.0 if kind == SN else -1.0)
+    point.test_values["multiplier_offset"] = abs(offset)
+    return point
 
 
 def lyapunov_value_1(ymap, pd_point: BifPoint) -> float:
@@ -241,7 +241,7 @@ def lyapunov_value_1(ymap, pd_point: BifPoint) -> float:
     if abs(orbit.multiplier + 1.0) > 1.0e-6:
         raise NumericalError("first Lyapunov value needs a multiplier at -1")
     _, _, d2, d3 = orbit_jet(ymap, orbit.y, orbit.params, orbit.period, order=3)
-    return float(0.25 * d2 * d2 + d3 / 6.0)
+    return float(_first_lyapunov(d2, d3))
 
 
 def _extended_residual(ymap, period, kind, u, plane, params):
@@ -309,7 +309,17 @@ def _test_value(ymap, period, kind, y, params):
     _, _, d2, d3 = orbit_jet(ymap, rep, params, period, order=3)
     if kind == SN:
         return d2
-    return 0.25 * d2 * d2 + d3 / 6.0
+    return _first_lyapunov(d2, d3)
+
+
+def _record_point(curve, ymap, u, plane, params):
+    """Append the curve point u = (y, p_i, p_j) with its multiplier and test value."""
+    period, kind = curve.period, curve.kind
+    _, pfull = _extended_residual(ymap, period, kind, u, plane, params)
+    curve.points.append((u[1], u[2]))
+    curve.y_values.append(u[0])
+    curve.multipliers.append(orbit_jet(ymap, u[0], pfull, period, order=1)[1])
+    curve.test_values.append(_test_value(ymap, period, kind, u[0], pfull))
 
 
 def continue_codim1(
@@ -339,12 +349,7 @@ def continue_codim1(
     curve = BifCurve(kind=kind, period=period, plane=tuple(plane))
     t = _tangent(ymap, period, kind, u, plane, params) * direction
     ds = step
-    _, pfull = _extended_residual(ymap, period, kind, u, plane, params)
-    curve.points.append((u[1], u[2]))
-    curve.y_values.append(u[0])
-    v, d1 = orbit_jet(ymap, u[0], pfull, period, order=1)[:2]
-    curve.multipliers.append(d1)
-    curve.test_values.append(_test_value(ymap, period, kind, u[0], pfull))
+    _record_point(curve, ymap, u, plane, params)
 
     while len(curve.points) < max_points:
         predictor = u + ds * t
@@ -360,14 +365,22 @@ def continue_codim1(
         t = _tangent(ymap, period, kind, u_new, plane, params, prev=t)
         u = u_new
         ds = min(ds * 1.3, max_step)
-        _, pfull = _extended_residual(ymap, period, kind, u, plane, params)
-        curve.points.append((u[1], u[2]))
-        curve.y_values.append(u[0])
-        _, d1 = orbit_jet(ymap, u[0], pfull, period, order=1)[:2]
-        curve.multipliers.append(d1)
-        curve.test_values.append(_test_value(ymap, period, kind, u[0], pfull))
+        _record_point(curve, ymap, u, plane, params)
     curve.codim2_hits = detect_codim2(curve, ymap, params)
     return curve
+
+
+def continue_both_ways(ymap, start: BifPoint, plane, params, **options) -> BifCurve:
+    """continue_codim1 forward and backward from start, joined into one curve:
+    the backward points reversed, then the forward ones (start is in both),
+    and the backward codim-2 hits first.  options go to both continuations."""
+    fwd = continue_codim1(ymap, start, plane, params, **options)
+    back = continue_codim1(ymap, start, plane, params, direction=-1.0, **options)
+    joined = BifCurve(fwd.kind, fwd.period, fwd.plane)
+    joined.codim2_hits = back.codim2_hits + fwd.codim2_hits
+    for name in ("points", "y_values", "multipliers", "test_values"):
+        setattr(joined, name, getattr(back, name)[::-1] + getattr(fwd, name))
+    return joined
 
 
 def _codim2_residual(ymap, period, kind, u, plane, params):
@@ -429,15 +442,7 @@ def detect_codim2(curve: BifCurve, ymap=None, params=None, tol: float = 1.0e-8):
             if u is None:
                 continue
         _, pfull = _extended_residual(ymap, period, kind, u, plane, full)
-        v, d1, d2, d3 = orbit_jet(ymap, u[0], pfull, period, order=3)
-        orbit = PeriodicOrbit(period, float(u[0]), float(d1), tuple(pfull))
-        label = CUSP if kind == SN else DEGENERATE_FLIP
-        tests = {
-            "fixed_point": abs(v - u[0]),
-            "second_derivative": d2,
-            "lyapunov_1": 0.25 * d2 * d2 + d3 / 6.0,
-        }
-        hits.append(BifPoint(kind=label, orbit=orbit, test_values=tests))
+        hits.append(_bif_point(ymap, CUSP if kind == SN else DEGENERATE_FLIP, period, u[0], pfull))
     return hits
 
 
@@ -460,17 +465,11 @@ def _bisect_codim2(ymap, period, kind, ua, ub, fa, plane, params, tol):
 
 def curve_to_csv(curve: BifCurve, path, param_names=("p_i", "p_j"), header_lines=()):
     """Write a continuation curve as CSV with '#' metadata lines."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["kind", "period", param_names[0], param_names[1], "Y", "multiplier", "test_value"]
-        )
+    columns = ["kind", "period", param_names[0], param_names[1], "Y", "multiplier", "test_value"]
+    rows = (
+        [curve.kind, curve.period, *(f"{x:.17g}" for x in (pi, pj, y, mult, tv))]
         for (pi, pj), y, mult, tv in zip(
             curve.points, curve.y_values, curve.multipliers, curve.test_values
-        ):
-            writer.writerow(
-                [curve.kind, curve.period, f"{pi:.17g}", f"{pj:.17g}",
-                 f"{y:.17g}", f"{mult:.17g}", f"{tv:.17g}"]
-            )
+        )
+    )
+    write_table(path, header_lines, columns, rows)

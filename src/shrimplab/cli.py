@@ -12,25 +12,23 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
-import numpy as np
-
-from .bifurcation import FamilyYMap, continue_codim1, curve_to_csv, solve_codim1
+from .bifurcation import FamilyYMap, continue_both_ways, curve_to_csv, solve_codim1
 from .config import (
     build_model,
     build_return_config,
     build_sweep_spec,
     load_config,
+    plane_param_index,
     resolved_lines,
     _get_float,
     _get_int,
     _get_list,
 )
 from .errors import ConfigError, ConvergenceError, EscapeError, NumericalError, ShrimplabError
-from .gridio import export_grid
+from .gridio import export_grid, write_table
 from .rescale import (
     limit_map_deviation,
     locate_fold,
@@ -56,14 +54,11 @@ def _out_path(outdir, name, force):
     return path
 
 
-def _write_table(path, header_lines, columns, rows):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row)
+def _write_output(cfg, outdir, force, name, columns, rows):
+    """Write one CSV output under the resolved-config header; returns [path]."""
+    path = _out_path(outdir, name, force)
+    write_table(path, resolved_lines(cfg), columns, rows)
+    return [path]
 
 
 def _fmt(x) -> str:
@@ -91,50 +86,25 @@ def _continuation(cfg):
         raise ConfigError(f"unknown bifurcation kind '{kind}'", key="continue.kind")
     free = _get_int(cfg, "continue.free_param")
     guess = (_get_float(cfg, "continue.y_guess"), _get_float(cfg, "continue.param_guess"))
-    plane_names = (cfg["plane.x_name"], cfg["plane.y_name"])
-    from .families import FAMILY_ARITY
-    from .sweep import _PARAM_NAMES
-
     params = list(model.params)
     plane = []
-    for name in plane_names:
-        if name == "dummy":
+    for key in ("plane.x_name", "plane.y_name"):
+        index = plane_param_index(cfg, model.family, key)
+        if index < 0:
             params.append(0.0)
-            plane.append(len(params) - 1)
-        else:
-            index = _PARAM_NAMES.get(name, -2)
-            if not 0 <= index < FAMILY_ARITY[model.family]:
-                raise ConfigError(
-                    f"{model.family} has no parameter {name}", key="plane.x_name"
-                )
-            plane.append(index)
-    plane = tuple(plane)
+            index = len(params) - 1
+        plane.append(index)
     start = solve_codim1(ymap, period, kind, free, guess, params)
-    curve = continue_codim1(
+    curve = continue_both_ways(
         ymap,
         start,
-        plane,
+        tuple(plane),
         start.orbit.params,
         step=_get_float(cfg, "continue.step"),
         max_points=_get_int(cfg, "continue.max_points"),
         bounds=_get_float(cfg, "continue.bounds"),
     )
-    back = continue_codim1(
-        ymap,
-        start,
-        plane,
-        start.orbit.params,
-        step=_get_float(cfg, "continue.step"),
-        max_points=_get_int(cfg, "continue.max_points"),
-        bounds=_get_float(cfg, "continue.bounds"),
-        direction=-1.0,
-    )
-    curve.points = back.points[::-1] + curve.points
-    curve.y_values = back.y_values[::-1] + curve.y_values
-    curve.multipliers = back.multipliers[::-1] + curve.multipliers
-    curve.test_values = back.test_values[::-1] + curve.test_values
-    curve.codim2_hits = back.codim2_hits + curve.codim2_hits
-    return curve, plane_names
+    return curve, (cfg["plane.x_name"], cfg["plane.y_name"])
 
 
 def _cmd_continue(cfg, outdir, force, workers):
@@ -146,7 +116,6 @@ def _cmd_continue(cfg, outdir, force, workers):
 
 def _cmd_codim2(cfg, outdir, force, workers):
     curve, plane_names = _continuation(cfg)
-    path = _out_path(outdir, "codim2.csv", force)
     rows = [
         (
             hit.kind,
@@ -160,14 +129,9 @@ def _cmd_codim2(cfg, outdir, force, workers):
         )
         for hit in curve.codim2_hits
     ]
-    _write_table(
-        path,
-        resolved_lines(cfg),
-        ["kind", "period", plane_names[0], plane_names[1], "Y", "multiplier",
-         "second_derivative", "lyapunov_1"],
-        rows,
-    )
-    return [path]
+    columns = ["kind", "period", plane_names[0], plane_names[1], "Y", "multiplier",
+               "second_derivative", "lyapunov_1"]
+    return _write_output(cfg, outdir, force, "codim2.csv", columns, rows)
 
 
 def _cmd_rescale_verify(cfg, outdir, force, workers):
@@ -191,22 +155,25 @@ def _cmd_rescale_verify(cfg, outdir, force, workers):
                 report.skipped,
             )
         )
-    path = _out_path(outdir, "rescale.csv", force)
-    _write_table(
-        path,
-        resolved_lines(cfg),
-        ["k", "m", "err_two_param", "err_three_param", "linear_coeff",
-         "linear_coeff_measured", "skipped"],
-        rows,
-    )
-    return [path]
+    columns = ["k", "m", "err_two_param", "err_three_param", "linear_coeff",
+               "linear_coeff_measured", "skipped"]
+    return _write_output(cfg, outdir, force, "rescale.csv", columns, rows)
+
+
+def _plan(planner, *args, **kwargs):
+    """Run a sequence planner; the ValueErrors it raises are bad plan settings."""
+    try:
+        return planner(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(str(err), key="plan.*") from err
 
 
 def _cmd_sequence_plan(cfg, outdir, force, workers):
     count = _get_int(cfg, "plan.count")
     s_values = [float(j) for j in range(1, count + 1)]
     if cfg["plan.kind"] == "saddle":
-        plan = plan_modulus_sequence(
+        plan = _plan(
+            plan_modulus_sequence,
             _get_float(cfg, "plan.theta0"),
             _get_float(cfg, "plan.gamma"),
             s_values,
@@ -220,8 +187,8 @@ def _cmd_sequence_plan(cfg, outdir, force, workers):
         lam = _get_float(cfg, "plan.lambda")
         gam = _get_float(cfg, "plan.gamma")
         amp = _get_float(cfg, "plan.amplitude")
-        plan = plan_rotation_sequence(
-            _get_float(cfg, "plan.phi0"), lam, gam, s_values, amplitude=amp
+        plan = _plan(
+            plan_rotation_sequence, _get_float(cfg, "plan.phi0"), lam, gam, s_values, amplitude=amp
         )
         rows = []
         for e in plan.entries:
@@ -230,15 +197,8 @@ def _cmd_sequence_plan(cfg, outdir, force, workers):
                          _fmt(c1), _fmt(c2)))
     else:
         raise ConfigError(f"unknown plan kind '{cfg['plan.kind']}'", key="plan.kind")
-    path = _out_path(outdir, "plan.csv", force)
-    _write_table(
-        path,
-        resolved_lines(cfg),
-        ["j", "k", "m", "n", "interval_lo", "interval_hi", "s",
-         "endpoint_1", "endpoint_2"],
-        rows,
-    )
-    return [path]
+    columns = ["j", "k", "m", "n", "interval_lo", "interval_hi", "s", "endpoint_1", "endpoint_2"]
+    return _write_output(cfg, outdir, force, "plan.csv", columns, rows)
 
 
 def _cmd_shrimp_predict(cfg, outdir, force, workers):
@@ -256,15 +216,9 @@ def _cmd_shrimp_predict(cfg, outdir, force, workers):
         rows.append(
             (k, k, _fmt(mu_pred[0]), _fmt(mu_pred[1])) + measured
         )
-    path = _out_path(outdir, "predict.csv", force)
-    _write_table(
-        path,
-        resolved_lines(cfg),
-        ["k", "m", "mu1_predicted", "mu2_predicted", "mu1_measured",
-         "mu2_measured", "relative_offset"],
-        rows,
-    )
-    return [path]
+    columns = ["k", "m", "mu1_predicted", "mu2_predicted", "mu1_measured",
+               "mu2_measured", "relative_offset"]
+    return _write_output(cfg, outdir, force, "predict.csv", columns, rows)
 
 
 _DISPATCH = {

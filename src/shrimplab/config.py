@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .families import FAMILY_ARITY, ModelMap
+from .families import FAMILY_ARITY, ModelMap, param_index
 from .global_map import GlobalMapTaylor, focus_global, saddle_global
 from .local import SADDLE, SADDLE_FOCUS, LocalNormalForm
 from .returnmap import ReturnMapConfig
@@ -159,40 +159,32 @@ def load_config(path=None, overrides=()) -> dict:
     return cfg
 
 
-def _get_float(cfg, key):
+def _parse(cfg, key, parse, what):
     try:
-        return float(cfg[key])
+        return parse(cfg[key])
     except ValueError as err:
-        raise ConfigError(f"not a number: '{cfg[key]}'", key=key) from err
+        raise ConfigError(f"not {what}: '{cfg[key]}'", key=key) from err
+
+
+def _get_float(cfg, key):
+    return _parse(cfg, key, float, "a number")
 
 
 def _get_int(cfg, key):
-    try:
-        return int(cfg[key])
-    except ValueError as err:
-        raise ConfigError(f"not an integer: '{cfg[key]}'", key=key) from err
+    return _parse(cfg, key, int, "an integer")
 
 
 def _get_vector(cfg, key):
-    try:
-        return np.array([float(v) for v in cfg[key].split(",")])
-    except ValueError as err:
-        raise ConfigError(f"not a vector: '{cfg[key]}'", key=key) from err
+    return _parse(cfg, key, lambda v: np.array([float(x) for x in v.split(",")]), "a vector")
 
 
 def _get_matrix(cfg, key):
-    try:
-        rows = [[float(v) for v in row.split(",")] for row in cfg[key].split(";")]
-        return np.array(rows)
-    except ValueError as err:
-        raise ConfigError(f"not a matrix: '{cfg[key]}'", key=key) from err
+    rows = lambda v: np.array([[float(x) for x in row.split(",")] for row in v.split(";")])
+    return _parse(cfg, key, rows, "a matrix")
 
 
 def _get_list(cfg, key, kind=int):
-    try:
-        return [kind(v) for v in cfg[key].split(",")]
-    except ValueError as err:
-        raise ConfigError(f"not a list: '{cfg[key]}'", key=key) from err
+    return _parse(cfg, key, lambda v: [kind(x) for x in v.split(",")], "a list")
 
 
 def build_local(cfg) -> LocalNormalForm:
@@ -261,20 +253,34 @@ def build_model(cfg) -> ModelMap:
 
 
 def build_plane(cfg) -> PlaneSpec:
-    return PlaneSpec(
-        x_name=cfg["plane.x_name"],
-        x_lo=_get_float(cfg, "plane.x_lo"),
-        x_hi=_get_float(cfg, "plane.x_hi"),
-        y_name=cfg["plane.y_name"],
-        y_lo=_get_float(cfg, "plane.y_lo"),
-        y_hi=_get_float(cfg, "plane.y_hi"),
-    )
+    try:
+        return PlaneSpec(
+            x_name=cfg["plane.x_name"],
+            x_lo=_get_float(cfg, "plane.x_lo"),
+            x_hi=_get_float(cfg, "plane.x_hi"),
+            y_name=cfg["plane.y_name"],
+            y_lo=_get_float(cfg, "plane.y_lo"),
+            y_hi=_get_float(cfg, "plane.y_hi"),
+        )
+    except ValueError as err:
+        raise ConfigError(str(err), key="plane.*") from err
+
+
+def plane_param_index(cfg, family: str, key: str) -> int:
+    """Index of the family parameter that the plane key names; -1 for 'dummy'."""
+    try:
+        return param_index(family, cfg[key])
+    except ValueError as err:
+        raise ConfigError(str(err), key=key) from err
 
 
 def build_sweep_spec(cfg) -> SweepSpec:
     plane = build_plane(cfg)
     if cfg["sweep.target"] == "family":
-        target = FamilyPlaneTarget(build_model(cfg), plane.x_name, plane.y_name)
+        model = build_model(cfg)
+        for key in ("plane.x_name", "plane.y_name"):  # a bad name is a ConfigError on its key
+            plane_param_index(cfg, model.family, key)
+        target = FamilyPlaneTarget(model, plane.x_name, plane.y_name)
     elif cfg["sweep.target"] == "rescaled_return":
         target = RescaledPlaneTarget(build_return_config(cfg))
     else:

@@ -8,12 +8,16 @@ Five families are supported:
     double_parabola  Ybar = M2 - (M1 - Y^2)^2
     shrimp3          Ybar = M2 - (M1 - Y^2)^2 + M3*Y
 
-Evaluation uses the nested form (inner parabola first) so that values and
-derivative jets are bit-identical across modules.
+Each family's formulas are written once, in the FAMILIES table, as nested
+(inner parabola first) functions of (params, y) that work on floats and on
+ndarrays alike.  eval_map, eval_jet and iterate_n call them with a parameter
+tuple; the parameter-plane sweep (sweep.FamilyPlaneTarget) calls the same
+value and slope with one array per parameter, so both get the same bits.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import EscapeError
@@ -24,13 +28,43 @@ CUBIC_MINUS = "cubic_minus"
 DOUBLE_PARABOLA = "double_parabola"
 SHRIMP3 = "shrimp3"
 
-FAMILY_ARITY = {
-    PARABOLA: 1,
-    CUBIC_PLUS: 2,
-    CUBIC_MINUS: 2,
-    DOUBLE_PARABOLA: 2,
-    SHRIMP3: 3,
+# The formulas of one family: value, slope (dYbar/dY) and higher (the
+# derivatives of orders 2..4) take (params, y); coefficients gives the
+# polynomial's coefficients [c0, c1, ...] in Y from params.
+Family = namedtuple("Family", "arity value slope higher coefficients")
+
+
+def _double_parabola(p, y):
+    t = p[0] - y * y
+    t *= t  # in place on arrays: the sweep steps allocate one temporary less
+    return p[1] - t
+
+
+def _quartic_higher(p, y):
+    return (4.0 * (p[0] - y * y) - 8.0 * y * y, -24.0 * y, -24.0)
+
+
+FAMILIES = {
+    PARABOLA: Family(
+        1, lambda p, y: p[0] - y * y, lambda p, y: -2.0 * y,
+        lambda p, y: (-2.0, 0.0, 0.0), lambda p: [p[0], 0.0, -1.0]),
+    CUBIC_PLUS: Family(
+        2, lambda p, y: p[0] + p[1] * y + y * y * y, lambda p, y: p[1] + 3.0 * y * y,
+        lambda p, y: (6.0 * y, 6.0, 0.0), lambda p: [p[0], p[1], 0.0, 1.0]),
+    CUBIC_MINUS: Family(
+        2, lambda p, y: p[0] + p[1] * y - y * y * y, lambda p, y: p[1] - 3.0 * y * y,
+        lambda p, y: (-6.0 * y, -6.0, 0.0), lambda p: [p[0], p[1], 0.0, -1.0]),
+    # the slope has no "+ 0.0" for the absent M3: the sweep calls it every step
+    DOUBLE_PARABOLA: Family(
+        2, _double_parabola, lambda p, y: 4.0 * (p[0] - y * y) * y,
+        _quartic_higher, lambda p: [p[1] - p[0] * p[0], 0.0, 2.0 * p[0], 0.0, -1.0]),
+    SHRIMP3: Family(
+        3, lambda p, y: _double_parabola(p, y) + p[2] * y,
+        lambda p, y: 4.0 * (p[0] - y * y) * y + p[2],
+        _quartic_higher, lambda p: [p[1] - p[0] * p[0], p[2], 2.0 * p[0], 0.0, -1.0]),
 }
+
+FAMILY_ARITY = {name: family.arity for name, family in FAMILIES.items()}
 
 DEFAULT_ESCAPE_RADIUS = 1.0e6
 
@@ -55,9 +89,6 @@ class ModelMap:
             raise ValueError("parameters must be finite")
         object.__setattr__(self, "params", params)
 
-    def with_params(self, params) -> "ModelMap":
-        return ModelMap(self.family, tuple(params))
-
 
 @dataclass(frozen=True)
 class Jet:
@@ -67,40 +98,33 @@ class Jet:
     derivs: tuple
 
 
+def param_index(family: str, name: str) -> int:
+    """Position of parameter `name` (M1, M2, M3) in the family's vector, or
+    -1 for 'dummy', an axis no parameter reads; ValueError if there is none."""
+    if name == "dummy":
+        return -1
+    names = ("M1", "M2", "M3")[: FAMILY_ARITY[family]]
+    if name not in names:
+        raise ValueError(f"{family} has no parameter {name}")
+    return names.index(name)
+
+
 def eval_map(m: ModelMap, y: float) -> float:
     """Evaluate the family polynomial at y (nested form)."""
     if not math.isfinite(y):
         raise ValueError("state must be finite")
-    p = m.params
-    f = m.family
-    if f == PARABOLA:
-        return p[0] - y * y
-    if f == CUBIC_PLUS:
-        return p[0] + p[1] * y + y * y * y
-    if f == CUBIC_MINUS:
-        return p[0] + p[1] * y - y * y * y
-    t = p[0] - y * y
-    if f == DOUBLE_PARABOLA:
-        return p[1] - t * t
-    return p[1] - t * t + p[2] * y
+    return FAMILIES[m.family].value(m.params, y)
 
 
 def eval_jet(m: ModelMap, y: float, order: int = 4) -> Jet:
     """Exact Y-derivatives of orders 1..order (order must be in 1..4)."""
     if not 1 <= order <= 4:
         raise ValueError("jet order must be in 1..4")
-    p = m.params
-    f = m.family
-    if f == PARABOLA:
-        derivs = (-2.0 * y, -2.0, 0.0, 0.0)
-    elif f in (CUBIC_PLUS, CUBIC_MINUS):
-        s = 1.0 if f == CUBIC_PLUS else -1.0
-        derivs = (p[1] + 3.0 * s * y * y, 6.0 * s * y, 6.0 * s, 0.0)
-    else:
-        t = p[0] - y * y
-        m3 = p[2] if f == SHRIMP3 else 0.0
-        derivs = (4.0 * t * y + m3, 4.0 * t - 8.0 * y * y, -24.0 * y, -24.0)
-    return Jet(eval_map(m, y), derivs[:order])
+    family = FAMILIES[m.family]
+    derivs = (family.slope(m.params, y),)
+    if order > 1:
+        derivs += family.higher(m.params, y)[: order - 1]
+    return Jet(eval_map(m, y), derivs)
 
 
 def iterate_n(
@@ -116,10 +140,11 @@ def iterate_n(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    slope = FAMILIES[m.family].slope
     y = float(y0)
     prod = 1.0
     for step in range(n):
-        prod *= eval_jet(m, y, 1).derivs[0]
+        prod *= slope(m.params, y)
         y = eval_map(m, y)
         if not math.isfinite(y) or abs(y) > escape_radius:
             raise EscapeError("orbit left the escape radius", step=step + 1, value=y)
@@ -131,13 +156,4 @@ def poly_coefficients(m: ModelMap) -> list:
 
     Exact for the integer/dyadic parameter values used in degeneracy checks.
     """
-    p = m.params
-    f = m.family
-    if f == PARABOLA:
-        return [p[0], 0.0, -1.0]
-    if f == CUBIC_PLUS:
-        return [p[0], p[1], 0.0, 1.0]
-    if f == CUBIC_MINUS:
-        return [p[0], p[1], 0.0, -1.0]
-    m3 = p[2] if f == SHRIMP3 else 0.0
-    return [p[1] - p[0] * p[0], m3, 2.0 * p[0], 0.0, -1.0]
+    return FAMILIES[m.family].coefficients(m.params)

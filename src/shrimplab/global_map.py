@@ -9,9 +9,7 @@ neighborhood back to the stable-side neighborhood:
 with d != 0 (quadratic fold in y) and nonzero b, c.  The maps are exactly
 these polynomials: no hidden higher-order terms.  For a saddle all
 coefficients are scalars; for a saddle-focus x is a 2-vector, a is 2x2, and
-b, c are 2-vectors.  Slots for non-leading directions (p, q, a_tilde,
-b_tilde) exist for interface completeness but must stay zero at the
-supported phase-space dimensions, where there are no non-leading directions.
+b, c are 2-vectors.
 """
 from __future__ import annotations
 
@@ -37,10 +35,6 @@ class GlobalMapTaylor:
     c: object
     d: float
     mu: float = 0.0
-    p: object = 0.0
-    q: object = 0.0
-    a_tilde: object = 0.0
-    b_tilde: object = 0.0
 
     def __post_init__(self):
         if self.d == 0.0:
@@ -49,12 +43,6 @@ class GlobalMapTaylor:
             raise ValueError("b must be nonzero")
         if _norm(self.c) == 0.0:
             raise ValueError("c must be nonzero")
-        for name in ("p", "q", "a_tilde", "b_tilde"):
-            if _norm(getattr(self, name)) != 0.0:
-                raise ValueError(
-                    f"{name} must be zero: no non-leading directions at the "
-                    "supported dimensions"
-                )
 
     @property
     def x_dim(self) -> int:

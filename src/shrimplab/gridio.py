@@ -5,6 +5,8 @@ Gray mapping, documented here and in the README: escaped cells are black
 16 + (p - 1) * 224 // max(1, max_period - 1), spreading periods over
 mid-grays.  CSV files carry '#'-prefixed metadata lines followed by a header
 row and one row per cell; escaped cells leave the value column empty.
+write_table writes every other CSV output (curves, codim-2 points, rescale
+checks, plans, predictions) in the same '#'-header form.
 """
 from __future__ import annotations
 
@@ -23,6 +25,16 @@ from .sweep import (
     _CODE,
     _KIND,
 )
+
+
+def write_table(path, header_lines, columns, rows):
+    """Write '#'-prefixed header lines, then a CSV header row and the rows."""
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def gray_for(outcome_kind: str, period: int, max_period: int) -> int:

@@ -31,13 +31,14 @@ from .local import (
     SOLVED,
     TEST_CUBIC,
     LocalNormalForm,
+    _leading_apply,
     cross_form_points,
     cross_form_solve,
     iterate_points,
     raise_unsolved,
 )
 from .global_map import apply_global
-from .returnmap import K_GE_M, K_LT_M, ReturnMapConfig
+from .returnmap import K_GE_M, ReturnMapConfig
 
 DEFAULT_ESCAPE_RADIUS = 1.0e6
 
@@ -118,18 +119,6 @@ def _oriented(cfg: ReturnMapConfig):
     return cfg.swapped(), True
 
 
-def _dot(row, x):
-    if np.ndim(row) == 0:
-        return row * x
-    return float(np.asarray(row, dtype=float) @ np.asarray(x, dtype=float))
-
-
-def _mat_vec(a, x):
-    if np.ndim(a) == 0:
-        return a * x
-    return np.asarray(a, dtype=float) @ np.asarray(x, dtype=float)
-
-
 def _y_linear_coefficient(local: LocalNormalForm, t1, t2, m: int, k: int):
     """Coefficient of Y in the rescaled second row, and the phase nu."""
     lam, gamma = local.lam, local.gamma
@@ -162,8 +151,8 @@ def _linear_centers(cfg: ReturnMapConfig):
         rhs = np.asarray(t2.x_plus, dtype=float) + a2am @ np.asarray(t1.x_plus, dtype=float)
         xi = np.linalg.solve(np.eye(2) - coupling, rhs)
         x1c = np.asarray(t1.x_plus, dtype=float) + np.asarray(t1.a, dtype=float) @ (ak @ xi)
-    mu1c = t2.y_minus / gamma**m - _dot(t1.c, _mat_vec(ak, xi))
-    mu2c = t1.y_minus / gamma**k - _dot(t2.c, _mat_vec(am, x1c))
+    mu1c = t2.y_minus / gamma**m - _leading_apply(local, t1.c, _leading_apply(local, ak, xi))
+    mu2c = t1.y_minus / gamma**k - _leading_apply(local, t2.c, _leading_apply(local, am, x1c))
     y2c = float(t2.y_minus)
     return eta, xi, x1c, y2c, mu1c, mu2c
 
@@ -434,8 +423,8 @@ def predict_shrimp_location(cfg: ReturnMapConfig, m_event) -> tuple:
     gamma = local.gamma
     m_first, m_second = (m_event[1], m_event[0]) if swapped else (m_event[0], m_event[1])
 
-    alpha1 = _dot(t1.c, _mat_vec(local.leading_power(k), np.asarray(t2.x_plus)))
-    alpha2 = _dot(t2.c, _mat_vec(local.leading_power(m), np.asarray(t1.x_plus)))
+    alpha1 = _leading_apply(local, t1.c, _leading_apply(local, local.leading_power(k), t2.x_plus))
+    alpha2 = _leading_apply(local, t2.c, _leading_apply(local, local.leading_power(m), t1.x_plus))
     s1, s2 = _parameter_scales(oc)
     mu1 = t2.y_minus / gamma**m - alpha1 + m_first / s1
     mu2 = t1.y_minus / gamma**k - alpha2 + m_second / s2

@@ -26,20 +26,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import NumericalError
-from .families import (
-    CUBIC_MINUS,
-    CUBIC_PLUS,
-    DOUBLE_PARABOLA,
-    FAMILY_ARITY,
-    PARABOLA,
-    SHRIMP3,
-    ModelMap,
-)
+from .families import FAMILIES, ModelMap, param_index
 from .rescale import rescale_frame
 from .returnmap import ReturnMapConfig
 
@@ -49,8 +42,6 @@ KIND_ESCAPED = "escaped"
 
 _CODE = {KIND_PERIOD: 1, KIND_CHAOTIC: 2, KIND_ESCAPED: 3}
 _KIND = {v: k for k, v in _CODE.items()}
-
-_PARAM_NAMES = {"M1": 0, "M2": 1, "M3": 2, "dummy": -1}
 
 # Cells classified together: every stage of a sweep works on at most this many
 # cells at once, so its arrays stay in cache and its memory is bounded.
@@ -73,6 +64,11 @@ class PlaneSpec:
     y_lo: float
     y_hi: float
 
+    def __post_init__(self):
+        for name in ("x_lo", "x_hi", "y_lo", "y_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+
     def x_values(self, nx):
         return np.linspace(self.x_lo, self.x_hi, nx)
 
@@ -88,39 +84,19 @@ class FamilyPlaneTarget:
     """
 
     def __init__(self, template: ModelMap, x_name: str, y_name: str):
-        arity = FAMILY_ARITY[template.family]
-        for name in (x_name, y_name):
-            if name not in _PARAM_NAMES or _PARAM_NAMES[name] >= arity:
-                raise ValueError(f"{template.family} has no parameter {name}")
         self.template = template
-        self.ix = _PARAM_NAMES[x_name]
-        self.iy = _PARAM_NAMES[y_name]
+        self.ix = param_index(template.family, x_name)
+        self.iy = param_index(template.family, y_name)
 
     def maps(self, p1, p2):
-        base = self.template.params
-        P = [np.full_like(p1, v) for v in base]
+        """The family's value and slope (families.FAMILIES), one parameter point per cell."""
+        P = [np.full_like(p1, v) for v in self.template.params]
         if self.ix >= 0:
             P[self.ix] = p1
         if self.iy >= 0:
             P[self.iy] = p2
-        fam = self.template.family
-
-        if fam == PARABOLA:
-            f = lambda y: P[0] - y * y
-            df = lambda y: -2.0 * y
-        elif fam in (CUBIC_PLUS, CUBIC_MINUS):
-            s = 1.0 if fam == CUBIC_PLUS else -1.0
-            f = lambda y: P[0] + P[1] * y + s * y * y * y
-            df = lambda y: P[1] + 3.0 * s * y * y
-        elif fam == DOUBLE_PARABOLA:
-            f = lambda y: P[1] - (P[0] - y * y) ** 2
-            df = lambda y: 4.0 * y * (P[0] - y * y)
-        elif fam == SHRIMP3:
-            f = lambda y: P[1] - (P[0] - y * y) ** 2 + P[2] * y
-            df = lambda y: 4.0 * y * (P[0] - y * y) + P[2]
-        else:
-            raise NumericalError(f"no vector maps for family {fam}")
-        return f, df
+        family = FAMILIES[self.template.family]
+        return partial(family.value, P), partial(family.slope, P)
 
     def meta(self):
         return {
@@ -197,8 +173,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("resolution must be at least 2x2")
-        if self.transient < 1 or self.max_period < 1:
-            raise ValueError("transient and max_period must be >= 1")
+        if self.transient < 1 or self.max_period < 1 or self.samples < 1:
+            raise ValueError("transient, max_period and samples must be >= 1")
+        if not (math.isfinite(self.period_tol) and self.period_tol > 0.0):
+            raise ValueError("period_tol must be finite and positive")
         if self.escape_radius <= 0.0:
             raise ValueError("escape_radius must be positive")
         if self.seed_rule not in ("critical", "fixed"):

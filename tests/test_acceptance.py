@@ -17,7 +17,7 @@ from shrimplab.bifurcation import (
     PD,
     SN,
     FamilyYMap,
-    continue_codim1,
+    continue_both_ways,
     find_periodic_orbit,
     solve_codim1,
 )
@@ -108,33 +108,27 @@ def test_criterion_2_codim3_endpoints():
 WINDOW = dict(x_lo=-0.6, x_hi=1.5, y_lo=-0.55, y_hi=1.4)
 
 
-def _both_ways(ymap, start, step=0.015, max_points=900, bounds=5.0):
-    fwd = continue_codim1(
-        ymap, start, (0, 1), start.orbit.params, step=step, max_points=max_points,
-        bounds=bounds, max_step=0.02,
-    )
-    back = continue_codim1(
-        ymap, start, (0, 1), start.orbit.params, step=step, max_points=max_points,
-        bounds=bounds, max_step=0.02, direction=-1.0,
-    )
-    return back.points[::-1] + fwd.points, fwd.codim2_hits + back.codim2_hits
+CONTINUE = dict(step=0.015, max_points=900, bounds=5.0, max_step=0.02)
 
 
 def test_criterion_3_shrimp_reproduction():
     t0 = time.monotonic()
     dp = FamilyYMap("double_parabola")
-    curves = {}
-    cusp_hits = []
-    curves["sn_pos"], hits = _both_ways(dp, solve_codim1(dp, 1, SN, 1, (0.9, 1.0), (0.9, 0.0)))
-    cusp_hits += hits
-    curves["sn_neg"], hits = _both_ways(dp, solve_codim1(dp, 1, SN, 1, (-0.5, -0.25), (0.0, 0.0)))
-    cusp_hits += hits
-    curves["pd_pos"], _ = _both_ways(dp, solve_codim1(dp, 1, PD, 1, (1.0, 1.06), (0.75, 0.0)))
-    curves["pd_neg"], _ = _both_ways(dp, solve_codim1(dp, 1, PD, 1, (-0.31, 0.34), (0.9, 0.0)))
-    # fold skeleton of the window includes the fold of 2-cycles; its cusps
-    # complete the shrimp head (the fixed-point fold carries exactly one)
-    b_curve, hits2 = _both_ways(dp, solve_codim1(dp, 2, SN, 1, (-1.21, 0.377), (1.4, 0.0)))
-    cusp_hits += hits2
+    starts = {
+        "sn_pos": solve_codim1(dp, 1, SN, 1, (0.9, 1.0), (0.9, 0.0)),
+        "sn_neg": solve_codim1(dp, 1, SN, 1, (-0.5, -0.25), (0.0, 0.0)),
+        "pd_pos": solve_codim1(dp, 1, PD, 1, (1.0, 1.06), (0.75, 0.0)),
+        "pd_neg": solve_codim1(dp, 1, PD, 1, (-0.31, 0.34), (0.9, 0.0)),
+        # fold skeleton of the window includes the fold of 2-cycles; its cusps
+        # complete the shrimp head (the fixed-point fold carries exactly one)
+        "sn2": solve_codim1(dp, 2, SN, 1, (-1.21, 0.377), (1.4, 0.0)),
+    }
+    joined = {
+        name: continue_both_ways(dp, start, (0, 1), start.orbit.params, **CONTINUE)
+        for name, start in starts.items()
+    }
+    curves = {name: joined[name].points for name in ("sn_pos", "sn_neg", "pd_pos", "pd_neg")}
+    cusp_hits = [h for name in ("sn_pos", "sn_neg", "sn2") for h in joined[name].codim2_hits]
 
     cusps = []
     for h in cusp_hits:

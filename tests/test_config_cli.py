@@ -147,6 +147,31 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "sweep.unknown_key" in message
 
 
+@pytest.mark.parametrize(
+    "command, settings, named",
+    [
+        ("sweep", ["plane.x_name=M3"], "plane.x_name"),
+        ("sweep", ["plane.y_name=M3"], "plane.y_name"),
+        ("continue", ["plane.x_name=M3"], "plane.x_name"),
+        ("continue", ["plane.y_name=M3"], "plane.y_name"),
+        ("sweep", ["plane.x_lo=nan"], "x_lo"),
+        ("sweep", ["plane.y_hi=inf"], "y_hi"),
+        ("sweep", ["sweep.samples=0"], "samples"),
+        ("sweep", ["sweep.period_tol=-1"], "period_tol"),
+        ("sweep", ["sweep.period_tol=nan"], "period_tol"),
+        ("sequence-plan", ["plan.theta0=0.5"], "theta0"),
+        ("sequence-plan", ["plan.kind=saddle_focus", "plan.phi0=4"], "phi0"),
+    ],
+)
+def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
+    sets = [arg for item in settings for arg in ("--set", item)]
+    code = run_cli([command, "--out", str(tmp_path / "x"), *sets])
+    message = capsys.readouterr().err
+    assert code == 1
+    assert message.count("\n") == 1 and "Traceback" not in message
+    assert "config error" in message and named in message
+
+
 def test_cli_continue_and_codim2(tmp_path):
     out = tmp_path / "cont"
     args = [

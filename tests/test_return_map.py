@@ -24,8 +24,6 @@ def test_global_map_validation():
         saddle_global(b=0.0)
     with pytest.raises(ValueError):
         saddle_global(c=0.0)
-    with pytest.raises(ValueError):
-        GlobalMapTaylor(x_plus=1.0, y_minus=1.0, a=0.0, b=1.0, c=1.0, d=1.0, p=0.5)
 
 
 def test_apply_global_scalar():

@@ -5,7 +5,7 @@ import pytest
 
 from shrimplab.bifurcation import FamilyYMap, find_periodic_orbit
 from shrimplab.errors import ShrimplabError
-from shrimplab.families import ModelMap
+from shrimplab.families import ModelMap, eval_jet, eval_map, param_index
 from shrimplab.local import LocalNormalForm
 from shrimplab.global_map import saddle_global
 from shrimplab.returnmap import ReturnMapConfig
@@ -75,6 +75,69 @@ def test_spec_validation():
         dp_spec(escape_radius=-1.0)
     with pytest.raises(ValueError):
         dp_spec(seed_rule="nope")
+
+
+def test_spec_rejects_meaningless_values():
+    with pytest.raises(ValueError, match="x_lo"):
+        PlaneSpec("M1", float("nan"), 1.0, "M2", -1.0, 1.0)
+    with pytest.raises(ValueError, match="y_hi"):
+        PlaneSpec("M1", -1.0, 1.0, "M2", -1.0, float("inf"))
+    with pytest.raises(ValueError, match="samples"):
+        dp_spec(samples=0)
+    for tol in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="period_tol"):
+            dp_spec(period_tol=tol)
+
+
+ORACLE_AXES = {"M1": 0, "M2": 1, "M3": 2}
+
+
+@pytest.mark.parametrize(
+    "family, params, axes",
+    [
+        ("parabola", (0.3,), ("M1", "dummy")),
+        ("parabola", (0.3,), ("dummy", "M1")),
+        ("cubic_plus", (0.1, -0.4), ("M1", "M2")),
+        ("cubic_minus", (0.1, 0.4), ("M2", "dummy")),
+        ("double_parabola", (0.2, 0.5), ("M1", "M2")),
+        ("double_parabola", (0.2, 0.5), ("dummy", "M1")),
+        ("shrimp3", (0.2, 0.5, 0.3), ("M3", "M1")),
+        ("shrimp3", (0.2, 0.5, 0.3), ("M2", "dummy")),
+    ],
+)
+def test_family_maps_match_scalar_evaluators_bitwise(family, params, axes):
+    """The sweep's vector maps and eval_map/eval_jet share one formula table."""
+    rng = np.random.default_rng(17)
+    p1, p2, y = rng.uniform(-1.5, 1.5, (3, 400))
+    y[::7] = 0.0
+    p1[::5] = 0.0
+    f, df = FamilyPlaneTarget(ModelMap(family, params), *axes).maps(p1, p2)
+    want_f, want_df = [], []
+    for a, b, yy in zip(p1, p2, y):
+        q = list(params)
+        for name, value in zip(axes, (a, b)):
+            if name != "dummy":
+                q[ORACLE_AXES[name]] = value
+        m = ModelMap(family, tuple(q))
+        want_f.append(eval_map(m, float(yy)))
+        want_df.append(eval_jet(m, float(yy), 1).derivs[0])
+    got_f, got_df = f(y), df(y)
+    assert np.array_equal(got_f, want_f) and np.array_equal(got_df, want_df)
+    # and bit for bit, signed zeros included
+    assert np.array_equal(got_f.view(np.uint64), np.array(want_f).view(np.uint64))
+    assert np.array_equal(got_df.view(np.uint64), np.array(want_df).view(np.uint64))
+
+
+def test_param_lookup_rejects_absent_parameter():
+    assert param_index("shrimp3", "M3") == 2
+    assert param_index("double_parabola", "dummy") == -1
+    for bad in ("M3", "m1", "M4"):
+        with pytest.raises(ValueError, match=f"double_parabola has no parameter {bad}"):
+            FamilyPlaneTarget(DP, "M1", bad)
+    with pytest.raises(ValueError, match="M3"):
+        FamilyPlaneTarget(DP, "M3", "M2")
+    with pytest.raises(ValueError, match="M2"):
+        FamilyPlaneTarget(PAR, "M2", "dummy")
 
 
 def test_constant_plane_all_period_one():
