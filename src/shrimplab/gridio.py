@@ -11,6 +11,7 @@ checks, plans, predictions) in the same '#'-header form.
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -129,44 +130,62 @@ def export_grid(grid: SweepGrid, csv_path, pgm_path, extra_meta=()):
     )
 
 
+# One CSV cell row as np.loadtxt reads columns i, j, outcome and value.  Each
+# text field is one byte wider than anything the exporter writes (the longest
+# outcome name; the longest '.17g' repr of a double), so a field that fills
+# its width was cut short and is rejected.
+_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("outcome", "S8"), ("value", "S25")])
+
+
 def import_grid_csv(path) -> SweepGrid:
-    """Rebuild a grid from its CSV export (cells are reproduced exactly)."""
+    """Rebuild a grid from its CSV export (cells are reproduced exactly).
+
+    The '#' metadata lines and the header row are read line by line; the
+    cell rows are parsed in one np.loadtxt call.  Any malformed input raises
+    ConfigError naming the file.
+    """
     meta = {}
-    rows = []
     with open(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            rows.append(line)
-    if not rows:
-        raise ConfigError("no CSV content found", key=str(path))
-    reader = csv.reader(rows)
-    header = next(reader)
-    if header[:2] != ["i", "j"]:
-        raise ConfigError("unexpected CSV header", key=str(path))
-    try:
-        nx = int(meta["sweep.nx"])
-        ny = int(meta["sweep.ny"])
-        plane = PlaneSpec(
-            x_name=meta["plane.x_name"],
-            x_lo=float(meta["plane.x_lo"]),
-            x_hi=float(meta["plane.x_hi"]),
-            y_name=meta["plane.y_name"],
-            y_lo=float(meta["plane.y_lo"]),
-            y_hi=float(meta["plane.y_hi"]),
-        )
-    except KeyError as err:
-        raise ConfigError(f"missing metadata {err}", key=str(path)) from err
-    spec = SweepSpec(
+        header = ""
+        for line in fh:
+            if not line.startswith("#"):
+                header = line
+                break
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                meta[key.strip()] = value.strip()
+        if not header:
+            raise ConfigError("no CSV content found", key=str(path))
+        if header.rstrip("\r\n").split(",")[:2] != ["i", "j"]:
+            raise ConfigError("unexpected CSV header", key=str(path))
+        try:
+            spec = _imported_spec(meta)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file with no cell rows
+                rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 4, 5), dtype=_ROW, ndmin=1)
+            kind, period, lyap = _cells(rows, spec.nx, spec.ny)
+        except KeyError as err:
+            raise ConfigError(f"missing metadata {err}", key=str(path)) from err
+        except ValueError as err:
+            raise ConfigError(str(err), key=str(path)) from err
+    return SweepGrid(spec=spec, kind=kind, period=period, lyap=lyap)
+
+
+def _imported_spec(meta) -> SweepSpec:
+    plane = PlaneSpec(
+        x_name=meta["plane.x_name"],
+        x_lo=float(meta["plane.x_lo"]),
+        x_hi=float(meta["plane.x_hi"]),
+        y_name=meta["plane.y_name"],
+        y_lo=float(meta["plane.y_lo"]),
+        y_hi=float(meta["plane.y_hi"]),
+    )
+    return SweepSpec(
         target=_ImportedTarget(dict(meta)),
         plane=plane,
-        nx=nx,
-        ny=ny,
+        nx=int(meta["sweep.nx"]),
+        ny=int(meta["sweep.ny"]),
         transient=int(meta["sweep.transient"]),
         max_period=int(meta["sweep.max_period"]),
         samples=int(meta["sweep.samples"]),
@@ -175,21 +194,39 @@ def import_grid_csv(path) -> SweepGrid:
         seed_value=float(meta["sweep.seed_value"]),
         period_tol=float(meta["sweep.period_tol"]),
     )
-    kind = np.zeros((nx, ny), dtype=np.uint8)
-    period = np.zeros((nx, ny), dtype=np.int32)
-    lyap = np.zeros((nx, ny))
-    count = 0
-    for row in reader:
-        i, j = int(row[0]), int(row[1])
-        kind[i, j] = _CODE[row[4]]
-        if row[4] == KIND_PERIOD:
-            period[i, j] = int(row[5])
-        elif row[4] == KIND_CHAOTIC:
-            lyap[i, j] = float(row[5])
-        count += 1
-    if count != nx * ny:
-        raise ConfigError(f"expected {nx * ny} cells, found {count}", key=str(path))
-    return SweepGrid(spec=spec, kind=kind, period=period, lyap=lyap)
+
+
+def _cells(rows, nx, ny):
+    """The (nx, ny) kind/period/lyap arrays of parsed cell rows; ValueError
+    on a bad row count, index, outcome or value."""
+    n = nx * ny
+    if rows.size != n:
+        raise ValueError(f"expected {n} cells, found {rows.size}")
+    i, j = rows["i"], rows["j"]
+    if ((i < 0) | (i >= nx) | (j < 0) | (j >= ny)).any():
+        raise ValueError(f"cell index outside the {nx}x{ny} grid")
+    flat = i * ny + j
+    seen = np.zeros(n, dtype=bool)
+    seen[flat] = True
+    if not seen.all():
+        raise ValueError("duplicated cell index")
+    outcome, value = rows["outcome"], rows["value"]
+    code = np.zeros(n, dtype=np.uint8)
+    for name in (KIND_PERIOD, KIND_CHAOTIC, KIND_ESCAPED):
+        code[outcome == name.encode()] = _CODE[name]
+    if not code.all():
+        raise ValueError(f"unknown outcome {outcome[code == 0][0].decode('latin-1')!r}")
+    if (np.char.str_len(value) == _ROW["value"].itemsize).any():
+        raise ValueError("value field too long")
+    kind = np.zeros(n, dtype=np.uint8)
+    period = np.zeros(n, dtype=np.int32)
+    lyap = np.zeros(n)
+    kind[flat] = code
+    periodic, chaotic = code == _CODE[KIND_PERIOD], code == _CODE[KIND_CHAOTIC]
+    period[flat[periodic]] = value[periodic].astype(np.int32)
+    lyap[flat[chaotic]] = value[chaotic].astype(np.float64)
+    shape = (nx, ny)
+    return kind.reshape(shape), period.reshape(shape), lyap.reshape(shape)
 
 
 class _ImportedTarget:

@@ -42,6 +42,11 @@ class SequencePlan:
         return [e.diam for e in self.entries]
 
 
+def _require_expanding(gamma: float):
+    if not (math.isfinite(gamma) and abs(gamma) > 1.0):
+        raise ValueError("gamma must be finite with |gamma| > 1")
+
+
 def _ratio_pick(theta0: float, m: int, rule) -> int:
     if callable(rule):
         return int(rule(theta0, m))
@@ -70,6 +75,7 @@ def plan_modulus_sequence(
     """
     if theta0 <= 1.0:
         raise ValueError("theta0 must exceed 1")
+    _require_expanding(gamma)
     lg = math.log(abs(gamma))
     entries, skipped = [], []
     for j, s in enumerate(s_values, start=1):
@@ -126,6 +132,9 @@ def plan_rotation_sequence(
     """
     if not 0.0 < phi0 < math.pi:
         raise ValueError("phi0 must lie in (0, pi)")
+    _require_expanding(gamma)
+    if not 0.0 < lam * abs(gamma) < 1.0:
+        raise ValueError("lambda * |gamma| must lie in (0, 1) for a dissipative saddle-focus")
     entries, skipped = [], []
     last_k = 0
     for j, s in enumerate(s_values, start=1):

@@ -161,6 +161,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("sweep", ["sweep.period_tol=nan"], "period_tol"),
         ("sequence-plan", ["plan.theta0=0.5"], "theta0"),
         ("sequence-plan", ["plan.kind=saddle_focus", "plan.phi0=4"], "phi0"),
+        ("sweep", ["sweep.escape_radius=nan"], "escape_radius"),
+        ("sweep", ["sweep.escape_radius=0"], "escape_radius"),
+        ("sequence-plan", ["plan.gamma=1"], "gamma"),
+        ("sequence-plan", ["plan.gamma=0"], "gamma"),
+        ("sequence-plan", ["plan.kind=saddle_focus", "plan.gamma=-0.5"], "gamma"),
+        # lambda * gamma = 51.2 on the defaults: not dissipative
+        ("sequence-plan", ["plan.kind=saddle_focus", "plan.count=3"], "lambda * |gamma|"),
+        ("sequence-plan", ["plan.kind=saddle_focus"], "lambda * |gamma|"),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
@@ -217,8 +225,12 @@ def test_cli_sequence_plan(tmp_path):
 
 
 def test_cli_sequence_plan_gain_overflow_is_numerical_failure(tmp_path, capsys):
-    # The default plan.gamma=128 drives lam^m * gamma^k past a double.
-    code = run_cli(["sequence-plan", "--out", str(tmp_path / "sf"), "--set", "plan.kind=saddle_focus"])
+    # With lambda * gamma = 0.8 the gain lam^m * gamma^k still passes a double
+    # at the large m of the default 45 entries.
+    code = run_cli([
+        "sequence-plan", "--out", str(tmp_path / "sf"), "--set", "plan.kind=saddle_focus",
+        "--set", "plan.gamma=4", "--set", "plan.lambda=0.2",
+    ])
     assert code == 2
     message = capsys.readouterr().err
     assert message.count("\n") == 1 and "Traceback" not in message

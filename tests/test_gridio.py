@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from shrimplab.errors import ConfigError
 from shrimplab.families import ModelMap
 from shrimplab.gridio import export_grid, gray_for, import_grid_csv
 from shrimplab.sweep import FamilyPlaneTarget, PlaneSpec, SweepGrid, SweepSpec, plane_sweep
@@ -63,3 +65,86 @@ def test_deterministic_bytes(tmp_path):
     export_grid(grid, tmp_path / "b.csv", tmp_path / "b.pgm")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
+
+def _exported(tmp_path):
+    path = tmp_path / "grid.csv"
+    export_grid(small_grid(), path, tmp_path / "grid.pgm")
+    return path
+
+
+def _edit_row(path, n, edit):
+    """Rewrite cell row n (0-based, after the header) with edit(fields)."""
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(k for k, line in enumerate(lines) if not line.startswith("#")) + 1 + n
+    fields = lines[at].rstrip("\r\n").split(",")
+    lines[at] = ",".join(edit(fields)) + "\r\n"
+    path.write_text("".join(lines))
+
+
+def _assert_rejected(path, match):
+    with pytest.raises(ConfigError, match=match) as info:
+        import_grid_csv(path)
+    assert str(path) in str(info.value)
+
+
+def test_import_matches_cells_of_all_outcomes(tmp_path):
+    target = FamilyPlaneTarget(ModelMap("double_parabola", (0.0, 0.0)), "M1", "M2")
+    plane = PlaneSpec("M1", -0.6, 1.5, "M2", -0.55, 1.4)
+    grid = plane_sweep(SweepSpec(target=target, plane=plane, nx=24, ny=20, transient=512,
+                                 samples=512))
+    assert set(np.unique(grid.kind).tolist()) == {1, 2, 3}
+    path = tmp_path / "grid.csv"
+    export_grid(grid, path, tmp_path / "grid.pgm")
+    back = import_grid_csv(path)
+    assert back.same_cells(grid)
+    assert np.array_equal(back.lyap.view(np.uint64), grid.lyap.view(np.uint64))
+
+
+def test_import_rejects_unknown_outcome(tmp_path):
+    path = _exported(tmp_path)
+    _edit_row(path, 5, lambda f: f[:4] + ["periodic", "1"])
+    _assert_rejected(path, "unknown outcome 'periodic'")
+
+
+def test_import_rejects_duplicated_cell(tmp_path):
+    path = _exported(tmp_path)
+    _edit_row(path, 7, lambda f: ["0", "0"] + f[2:])  # right row count, (0, 0) twice
+    _assert_rejected(path, "duplicated cell index")
+
+
+def test_import_rejects_non_integer_index(tmp_path):
+    path = _exported(tmp_path)
+    _edit_row(path, 3, lambda f: ["1.5"] + f[1:])
+    _assert_rejected(path, "1.5")
+
+
+@pytest.mark.parametrize("i, j", [("-1", "0"), ("12", "0"), ("0", "10"), ("0", "-3")])
+def test_import_rejects_index_outside_grid(tmp_path, i, j):
+    path = _exported(tmp_path)
+    _edit_row(path, 0, lambda f: [i, j] + f[2:])
+    _assert_rejected(path, "outside the 12x10 grid")
+
+
+@pytest.mark.parametrize(
+    "value, match",
+    [("2.5", "2.5"), ("", "''"), ("0." + "1" * 30, "too long")],
+)
+def test_import_rejects_bad_value(tmp_path, value, match):
+    grid = small_grid()
+    path = tmp_path / "grid.csv"
+    export_grid(grid, path, tmp_path / "grid.pgm")
+    n = int(np.flatnonzero((grid.kind == 1).T.ravel())[0])  # rows run j-outer
+    _edit_row(path, n, lambda f: f[:4] + ["period", value])
+    _assert_rejected(path, match)
+
+
+def test_import_rejects_missing_rows_and_metadata(tmp_path):
+    path = _exported(tmp_path)
+    text = path.read_text()
+    path.write_text(text[: text.rindex("\n", 0, -1) + 1])  # drop the last cell row
+    _assert_rejected(path, "expected 120 cells, found 119")
+    path.write_text("".join(l for l in text.splitlines(True) if "sweep.transient" not in l))
+    _assert_rejected(path, "missing metadata 'sweep.transient'")
+    path.write_text("".join(l for l in text.splitlines(True) if l.startswith("#")) + "i,j\n")
+    _assert_rejected(path, "expected 120 cells, found 0")

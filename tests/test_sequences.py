@@ -62,6 +62,9 @@ def test_modulus_skips_infeasible():
 def test_modulus_validation():
     with pytest.raises(ValueError):
         plan_modulus_sequence(0.9, 2.0, [2.0])
+    for gamma in (1.0, -1.0, 0.5, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            plan_modulus_sequence(1.25, gamma, [2.0])
 
 
 def test_rotation_argument_zero_symmetry():
@@ -117,5 +120,12 @@ def test_rotation_plan_defaults():
 def test_rotation_validation():
     with pytest.raises(ValueError):
         plan_rotation_sequence(3.5, 0.4, 2.0, [2.0])
+    for gamma in (1.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="gamma"):
+            plan_rotation_sequence(1.0, 0.4, gamma, [2.0])
+    # lam * |gamma| must lie in (0, 1)
+    for lam, gamma in ((0.4, 128.0), (0.5, 2.0), (0.5, -2.0), (0.0, 2.0), (-0.4, 2.0)):
+        with pytest.raises(ValueError, match="dissipative"):
+            plan_rotation_sequence(1.0, lam, gamma, [2.0])
     plan = plan_rotation_sequence(1.0, 0.4, 2.0, [-1.0])
     assert plan.skipped

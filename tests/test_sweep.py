@@ -84,6 +84,9 @@ def test_spec_rejects_meaningless_values():
         PlaneSpec("M1", -1.0, 1.0, "M2", -1.0, float("inf"))
     with pytest.raises(ValueError, match="samples"):
         dp_spec(samples=0)
+    for radius in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="escape_radius"):
+            dp_spec(escape_radius=radius)
     for tol in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="period_tol"):
             dp_spec(period_tol=tol)
@@ -175,6 +178,8 @@ def test_workers_bit_identical(monkeypatch):
         # transient of unparked cells next to the nudged M1 = 2 cells would
         # label it escaped in some blocks and chaotic in others
         par_spec(-0.251, 2.0, nx=61, transient=64, samples=16, max_period=8),
+        # a radius small enough that orbits leave it and come back
+        family_spec("cubic_plus", (0.0, 0.0), escape_radius=0.7, **quick),
         dp_spec(nx=16, ny=16, transient=256, samples=256),
         family_spec("cubic_plus", (0.0, 0.0), **quick),
         family_spec("cubic_minus", (0.0, 0.0), **quick),
@@ -192,6 +197,180 @@ def test_workers_bit_identical(monkeypatch):
                 grid = plane_sweep(spec, workers=workers)
                 assert grid.same_cells(reference), (spec.target.meta(), block, workers)
         monkeypatch.undo()
+
+
+def _reference_escape_step(y, esc, radius):
+    """The per-step escape test: flag states outside the radius (NaN and inf
+    included) and hold every flagged cell at 0."""
+    esc |= ~(np.abs(y) <= radius)
+    np.putmask(y, esc, 0.0)
+
+
+def _reference_window(f, y, radius, transient, length):
+    esc = np.zeros(y.size, dtype=bool)
+    for _ in range(transient):
+        y = f(y)
+        _reference_escape_step(y, esc, radius)
+    S = np.empty((length, y.size))
+    S[0] = y
+    for t in range(1, length):
+        y = f(y)
+        _reference_escape_step(y, esc, radius)
+        S[t] = y
+    return S, y, esc
+
+
+def _reference_lyapunov(f, df, y, radius, samples):
+    acc = np.zeros(y.size)
+    esc = np.zeros(y.size, dtype=bool)
+    for _ in range(samples):
+        acc += np.log(np.maximum(np.abs(df(y)), 1.0e-15))
+        y = f(y)
+        _reference_escape_step(y, esc, radius)
+    return acc / samples, esc
+
+
+def _leaves_and_returns(f, y, radius, steps):
+    """Whether some orbit passes the radius and later lies inside it again."""
+    out = np.zeros(y.size, dtype=bool)
+    back = np.zeros(y.size, dtype=bool)
+    for _ in range(steps):
+        y = f(y)
+        inside = np.abs(y) <= radius
+        back |= out & inside
+        out |= ~inside
+    return back.any()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+ESCAPE_TARGETS = [
+    FamilyPlaneTarget(PAR, "M1", "dummy"),
+    FamilyPlaneTarget(ModelMap("cubic_plus", (0.0, 0.0)), "M1", "M2"),
+    FamilyPlaneTarget(ModelMap("cubic_minus", (0.0, 0.0)), "M1", "M2"),
+    FamilyPlaneTarget(DP, "M1", "M2"),
+    FamilyPlaneTarget(ModelMap("shrimp3", (0.0, 0.0, 0.1)), "M1", "M2"),
+    RescaledPlaneTarget(
+        ReturnMapConfig(
+            LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0), saddle_global(), saddle_global(),
+            10, 10,
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "target", ESCAPE_TARGETS, ids=lambda t: t.meta().get("family", t.meta()["target"])
+)
+def test_escape_tracking_matches_per_step_reference(target):
+    """Running-maximum escape tracking, with the early drop of escaped cells,
+    gives the per-step rule's escape set and states bit for bit.
+
+    Radius 0.7 lets orbits leave and come back; an infinite radius counts
+    only NaN as escape, which the cubic orbits reach through inf - inf.
+    """
+    rng = np.random.default_rng(5)
+    p1, p2 = rng.uniform(-2.5, 2.5, (2, 3000))
+    y0 = rng.uniform(-1.0, 1.0, 3000)
+    length = 17
+    nan_seen = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, df = target.maps(p1, p2)
+        assert _leaves_and_returns(f, y0, 0.7, 100)
+        for radius in (0.7, 2.0, 1.0e6, np.inf):
+            for transient in (10, 63, 64, 65, 150):
+                S, y, esc = sweep._orbit_window(target, p1, p2, y0, radius, transient, length)
+                S_ref, y_ref, esc_ref = _reference_window(f, y0, radius, transient, length)
+                # the states of escaped cells are read by nothing; the engine holds them at 0
+                S_ref[:, esc_ref] = 0.0
+                assert np.array_equal(esc, esc_ref), (radius, transient)
+                assert np.array_equal(_bits(S), _bits(S_ref)), (radius, transient)
+                assert np.array_equal(_bits(y), _bits(y_ref)), (radius, transient)
+                assert np.all(S[:, esc] == 0.0) and np.all(y[esc] == 0.0)
+                if radius == np.inf:
+                    nan_seen |= bool(esc.any())
+            lam, esc = sweep._lyapunov(f, df, y0, radius, 80)
+            lam_ref, esc_ref = _reference_lyapunov(f, df, y0, radius, 80)
+            assert np.array_equal(esc, esc_ref), radius
+            assert np.array_equal(_bits(lam[~esc]), _bits(lam_ref[~esc])), radius
+    if target.meta().get("family", "").startswith("cubic"):
+        assert nan_seen
+
+
+def _reference_components(mask):
+    """4-neighbour flood fill from each unseen cell in raster order."""
+    seen = np.zeros_like(mask)
+    nx, ny = mask.shape
+    components = []
+    for i in range(nx):
+        for j in range(ny):
+            if not mask[i, j] or seen[i, j]:
+                continue
+            stack, cells = [(i, j)], []
+            seen[i, j] = True
+            while stack:
+                a, b = stack.pop()
+                cells.append((a, b))
+                for na, nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
+                    if 0 <= na < nx and 0 <= nb < ny and mask[na, nb] and not seen[na, nb]:
+                        seen[na, nb] = True
+                        stack.append((na, nb))
+            arr = np.array(cells)
+            bbox = (arr[:, 0].min(), arr[:, 0].max(), arr[:, 1].min(), arr[:, 1].max())
+            components.append((len(cells), tuple(int(v) for v in bbox), frozenset(cells)))
+    components.sort(key=lambda c: -c[0])
+    return components
+
+
+def _u_shapes(nx, ny):
+    """Nested U shapes whose arms meet only in their last row."""
+    mask = np.zeros((nx, ny), dtype=bool)
+    for k in range(0, ny // 2 - 1, 2):
+        mask[k: nx - k, k] = mask[k: nx - k, ny - 1 - k] = True
+        mask[nx - 1 - k, k: ny - k] = True
+    return mask
+
+
+def _masks():
+    rng = np.random.default_rng(11)
+    yield np.indices((9, 7)).sum(axis=0) % 2 == 0  # checkerboard
+    yield np.ones((5, 6), dtype=bool)
+    yield np.zeros((4, 4), dtype=bool)
+    single = np.zeros((6, 5), dtype=bool)
+    single[0, 0] = single[5, 4] = single[2, 3] = True
+    yield single
+    yield _u_shapes(12, 15)
+    yield _u_shapes(12, 15).T
+    comb = np.zeros((10, 12), dtype=bool)  # teeth that join only at the last row
+    comb[:, ::2] = True
+    comb[-1] = True
+    yield comb
+    yield comb[::-1]
+    yield comb.T
+    for density in (0.2, 0.45, 0.55, 0.6, 0.8):
+        for shape in ((1, 30), (30, 1), (23, 17), (40, 40)):
+            yield rng.random(shape) < density
+
+
+def test_shrimp_locate_matches_flood_fill():
+    for mask in _masks():
+        nx, ny = mask.shape
+        grid = SweepGrid(
+            spec=dp_spec(nx=max(nx, 2), ny=max(ny, 2)),
+            kind=np.where(mask, 1, 2).astype(np.uint8),
+            period=np.where(mask, 3, 0).astype(np.int32),
+            lyap=np.zeros(mask.shape),
+        )
+        comps = shrimp_locate(grid, 3)
+        got = [(c.cell_count, c.bbox, frozenset(c.cells)) for c in comps]
+        assert got == _reference_components(mask), mask.astype(int)
+        for c in comps:
+            assert c.period == 3
+            assert list(c.cells) == sorted(c.cells)  # raster order
+            assert len(c.cells) == c.cell_count
+        assert shrimp_locate(grid, 2) == []
 
 
 def test_shrimp_locate_full_grid():
