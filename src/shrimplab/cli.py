@@ -27,7 +27,9 @@ from .config import (
     _get_int,
     _get_list,
 )
-from .errors import ConfigError, ConvergenceError, EscapeError, NumericalError, ShrimplabError
+from .errors import (
+    ConfigError, ConvergenceError, EscapeError, FieldError, NumericalError, ShrimplabError,
+)
 from .gridio import export_grid, write_table
 from .rescale import (
     limit_map_deviation,
@@ -161,11 +163,11 @@ def _cmd_rescale_verify(cfg, outdir, force, workers):
 
 
 def _plan(planner, *args, **kwargs):
-    """Run a sequence planner; the ValueErrors it raises are bad plan settings."""
+    """Run a sequence planner; the FieldErrors it raises name bad plan settings."""
     try:
         return planner(*args, **kwargs)
-    except ValueError as err:
-        raise ConfigError(str(err), key="plan.*") from err
+    except FieldError as err:
+        raise ConfigError(str(err), key=f"plan.{err.field}") from err
 
 
 def _cmd_sequence_plan(cfg, outdir, force, workers):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FieldError
 from .families import FAMILY_ARITY, ModelMap, param_index
 from .global_map import GlobalMapTaylor, focus_global, saddle_global
 from .local import SADDLE, SADDLE_FOCUS, LocalNormalForm
@@ -262,8 +262,8 @@ def build_plane(cfg) -> PlaneSpec:
             y_lo=_get_float(cfg, "plane.y_lo"),
             y_hi=_get_float(cfg, "plane.y_hi"),
         )
-    except ValueError as err:
-        raise ConfigError(str(err), key="plane.*") from err
+    except FieldError as err:
+        raise ConfigError(str(err), key=f"plane.{err.field}") from err
 
 
 def plane_param_index(cfg, family: str, key: str) -> int:
@@ -301,8 +301,8 @@ def build_sweep_spec(cfg) -> SweepSpec:
             seed_value=_get_float(cfg, "sweep.seed_value"),
             period_tol=_get_float(cfg, "sweep.period_tol"),
         )
-    except ValueError as err:
-        raise ConfigError(str(err), key="sweep.*") from err
+    except FieldError as err:
+        raise ConfigError(str(err), key=f"sweep.{err.field}") from err
 
 
 def resolved_lines(cfg) -> list:

@@ -5,6 +5,14 @@ class ShrimplabError(Exception):
     """Base class for all package errors."""
 
 
+class FieldError(ValueError):
+    """An invalid value of one named field of a spec or planner argument."""
+
+    def __init__(self, field, message):
+        self.field = field
+        super().__init__(message)
+
+
 class ConfigError(ShrimplabError):
     """Bad configuration input (file, key, or override)."""
 

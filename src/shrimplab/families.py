@@ -12,13 +12,24 @@ Each family's formulas are written once, in the FAMILIES table, as nested
 (inner parabola first) functions of (params, y) that work on floats and on
 ndarrays alike.  eval_map, eval_jet and iterate_n call them with a parameter
 tuple; the parameter-plane sweep (sweep.FamilyPlaneTarget) calls the same
-value and slope with one array per parameter, so both get the same bits.
+value and slope with one array or float per parameter, so both get the same
+bits.
+
+Each family also has an in-place `step(params, y, dy=None)` for the sweep's
+ndarray loops: it overwrites y with value(params, y) and, given dy, writes
+slope(params, y) of the old y into dy.  It runs the exact operations of value
+and slope, in the same order, so its bits are theirs; it writes nothing but y
+and dy, and never reads dy.  Only double_parabola, the family of the
+acceptance window, has a hand-fused step; the others call value and slope.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 from .errors import EscapeError
 
@@ -29,38 +40,75 @@ DOUBLE_PARABOLA = "double_parabola"
 SHRIMP3 = "shrimp3"
 
 # The formulas of one family: value, slope (dYbar/dY) and higher (the
-# derivatives of orders 2..4) take (params, y); coefficients gives the
+# derivatives of orders 2..4) take (params, y); step is the in-place value
+# and slope of ndarrays (module docstring); coefficients gives the
 # polynomial's coefficients [c0, c1, ...] in Y from params.
-Family = namedtuple("Family", "arity value slope higher coefficients")
+Family = namedtuple("Family", "arity value slope step higher coefficients")
 
 
 def _double_parabola(p, y):
     t = p[0] - y * y
-    t *= t  # in place on arrays: the sweep steps allocate one temporary less
-    return p[1] - t
+    return p[1] - t * t
 
 
 def _quartic_higher(p, y):
     return (4.0 * (p[0] - y * y) - 8.0 * y * y, -24.0 * y, -24.0)
 
 
+def step_in_place(value, slope, y, dy=None):
+    """Overwrite y with value(y) and, given dy, write slope(y) of the old y
+    into dy: the in-place step of a map given as a value and a slope of y."""
+    if dy is not None:
+        dy[...] = slope(y)
+    y[...] = value(y)
+
+
+def _unfused(value, slope):
+    """The step of a family whose value and slope share no subexpression."""
+    return lambda p, y, dy=None: step_in_place(partial(value, p), partial(slope, p), y, dy)
+
+
+def _double_parabola_step(p, y, dy=None):
+    # t = M1 - y*y once: the slope is (4.0*t)*y and the value M2 - t*t; without
+    # a slope, t is formed in y itself and the step allocates nothing
+    if dy is None:
+        np.multiply(y, y, out=y)
+        np.subtract(p[0], y, out=y)
+        np.multiply(y, y, out=y)
+        np.subtract(p[1], y, out=y)
+        return
+    t = y * y
+    np.subtract(p[0], t, out=t)
+    np.multiply(4.0, t, out=dy)
+    dy *= y
+    t *= t
+    np.subtract(p[1], t, out=y)
+
+
+_parabola = (lambda p, y: p[0] - y * y, lambda p, y: -2.0 * y)
+_cubic_plus = (lambda p, y: p[0] + p[1] * y + y * y * y, lambda p, y: p[1] + 3.0 * y * y)
+_cubic_minus = (lambda p, y: p[0] + p[1] * y - y * y * y, lambda p, y: p[1] - 3.0 * y * y)
+_shrimp3 = (
+    lambda p, y: _double_parabola(p, y) + p[2] * y,
+    lambda p, y: 4.0 * (p[0] - y * y) * y + p[2],
+)
+
 FAMILIES = {
     PARABOLA: Family(
-        1, lambda p, y: p[0] - y * y, lambda p, y: -2.0 * y,
+        1, *_parabola, _unfused(*_parabola),
         lambda p, y: (-2.0, 0.0, 0.0), lambda p: [p[0], 0.0, -1.0]),
     CUBIC_PLUS: Family(
-        2, lambda p, y: p[0] + p[1] * y + y * y * y, lambda p, y: p[1] + 3.0 * y * y,
+        2, *_cubic_plus, _unfused(*_cubic_plus),
         lambda p, y: (6.0 * y, 6.0, 0.0), lambda p: [p[0], p[1], 0.0, 1.0]),
     CUBIC_MINUS: Family(
-        2, lambda p, y: p[0] + p[1] * y - y * y * y, lambda p, y: p[1] - 3.0 * y * y,
+        2, *_cubic_minus, _unfused(*_cubic_minus),
         lambda p, y: (-6.0 * y, -6.0, 0.0), lambda p: [p[0], p[1], 0.0, -1.0]),
-    # the slope has no "+ 0.0" for the absent M3: the sweep calls it every step
+    # the slope has no "+ 0.0" for the absent M3, which would turn a -0.0 slope into +0.0
     DOUBLE_PARABOLA: Family(
-        2, _double_parabola, lambda p, y: 4.0 * (p[0] - y * y) * y,
+        2, _double_parabola, lambda p, y: 4.0 * (p[0] - y * y) * y, _double_parabola_step,
         _quartic_higher, lambda p: [p[1] - p[0] * p[0], 0.0, 2.0 * p[0], 0.0, -1.0]),
     SHRIMP3: Family(
-        3, lambda p, y: _double_parabola(p, y) + p[2] * y,
-        lambda p, y: 4.0 * (p[0] - y * y) * y + p[2],
+        3, *_shrimp3, _unfused(*_shrimp3),
         _quartic_higher, lambda p: [p[1] - p[0] * p[0], p[2], 2.0 * p[0], 0.0, -1.0]),
 }
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NumericalError
+from .errors import FieldError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class SequencePlan:
 
 def _require_expanding(gamma: float):
     if not (math.isfinite(gamma) and abs(gamma) > 1.0):
-        raise ValueError("gamma must be finite with |gamma| > 1")
+        raise FieldError("gamma", "gamma must be finite with |gamma| > 1")
 
 
 def _ratio_pick(theta0: float, m: int, rule) -> int:
@@ -73,8 +73,8 @@ def plan_modulus_sequence(
     extended to contain theta0.  Entries with no admissible k >= m are
     skipped with a diagnostic.
     """
-    if theta0 <= 1.0:
-        raise ValueError("theta0 must exceed 1")
+    if not (math.isfinite(theta0) and theta0 > 1.0):
+        raise FieldError("theta0", "theta0 must be finite and exceed 1")
     _require_expanding(gamma)
     lg = math.log(abs(gamma))
     entries, skipped = [], []
@@ -83,6 +83,8 @@ def plan_modulus_sequence(
             skipped.append((j, f"s={s} not > 1"))
             continue
         m = int(m_values[j - 1]) if m_values is not None else j * j
+        if not math.isfinite(theta0 * m):
+            raise FieldError("theta0", f"theta0 * m = {theta0} * {m} overflows a double")
         k = _ratio_pick(theta0, m, ratio_rule)
         if k < m:
             skipped.append((j, f"no k >= m={m} at ratio {theta0}"))
@@ -131,10 +133,12 @@ def plan_rotation_sequence(
     NumericalError when the gain overflows a double before that.
     """
     if not 0.0 < phi0 < math.pi:
-        raise ValueError("phi0 must lie in (0, pi)")
+        raise FieldError("phi0", "phi0 must lie in (0, pi)")
     _require_expanding(gamma)
     if not 0.0 < lam * abs(gamma) < 1.0:
-        raise ValueError("lambda * |gamma| must lie in (0, 1) for a dissipative saddle-focus")
+        raise FieldError(
+            "lambda", "lambda * |gamma| must lie in (0, 1) for a dissipative saddle-focus"
+        )
     entries, skipped = [], []
     last_k = 0
     for j, s in enumerate(s_values, start=1):

@@ -30,18 +30,35 @@ a per-step test flags, and it never alters an orbit that stays inside.
 After the first 64 transient steps (_DROP_STEP) the cells that have already
 escaped are dropped from the block, and the escaped cells' recorded states
 are set to 0.
+
+The map is a pure function of the state, so once a state repeats bit for bit
+the orbit repeats forever.  After the drop, every _CHECK = 128 transient
+steps the last _RING = 32 states are kept in a ring, and a cell whose newest
+state t has the bits of the state t - q, for some q < 32, is retired: its
+recorded states and last state are read out of the ring (the state at step
+s >= t - q is that of step t - q + (s - t) mod q), and it has escaped exactly
+when it had by step t, since its later states all lie in the ring.  Comparing
+bits rather than floats keeps +0 and -0 apart and needs no rule for NaN; an
+orbit stuck at +-inf repeats too and stays escaped.  Retirement changes no
+output bit; on the 512^2 acceptance window it retires 191,101 of 262,144
+cells and cuts the map steps per cell from 2,001 to 670.
+
+The stages step through target.stepper, the family's in-place step
+(families.FAMILIES; fused for the double parabola) that overwrites a state
+buffer the stage owns and writes the slope into a second one on request,
+with the bits of the family's value and slope.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import NumericalError
-from .families import FAMILIES, ModelMap, param_index
+from .errors import FieldError, NumericalError
+from .families import FAMILIES, ModelMap, param_index, step_in_place
 from .rescale import rescale_frame
 from .returnmap import ReturnMapConfig
 
@@ -59,6 +76,10 @@ _BLOCK = 16384
 # dropped from a block (half of the escaping cells of the 512^2 acceptance
 # window have left by step 5, 99% by step 30).
 _DROP_STEP = 64
+# After the drop, every _CHECK transient steps the last _RING states are kept
+# and the cells whose orbit has repeated bit for bit are retired.
+_CHECK = 128
+_RING = 32
 
 
 @dataclass(frozen=True)
@@ -80,7 +101,7 @@ class PlaneSpec:
     def __post_init__(self):
         for name in ("x_lo", "x_hi", "y_lo", "y_hi"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise FieldError(name, f"{name} must be finite")
 
     def x_values(self, nx):
         return np.linspace(self.x_lo, self.x_hi, nx)
@@ -101,15 +122,24 @@ class FamilyPlaneTarget:
         self.ix = param_index(template.family, x_name)
         self.iy = param_index(template.family, y_name)
 
-    def maps(self, p1, p2):
-        """The family's value and slope (families.FAMILIES), one parameter point per cell."""
-        P = [np.full_like(p1, v) for v in self.template.params]
+    def _params(self, p1, p2):
+        P = list(self.template.params)
         if self.ix >= 0:
             P[self.ix] = p1
         if self.iy >= 0:
             P[self.iy] = p2
+        return P
+
+    def maps(self, p1, p2):
+        """The family's value and slope (families.FAMILIES), one parameter point per cell."""
         family = FAMILIES[self.template.family]
+        P = self._params(p1, p2)
         return partial(family.value, P), partial(family.slope, P)
+
+    def stepper(self, p1, p2):
+        """The family's in-place step(y, dy=None) (families.FAMILIES), one parameter
+        point per cell."""
+        return partial(FAMILIES[self.template.family].step, self._params(p1, p2))
 
     def meta(self):
         return {
@@ -131,9 +161,13 @@ class RescaledPlaneTarget:
             raise NumericalError("rescaled sweeps support the linear saddle model")
         self.cfg = cfg
 
+    @cached_property
+    def frame(self):
+        """The rescaling frame, built once per target on first use."""
+        return rescale_frame(self.cfg)
+
     def maps(self, m1, m2):
-        cfg = self.cfg
-        frame = rescale_frame(cfg)
+        cfg, frame = self.cfg, self.frame
         oc = cfg if cfg.ordering == "k_ge_m" else cfg.swapped()
         t1, t2, local = oc.t1, oc.t2, oc.local
         gamma = local.gamma
@@ -157,6 +191,10 @@ class RescaledPlaneTarget:
             return (f(y + h) - f(y - h)) / (2.0 * h)
 
         return f, df
+
+    def stepper(self, m1, m2):
+        """maps as one in-place step(y, dy=None), the contract of families.FAMILIES."""
+        return partial(step_in_place, *self.maps(m1, m2))
 
     def meta(self):
         oc = self.cfg
@@ -184,16 +222,16 @@ class SweepSpec:
     period_tol: float = 1.0e-6
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("resolution must be at least 2x2")
-        if self.transient < 1 or self.max_period < 1 or self.samples < 1:
-            raise ValueError("transient, max_period and samples must be >= 1")
-        if not (math.isfinite(self.period_tol) and self.period_tol > 0.0):
-            raise ValueError("period_tol must be finite and positive")
-        if not (math.isfinite(self.escape_radius) and self.escape_radius > 0.0):
-            raise ValueError("escape_radius must be finite and positive")
+        for name, least in (("nx", 2), ("ny", 2), ("transient", 1), ("max_period", 1),
+                            ("samples", 1)):
+            if getattr(self, name) < least:
+                raise FieldError(name, f"{name} must be at least {least}")
+        for name in ("period_tol", "escape_radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise FieldError(name, f"{name} must be finite and positive")
         if self.seed_rule not in ("critical", "fixed"):
-            raise ValueError("seed_rule must be 'critical' or 'fixed'")
+            raise FieldError("seed_rule", "seed_rule must be 'critical' or 'fixed'")
 
     def seed(self) -> float:
         return 0.0 if self.seed_rule == "critical" else self.seed_value
@@ -220,18 +258,27 @@ class SweepGrid:
         )
 
 
-def _advance(f, y, top, mag, steps):
-    """Iterate y `steps` times, keeping top as the running maximum of |y|.
+def _advance(step, y, top, mag, steps):
+    """Step y in place `steps` times, keeping top as the running maximum of |y|.
 
     np.maximum propagates NaN, so a cell has left the radius at some step
     exactly when ~(top <= radius) at the end; NaN and inf count as escape.
     `mag` is scratch of y's size.
     """
     for _ in range(steps):
-        y = f(y)
+        step(y)
         np.abs(y, out=mag)
         np.maximum(top, mag, out=top)
-    return y
+
+
+def _cycle_lags(ring):
+    """Per cell, the smallest lag q in 1.._RING-1 with ring[-1] == ring[-1-q]
+    bit for bit, or 0 when there is none."""
+    bits = ring.view(np.uint64)
+    lag = np.zeros(ring.shape[1], dtype=np.int64)
+    for q in range(_RING - 1, 0, -1):
+        lag[bits[-1] == bits[-1 - q]] = q
+    return lag
 
 
 def _orbit_window(target, p1, p2, y, radius, transient, length):
@@ -239,57 +286,83 @@ def _orbit_window(target, p1, p2, y, radius, transient, length):
 
     S[0] is the state after the transient.  Escaped cells are flagged in esc
     and their S and y are 0.  Cells that escape within the first
-    min(transient, _DROP_STEP) steps are dropped there, and the map is
-    rebuilt on the survivors.  Returns (S, y, esc) with y the last state.
+    min(transient, _DROP_STEP) steps are dropped there, cells whose orbit
+    repeats bit for bit are retired at the checkpoints (module docstring),
+    and the step is rebuilt on the cells left each time.  Returns (S, y, esc)
+    with y the last state; the caller's y is not written.
     """
     n = y.size
-    f, _ = target.maps(p1, p2)
+    y = y.copy()
+    step = target.stepper(p1, p2)
     top, mag = np.zeros(n), np.empty(n)
-    early = min(transient, _DROP_STEP)
-    y = _advance(f, y, top, mag, early)
-    live = np.flatnonzero(top <= radius)
-    if live.size < n:
-        f, _ = target.maps(p1[live], p2[live])
-        y, top, mag = y[live], top[live], mag[: live.size]
-    y = _advance(f, y, top, mag, transient - early)
+    t = min(transient, _DROP_STEP)
+    _advance(step, y, top, mag, t)
     S = np.zeros((length, n))
-    S[0, live] = y
-    for t in range(1, length):
-        y = _advance(f, y, top, mag, 1)
-        S[t, live] = y
     esc = np.ones(n, dtype=bool)
-    esc[live] = ~(top <= radius)
+    live = np.arange(n)
+    keep = top <= radius
+    ring = None
+    while True:
+        if not keep.all():
+            live, y, top = live[keep], y[keep], top[keep]
+            mag = mag[: live.size]
+            step = target.stepper(p1[live], p2[live])
+        if t + _CHECK > transient or not live.size:
+            break
+        if ring is None:
+            ring = np.empty((_RING, live.size))
+        R = ring[:, : live.size]
+        _advance(step, y, top, mag, _CHECK - _RING)
+        for r in R:
+            _advance(step, y, top, mag, 1)
+            r[:] = y
+        t += _CHECK
+        # the state at step s >= t - q of a cell with lag q is the ring row of
+        # step t - q + (s - t) mod q
+        lag = _cycle_lags(R)
+        keep = lag == 0
+        out = np.flatnonzero(~keep)
+        if out.size:
+            q, cells = lag[out], live[out]
+            for w in range(length):  # row by row: no (length, cells) temporaries
+                S[w, cells] = R[_RING - 1 - q + (transient + w - t) % q, out]
+            esc[cells] = ~(top[out] <= radius)
+    if live.size:
+        _advance(step, y, top, mag, transient - t)
+        S[0, live] = y
+        for w in range(1, length):
+            _advance(step, y, top, mag, 1)
+            S[w, live] = y
+        esc[live] = ~(top <= radius)
     S[:, esc] = 0.0
-    y_all = np.zeros(n)
-    y_all[live] = y
-    y_all[esc] = 0.0
-    return S, y_all, esc
+    return S, S[-1].copy(), esc
 
 
-def _newton_orbit(f, df, y0, d, iterations=12):
+def _newton_orbit(step, y0, d, iterations=12):
     """Vectorized Newton on the d-fold fixed-point equation from seeds y0.
 
     Returns (root, residual, multiplier); non-converging entries keep their
     last iterate and a large residual.
     """
     y = y0.copy()
+    v, dv = np.empty_like(y), np.empty_like(y)
     for _ in range(iterations):
-        v = y.copy()
+        np.copyto(v, y)
         dp = np.ones_like(y)
         for _ in range(d):
-            dp = dp * df(v)
-            v = f(v)
+            step(v, dv)
+            dp *= dv
         g = v - y
         gp = dp - 1.0
         safe = np.abs(gp) > 1.0e-14
-        step = np.where(safe, g / np.where(safe, gp, 1.0), 0.0)
-        y = y - step
+        move = np.where(safe, g / np.where(safe, gp, 1.0), 0.0)
+        y = y - move
         y = np.where(np.isfinite(y), y, y0)
-    v = y.copy()
+    np.copyto(v, y)
     dp = np.ones_like(y)
     for _ in range(d):
-        dp = dp * df(v)
-        v = f(v)
+        step(v, dv)
+        dp *= dv
     return y, np.abs(v - y), dp
 
 
@@ -318,9 +391,8 @@ def _detect_periods(S, target, p1, p2, open_mask, tol, max_period):
         idx = np.flatnonzero((candidate > 0) & (candidate % d == 0) & (period == 0))
         if not idx.size:
             continue
-        f, df = target.maps(p1[idx], p2[idx])
         seed = S[0, idx]
-        root, resid, mult = _newton_orbit(f, df, seed, d)
+        root, resid, mult = _newton_orbit(target.stepper(p1[idx], p2[idx]), seed, d)
         spread = np.abs(S[d, idx] - seed)
         good = (
             (resid < 1.0e-10 * (1.0 + np.abs(root)))
@@ -332,19 +404,19 @@ def _detect_periods(S, target, p1, p2, open_mask, tol, max_period):
     return period, parked
 
 
-def _lyapunov(f, df, y, radius, samples):
-    """Average log|df| over `samples` steps from y, and the escape flags.
+def _lyapunov(step, y, radius, samples):
+    """Average log|slope| over `samples` steps from y, and the escape flags.
 
-    Escape is tracked as in _advance; escaped cells' exponents are not
-    meaningful.
+    y is stepped in place.  Escape is tracked as in _advance; escaped cells'
+    exponents are not meaningful.
     """
     acc = np.zeros(y.size)
-    top, mag = np.zeros(y.size), np.empty(y.size)
+    top, mag, d = np.zeros(y.size), np.empty(y.size), np.empty(y.size)
     for _ in range(samples):
-        d = np.abs(df(y))
+        step(y, d)
+        np.abs(d, out=d)
         np.maximum(d, 1.0e-15, out=d)
         acc += np.log(d, out=d)
-        y = f(y)
         np.abs(y, out=mag)
         np.maximum(top, mag, out=top)
     return acc / samples, ~(top <= radius)
@@ -398,8 +470,7 @@ def _scan_block(spec: SweepSpec, p1, p2, kind, period, lyap):
     idx = np.flatnonzero(kind == 0)
     if not idx.size:
         return
-    fa, dfa = target.maps(p1[idx], p2[idx])
-    lam, esca = _lyapunov(fa, dfa, y[idx], radius, spec.samples)
+    lam, esca = _lyapunov(target.stepper(p1[idx], p2[idx]), y[idx], radius, spec.samples)
     kind[idx[esca]] = _CODE[KIND_ESCAPED]
     chaotic = ~esca & (lam > 0.0)
     kind[idx[chaotic]] = _CODE[KIND_CHAOTIC]

@@ -169,6 +169,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         # lambda * gamma = 51.2 on the defaults: not dissipative
         ("sequence-plan", ["plan.kind=saddle_focus", "plan.count=3"], "lambda * |gamma|"),
         ("sequence-plan", ["plan.kind=saddle_focus"], "lambda * |gamma|"),
+        # was an OverflowError traceback
+        ("sequence-plan", ["plan.theta0=inf"], "theta0"),
+        # theta0 * m overflows at m = 4: was an OverflowError traceback
+        ("sequence-plan", ["plan.theta0=1e308"], "theta0"),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
@@ -178,6 +182,10 @@ def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
     assert code == 1
     assert message.count("\n") == 1 and "Traceback" not in message
     assert "config error" in message and named in message
+    # the error names the offending key: `named` when it is one, else the
+    # key of the field it names, in the section of the last setting
+    key = named if "." in named else f"{settings[-1].split('.')[0]}.{named.split()[0]}"
+    assert f"key '{key}':" in message
 
 
 def test_cli_continue_and_codim2(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shrimplab.errors import EscapeError
 from shrimplab.families import (
+    FAMILIES as FAMILY_TABLE,
     FAMILY_ARITY,
     Jet,
     ModelMap,
@@ -154,3 +155,44 @@ def test_jet_type_shape():
     assert isinstance(j, Jet)
     assert len(j.derivs) == 4
     assert all(math.isfinite(v) for v in j.derivs)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_step_matches_value_and_slope_bitwise(family):
+    """The in-place step gives value and slope bit for bit, NaN, +-inf and +-0
+    included, and writes nothing but y and dy."""
+    formulas = FAMILY_TABLE[family]
+    rng = np.random.default_rng(3)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 1.0e200])
+    n = 600
+    y0 = rng.uniform(-2.0, 2.0, n)
+    y0[: special.size * 8] = np.repeat(special, 8)
+    array_params = [rng.uniform(-1.5, 1.5, n) for _ in range(formulas.arity)]
+    for p in array_params:
+        p[: special.size * 8] = np.tile(special, 8)
+    float_params = [-0.0, 0.7, 0.3][: formulas.arity]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for params in (array_params, float_params):
+            p_bits = [_bits(np.asarray(v)).copy() for v in params]
+            want_y = formulas.value(params, y0)
+            want_dy = formulas.slope(params, y0)
+            y = y0.copy()
+            formulas.step(params, y)
+            assert np.array_equal(_bits(y), _bits(want_y))
+            y = y0.copy()
+            dy = np.full(n, np.nan)  # step never reads dy
+            formulas.step(params, y, dy)
+            assert np.array_equal(_bits(y), _bits(want_y))
+            assert np.array_equal(_bits(dy), _bits(want_dy))
+            # a view into a larger buffer: nothing outside it is written
+            buf = np.full(n + 2, 5.0)
+            buf[1:-1] = y0
+            formulas.step(params, buf[1:-1])
+            assert buf[0] == buf[-1] == 5.0
+            assert np.array_equal(_bits(buf[1:-1]), _bits(want_y))
+            # the parameters are never written
+            assert all(np.array_equal(_bits(np.asarray(v)), b) for v, b in zip(params, p_bits))

@@ -181,6 +181,8 @@ def test_workers_bit_identical(monkeypatch):
         # a radius small enough that orbits leave it and come back
         family_spec("cubic_plus", (0.0, 0.0), escape_radius=0.7, **quick),
         dp_spec(nx=16, ny=16, transient=256, samples=256),
+        # four retirement checkpoints, at three of which cells retire
+        dp_spec(nx=16, ny=16, transient=600, samples=64, max_period=8),
         family_spec("cubic_plus", (0.0, 0.0), **quick),
         family_spec("cubic_minus", (0.0, 0.0), **quick),
         family_spec("shrimp3", (0.0, 0.0, 0.1), **quick),
@@ -261,26 +263,51 @@ ESCAPE_TARGETS = [
 ]
 
 
+# (M1 or M2, M2 or M3, y0) cells appended to the random ones: the superstable
+# fixed point at 0, fixed points at -0.0, orbits started at or through +-inf
+# and NaN, and slow escapes through the parabola's tangency at M1 = -1/4,
+# which leave after the step-64 drop and then sit at -inf.
+SPECIAL_CELLS = [
+    (0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, -0.0),
+    (1.0, 0.0, 0.0), (-1.0, 0.0, -0.0), (0.5, 0.5, np.inf), (0.5, 0.5, -np.inf),
+    (0.3, -0.2, np.nan), (-0.2501, 0.0, 0.0), (-0.25001, 0.0, 0.0), (-0.2500001, 0.0, 0.0),
+]
+
+
 @pytest.mark.parametrize(
     "target", ESCAPE_TARGETS, ids=lambda t: t.meta().get("family", t.meta()["target"])
 )
-def test_escape_tracking_matches_per_step_reference(target):
-    """Running-maximum escape tracking, with the early drop of escaped cells,
-    gives the per-step rule's escape set and states bit for bit.
+def test_escape_tracking_matches_per_step_reference(target, monkeypatch):
+    """Running-maximum escape tracking, with the early drop of escaped cells
+    and the retirement of bitwise-periodic cells at the checkpoints, gives
+    the per-step rule's escape set and states bit for bit.
 
     Radius 0.7 lets orbits leave and come back; an infinite radius counts
-    only NaN as escape, which the cubic orbits reach through inf - inf.
+    only NaN as escape, which the cubic orbits reach through inf - inf.  The
+    transients from 191 on span one or more retirement checkpoints.
     """
     rng = np.random.default_rng(5)
     p1, p2 = rng.uniform(-2.5, 2.5, (2, 3000))
     y0 = rng.uniform(-1.0, 1.0, 3000)
+    special = np.array(SPECIAL_CELLS).T
+    p1, p2, y0 = (np.concatenate([a, b]) for a, b in zip((p1, p2, y0), special))
+    y0_bits = _bits(y0).copy()
     length = 17
+    retired = []
+    cycle_lags = sweep._cycle_lags
+
+    def counted(ring):
+        lag = cycle_lags(ring)
+        retired.append(int(np.count_nonzero(lag)))
+        return lag
+
+    monkeypatch.setattr(sweep, "_cycle_lags", counted)
     nan_seen = False
     with np.errstate(over="ignore", invalid="ignore"):
         f, df = target.maps(p1, p2)
         assert _leaves_and_returns(f, y0, 0.7, 100)
         for radius in (0.7, 2.0, 1.0e6, np.inf):
-            for transient in (10, 63, 64, 65, 150):
+            for transient in (10, 63, 64, 65, 150, 191, 192, 193, 320, 1000):
                 S, y, esc = sweep._orbit_window(target, p1, p2, y0, radius, transient, length)
                 S_ref, y_ref, esc_ref = _reference_window(f, y0, radius, transient, length)
                 # the states of escaped cells are read by nothing; the engine holds them at 0
@@ -291,10 +318,13 @@ def test_escape_tracking_matches_per_step_reference(target):
                 assert np.all(S[:, esc] == 0.0) and np.all(y[esc] == 0.0)
                 if radius == np.inf:
                     nan_seen |= bool(esc.any())
-            lam, esc = sweep._lyapunov(f, df, y0, radius, 80)
+            lam, esc = sweep._lyapunov(target.stepper(p1, p2), y0.copy(), radius, 80)
             lam_ref, esc_ref = _reference_lyapunov(f, df, y0, radius, 80)
             assert np.array_equal(esc, esc_ref), radius
             assert np.array_equal(_bits(lam[~esc]), _bits(lam_ref[~esc])), radius
+    assert np.array_equal(_bits(y0), y0_bits)  # the engine steps copies only
+    # retirement fired (on the superstable cell at 0 at least)
+    assert sum(retired) > 0
     if target.meta().get("family", "").startswith("cubic"):
         assert nan_seen
 
