@@ -1,10 +1,13 @@
 """Periodic orbits, fold/flip points, and codimension-2 detection for 1D maps.
 
 Everything here works on a scalar map exposing value-plus-jet evaluation at a
-parameter vector; the polynomial families provide exact jets and composed
-return maps provide finite-difference jets through an adapter.  Orbit jets
+parameter vector; the polynomial families provide exact jets in Y and exact
+first derivatives of value and slope in each parameter.  Orbit jets
 (derivatives of the n-fold composition) are propagated with the chain rule up
-to third order, which is what the first Lyapunov value needs.
+to third order, which is what the first Lyapunov value needs.  The bordered
+Jacobians of the fold/flip defining systems are exact too: orbit_pass carries
+the parameter derivatives of T^n and (T^n)' along the same pass that computes
+the residual, so one pass per Newton step gives both.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError
-from .families import FAMILY_ARITY, ModelMap, eval_jet, eval_map
+from .families import FAMILIES, FAMILY_ARITY, family_params
 from .gridio import write_table
 
 SN = "SN"
@@ -30,53 +33,45 @@ class FamilyYMap:
     """Scalar-map view of a polynomial family: params are the family params.
 
     Extra trailing parameters are ignored, so a one-parameter family can be
-    continued in a plane with a dummy second axis.
+    continued in a plane with a dummy second axis.  value and jet are one map
+    step each and take params as given; every orbit pass validates them once
+    first, through checked.
     """
 
     def __init__(self, family: str):
         self.family = family
         self.arity = FAMILY_ARITY[family]
+        self._formulas = FAMILIES[family]
 
-    def _model(self, params):
-        return ModelMap(self.family, tuple(params)[: self.arity])
-
-    def value(self, y, params):
-        return eval_map(self._model(params), y)
-
-    def jet(self, y, params, order=3):
-        j = eval_jet(self._model(params), y, order)
-        return (j.value,) + j.derivs
-
-
-class CallableYMap:
-    """Scalar-map view of an arbitrary y -> f(y; params) callable.
-
-    Jets come from central finite differences, good enough for the smooth
-    composed return maps this is used with.
-    """
-
-    def __init__(self, fn, h=1.0e-5):
-        self.fn = fn
-        self.h = h
+    def checked(self, params) -> tuple:
+        """The family's parameters out of params as floats; ValueError unless
+        all are there and finite."""
+        return family_params(self.family, tuple(params)[: self.arity])
 
     def value(self, y, params):
-        return float(self.fn(y, params))
+        if not math.isfinite(y):
+            raise ValueError("state must be finite")
+        return self._formulas.value(params, y)
 
-    def jet(self, y, params, order=3):
-        f = lambda t: float(self.fn(t, params))
-        h = self.h
-        v = f(y)
-        d1 = (f(y + h) - f(y - h)) / (2 * h)
-        out = [v, d1]
-        if order >= 2:
-            out.append((f(y + h) - 2 * v + f(y - h)) / (h * h))
-        if order >= 3:
-            out.append((f(y + 2 * h) - 2 * f(y + h) + 2 * f(y - h) - f(y - 2 * h)) / (2 * h**3))
-        return tuple(out)
+    def jet(self, y, params, order=3, plane=()):
+        """Value and Y-derivatives of orders 1..order (at most 4) at y, then
+        for each parameter index in plane the pair (df/dp, df_y/dp); an index
+        at or beyond the arity, a dummy axis, gives (0.0, 0.0)."""
+        if not math.isfinite(y):
+            raise ValueError("state must be finite")
+        formulas = self._formulas
+        out = (formulas.value(params, y), formulas.slope(params, y))
+        if order > 1:
+            out += formulas.higher(params, y)[: order - 1]
+        if plane:
+            partials = formulas.partials(params, y)
+            out += tuple([partials[i] if i < self.arity else (0.0, 0.0) for i in plane])
+        return out
 
 
 def orbit_jet(ymap, y, params, period, order=3):
     """Value and derivatives (to ``order``) of the period-fold composition."""
+    params = ymap.checked(params)
     v = y
     d1, d2, d3 = 1.0, 0.0, 0.0
     for _ in range(period):
@@ -90,6 +85,25 @@ def orbit_jet(ymap, y, params, period, order=3):
         nd3 = f3 * d1**3 + 3.0 * f2 * d1 * d2 + f1 * d3
         v, d1, d2, d3 = fv, nd1, nd2, nd3
     return (v, d1, d2, d3)[: order + 1]
+
+
+def orbit_pass(ymap, y, params, period, plane):
+    """T^n(y) and its Y-derivatives (T^n)', (T^n)'', plus the derivatives of
+    T^n and of (T^n)' in the parameters plane[0] and plane[1], as two pairs:
+    forward-mode propagation along one orbit of period map steps."""
+    params = ymap.checked(params)
+    v, d1, d2 = y, 1.0, 0.0
+    va = vb = da = db = 0.0
+    for _ in range(period):
+        fv, f1, f2, (fa, fya), (fb, fyb) = ymap.jet(v, params, 2, plane)
+        da = (f2 * va + fya) * d1 + f1 * da
+        db = (f2 * vb + fyb) * d1 + f1 * db
+        va = f1 * va + fa
+        vb = f1 * vb + fb
+        d2 = f2 * d1 * d1 + f1 * d2
+        d1 = f1 * d1
+        v = fv
+    return v, d1, d2, (va, vb), (da, db)
 
 
 def _first_lyapunov(d2, d3):
@@ -177,10 +191,8 @@ def find_periodic_orbit(
     return PeriodicOrbit(period=period, y=float(y), multiplier=float(mult), params=params)
 
 
-def _codim1_system(ymap, period, kind, y, params):
-    v, d1 = orbit_jet(ymap, y, params, period, order=1)[:2]
-    target = 1.0 if kind == SN else -1.0
-    return np.array([v - y, d1 - target])
+def _multiplier_target(kind):
+    return 1.0 if kind == SN else -1.0
 
 
 def solve_codim1(
@@ -198,22 +210,16 @@ def solve_codim1(
         raise ValueError("kind must be SN or PD")
     y, p = float(guess[0]), float(guess[1])
     params = list(float(q) for q in params)
+    target = _multiplier_target(kind)
     for _ in range(max_iter):
         params[free_index] = p
-        r = _codim1_system(ymap, period, kind, y, params)
+        # orbit_pass wants two parameters; the free one twice gives its column
+        v, d1, d2, (vp, _), (dp, _) = orbit_pass(
+            ymap, y, params, period, (free_index, free_index))
+        r = np.array([v - y, d1 - target])
         if np.max(np.abs(r)) <= tol:
             break
-        jac = np.empty((2, 2))
-        v, d1, d2 = orbit_jet(ymap, y, params, period, order=2)
-        jac[0, 0] = d1 - 1.0
-        jac[1, 0] = d2
-        hp = 1.0e-7 * (1.0 + abs(p))
-        pp, pm = list(params), list(params)
-        pp[free_index] += hp
-        pm[free_index] -= hp
-        rp = _codim1_system(ymap, period, kind, y, pp)
-        rm = _codim1_system(ymap, period, kind, y, pm)
-        jac[:, 1] = (rp - rm) / (2.0 * hp)
+        jac = np.array([[d1 - 1.0, vp], [d2, dp]])
         try:
             step = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as err:
@@ -226,7 +232,7 @@ def solve_codim1(
     params[free_index] = p
     _reject_divisor_period(ymap, y, params, period, 1.0e-6, "codim-1 solution")
     point = _bif_point(ymap, kind, period, y, params)
-    offset = point.orbit.multiplier - (1.0 if kind == SN else -1.0)
+    offset = point.orbit.multiplier - target
     point.test_values["multiplier_offset"] = abs(offset)
     return point
 
@@ -244,36 +250,33 @@ def lyapunov_value_1(ymap, pd_point: BifPoint) -> float:
     return float(_first_lyapunov(d2, d3))
 
 
-def _extended_residual(ymap, period, kind, u, plane, params):
+def _plane_params(u, plane, params):
+    """params with the plane coordinates of u = (y, p_i, p_j) put in."""
     p = list(params)
     p[plane[0]], p[plane[1]] = u[1], u[2]
-    return _codim1_system(ymap, period, kind, u[0], p), p
+    return p
 
 
-def _extended_jacobian(ymap, period, kind, u, plane, params):
-    jac = np.empty((2, 3))
-    for j in range(3):
-        h = 1.0e-7 * (1.0 + abs(u[j]))
-        up, um = u.copy(), u.copy()
-        up[j] += h
-        um[j] -= h
-        rp, _ = _extended_residual(ymap, period, kind, up, plane, params)
-        rm, _ = _extended_residual(ymap, period, kind, um, plane, params)
-        jac[:, j] = (rp - rm) / (2.0 * h)
-    return jac
+def _extended_system(ymap, period, kind, u, plane, params):
+    """At u = (y, p_i, p_j): the residual (T^n(y) - y, (T^n)'(y) -+ 1), its
+    exact 2x3 Jacobian in u and the multiplier (T^n)'(y), from one orbit pass."""
+    v, d1, d2, dv, dd = orbit_pass(ymap, u[0], _plane_params(u, plane, params), period, plane)
+    r = (v - u[0], d1 - _multiplier_target(kind))
+    return r, ((d1 - 1.0, dv[0], dv[1]), (d2, dd[0], dd[1])), d1
 
 
 def _corrector(ymap, period, kind, u, plane, params, tangent, anchor, ds, tol=NEWTON_TOL):
+    """Newton on the extended system plus the arclength equation; returns the
+    converged u with the Jacobian and multiplier of its last orbit pass."""
     u = u.copy()
     for _ in range(25):
-        r, _ = _extended_residual(ymap, period, kind, u, plane, params)
+        r, jac, mult = _extended_system(ymap, period, kind, u, plane, params)
         arc = float(tangent @ (u - anchor)) - ds
         full = np.array([r[0], r[1], arc])
         if np.max(np.abs(full)) <= tol:
-            return u
-        jac = np.vstack([_extended_jacobian(ymap, period, kind, u, plane, params), tangent])
+            return u, jac, mult
         try:
-            u = u - np.linalg.solve(jac, full)
+            u = u - np.linalg.solve(np.array([*jac, tangent]), full)
         except np.linalg.LinAlgError as err:
             raise ConvergenceError("continuation corrector singular") from err
         if not np.all(np.isfinite(u)):
@@ -281,13 +284,18 @@ def _corrector(ymap, period, kind, u, plane, params, tangent, anchor, ds, tol=NE
     raise ConvergenceError("continuation corrector did not converge")
 
 
-def _tangent(ymap, period, kind, u, plane, params, prev=None):
-    jac = _extended_jacobian(ymap, period, kind, u, plane, params)
-    _, _, vt = np.linalg.svd(jac)
-    t = vt[-1]
+def _tangent(jac, prev=None):
+    """Unit tangent of the curve: the cross product grad r0 x grad r1 of the
+    Jacobian's rows, which spans its null space; turned to agree with prev
+    when given, else oriented as that cross product."""
+    (a0, a1, a2), (b0, b1, b2) = jac
+    t = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    norm = math.hypot(*t)
+    if not (norm > 0.0 and math.isfinite(norm)):
+        raise ConvergenceError("singular bordered system: no curve tangent")
     if prev is not None and float(prev @ t) < 0.0:
         t = -t
-    return t / np.linalg.norm(t)
+    return t / norm
 
 
 def _canonical_rep(ymap, y, params, period):
@@ -295,6 +303,7 @@ def _canonical_rep(ymap, y, params, period):
     along a continuation arc (two points of one cycle cannot cross without
     colliding), so test functions evaluated here cannot flip sign just
     because Newton converged to the other cycle point."""
+    params = ymap.checked(params)
     best = y
     v = y
     for _ in range(period - 1):
@@ -312,14 +321,13 @@ def _test_value(ymap, period, kind, y, params):
     return _first_lyapunov(d2, d3)
 
 
-def _record_point(curve, ymap, u, plane, params):
+def _record_point(curve, ymap, u, multiplier, plane, params):
     """Append the curve point u = (y, p_i, p_j) with its multiplier and test value."""
-    period, kind = curve.period, curve.kind
-    _, pfull = _extended_residual(ymap, period, kind, u, plane, params)
     curve.points.append((u[1], u[2]))
     curve.y_values.append(u[0])
-    curve.multipliers.append(orbit_jet(ymap, u[0], pfull, period, order=1)[1])
-    curve.test_values.append(_test_value(ymap, period, kind, u[0], pfull))
+    curve.multipliers.append(multiplier)
+    pfull = _plane_params(u, plane, params)
+    curve.test_values.append(_test_value(ymap, curve.period, curve.kind, u[0], pfull))
 
 
 def continue_codim1(
@@ -340,6 +348,9 @@ def continue_codim1(
     equation is the arclength anchor.  Codimension-2 test values (fold:
     second orbit derivative; flip: first Lyapunov value) are recorded per
     point and their sign changes refined by detect_codim2.
+
+    direction=+1 starts along grad r0 x grad r1, the cross product of the
+    gradients of the two defining equations at the start, -1 against it.
     """
     kind, period = start.kind, start.orbit.period
     params = list(float(q) for q in params)
@@ -347,14 +358,15 @@ def continue_codim1(
         [start.orbit.y, start.orbit.params[plane[0]], start.orbit.params[plane[1]]]
     )
     curve = BifCurve(kind=kind, period=period, plane=tuple(plane))
-    t = _tangent(ymap, period, kind, u, plane, params) * direction
+    _, jac, mult = _extended_system(ymap, period, kind, u, plane, params)
+    t = _tangent(jac) * direction
     ds = step
-    _record_point(curve, ymap, u, plane, params)
+    _record_point(curve, ymap, u, mult, plane, params)
 
     while len(curve.points) < max_points:
         predictor = u + ds * t
         try:
-            u_new = _corrector(ymap, period, kind, predictor, plane, params, t, u, ds)
+            u_new, jac, mult = _corrector(ymap, period, kind, predictor, plane, params, t, u, ds)
         except ConvergenceError:
             ds *= 0.5
             if ds < min_step:
@@ -362,10 +374,10 @@ def continue_codim1(
             continue
         if max(abs(u_new[1]), abs(u_new[2])) > bounds:
             break
-        t = _tangent(ymap, period, kind, u_new, plane, params, prev=t)
+        t = _tangent(jac, prev=t)
         u = u_new
         ds = min(ds * 1.3, max_step)
-        _record_point(curve, ymap, u, plane, params)
+        _record_point(curve, ymap, u, mult, plane, params)
     curve.codim2_hits = detect_codim2(curve, ymap, params)
     return curve
 
@@ -384,8 +396,9 @@ def continue_both_ways(ymap, start: BifPoint, plane, params, **options) -> BifCu
 
 
 def _codim2_residual(ymap, period, kind, u, plane, params):
-    r, pfull = _extended_residual(ymap, period, kind, u, plane, params)
-    return np.array([r[0], r[1], _test_value(ymap, period, kind, u[0], pfull)])
+    r, _, _ = _extended_system(ymap, period, kind, u, plane, params)
+    test = _test_value(ymap, period, kind, u[0], _plane_params(u, plane, params))
+    return np.array([r[0], r[1], test])
 
 
 def _solve_codim2(ymap, period, kind, seed, plane, params, tol=1.0e-10):
@@ -441,7 +454,7 @@ def detect_codim2(curve: BifCurve, ymap=None, params=None, tol: float = 1.0e-8):
             u = _bisect_codim2(ymap, period, kind, ua, ub, a, plane, full, tol)
             if u is None:
                 continue
-        _, pfull = _extended_residual(ymap, period, kind, u, plane, full)
+        pfull = _plane_params(u, plane, full)
         hits.append(_bif_point(ymap, CUSP if kind == SN else DEGENERATE_FLIP, period, u[0], pfull))
     return hits
 
@@ -450,10 +463,10 @@ def _bisect_codim2(ymap, period, kind, ua, ub, fa, plane, params, tol):
     try:
         while np.max(np.abs(ub - ua)) > tol:
             anchor = 0.5 * (ua + ub)
-            t = _tangent(ymap, period, kind, anchor, plane, params)
-            um = _corrector(ymap, period, kind, anchor, plane, params, t, anchor, 0.0)
-            _, pfull = _extended_residual(ymap, period, kind, um, plane, params)
-            fm = _test_value(ymap, period, kind, um[0], pfull)
+            _, jac, _ = _extended_system(ymap, period, kind, anchor, plane, params)
+            t = _tangent(jac)
+            um, _, _ = _corrector(ymap, period, kind, anchor, plane, params, t, anchor, 0.0)
+            fm = _test_value(ymap, period, kind, um[0], _plane_params(um, plane, params))
             if (fm < 0.0) == (fa < 0.0):
                 ua, fa = um, fm
             else:

@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -79,15 +80,35 @@ def _cmd_sweep(cfg, outdir, force, workers):
     return [csv_path, pgm_path]
 
 
+def _setting(cfg, key, parse, valid, rule):
+    """The setting key read by parse; a ConfigError on key unless valid(value)."""
+    value = parse(cfg, key)
+    if not valid(value):
+        raise ConfigError(f"must be {rule}, got '{cfg[key]}'", key=key)
+    return value
+
+
+def _finite_positive(x):
+    return math.isfinite(x) and x > 0.0
+
+
 def _continuation(cfg):
     model = build_model(cfg)
     ymap = FamilyYMap(model.family)
-    period = _get_int(cfg, "continue.period")
+    period = _setting(cfg, "continue.period", _get_int, lambda n: n >= 1, "an integer >= 1")
     kind = cfg["continue.kind"]
     if kind not in ("SN", "PD"):
         raise ConfigError(f"unknown bifurcation kind '{kind}'", key="continue.kind")
-    free = _get_int(cfg, "continue.free_param")
-    guess = (_get_float(cfg, "continue.y_guess"), _get_float(cfg, "continue.param_guess"))
+    arity = len(model.params)
+    free = _setting(cfg, "continue.free_param", _get_int, lambda i: 0 <= i < arity,
+                    f"a parameter index in 0..{arity - 1}")
+    guess = tuple(_setting(cfg, key, _get_float, math.isfinite, "finite")
+                  for key in ("continue.y_guess", "continue.param_guess"))
+    step = _setting(cfg, "continue.step", _get_float, _finite_positive, "finite and positive")
+    max_points = _setting(cfg, "continue.max_points", _get_int, lambda n: n >= 2,
+                          "an integer >= 2")
+    bounds = _setting(cfg, "continue.bounds", _get_float, _finite_positive,
+                      "finite and positive")
     params = list(model.params)
     plane = []
     for key in ("plane.x_name", "plane.y_name"):
@@ -102,9 +123,9 @@ def _continuation(cfg):
         start,
         tuple(plane),
         start.orbit.params,
-        step=_get_float(cfg, "continue.step"),
-        max_points=_get_int(cfg, "continue.max_points"),
-        bounds=_get_float(cfg, "continue.bounds"),
+        step=step,
+        max_points=max_points,
+        bounds=bounds,
     )
     return curve, (cfg["plane.x_name"], cfg["plane.y_name"])
 

@@ -15,6 +15,11 @@ tuple; the parameter-plane sweep (sweep.FamilyPlaneTarget) calls the same
 value and slope with one array or float per parameter, so both get the same
 bits.
 
+Each family also has `partials(params, y)`: for each of its parameters p, in
+order, the pair (df/dp, df_y/dp) of the first parameter derivatives of the
+value and of the slope.  Continuation carries them along an orbit to build
+its bordered Jacobians exactly (bifurcation.orbit_pass).
+
 Each family also has an in-place `step(params, y, dy=None)` for the sweep's
 ndarray loops: it overwrites y with value(params, y) and, given dy, writes
 slope(params, y) of the old y into dy.  It runs the exact operations of value
@@ -39,11 +44,12 @@ CUBIC_MINUS = "cubic_minus"
 DOUBLE_PARABOLA = "double_parabola"
 SHRIMP3 = "shrimp3"
 
-# The formulas of one family: value, slope (dYbar/dY) and higher (the
-# derivatives of orders 2..4) take (params, y); step is the in-place value
-# and slope of ndarrays (module docstring); coefficients gives the
-# polynomial's coefficients [c0, c1, ...] in Y from params.
-Family = namedtuple("Family", "arity value slope step higher coefficients")
+# The formulas of one family: value, slope (dYbar/dY), higher (the
+# derivatives of orders 2..4) and partials (per parameter, the derivatives of
+# value and slope in it) take (params, y); step is the in-place value and
+# slope of ndarrays (module docstring); coefficients gives the polynomial's
+# coefficients [c0, c1, ...] in Y from params.
+Family = namedtuple("Family", "arity value slope step higher partials coefficients")
 
 
 def _double_parabola(p, y):
@@ -53,6 +59,10 @@ def _double_parabola(p, y):
 
 def _quartic_higher(p, y):
     return (4.0 * (p[0] - y * y) - 8.0 * y * y, -24.0 * y, -24.0)
+
+
+def _double_parabola_partials(p, y):
+    return ((-2.0 * (p[0] - y * y), 4.0 * y), (1.0, 0.0))
 
 
 def step_in_place(value, slope, y, dy=None):
@@ -96,20 +106,25 @@ _shrimp3 = (
 FAMILIES = {
     PARABOLA: Family(
         1, *_parabola, _unfused(*_parabola),
-        lambda p, y: (-2.0, 0.0, 0.0), lambda p: [p[0], 0.0, -1.0]),
+        lambda p, y: (-2.0, 0.0, 0.0), lambda p, y: ((1.0, 0.0),),
+        lambda p: [p[0], 0.0, -1.0]),
     CUBIC_PLUS: Family(
         2, *_cubic_plus, _unfused(*_cubic_plus),
-        lambda p, y: (6.0 * y, 6.0, 0.0), lambda p: [p[0], p[1], 0.0, 1.0]),
+        lambda p, y: (6.0 * y, 6.0, 0.0), lambda p, y: ((1.0, 0.0), (y, 1.0)),
+        lambda p: [p[0], p[1], 0.0, 1.0]),
     CUBIC_MINUS: Family(
         2, *_cubic_minus, _unfused(*_cubic_minus),
-        lambda p, y: (-6.0 * y, -6.0, 0.0), lambda p: [p[0], p[1], 0.0, -1.0]),
+        lambda p, y: (-6.0 * y, -6.0, 0.0), lambda p, y: ((1.0, 0.0), (y, 1.0)),
+        lambda p: [p[0], p[1], 0.0, -1.0]),
     # the slope has no "+ 0.0" for the absent M3, which would turn a -0.0 slope into +0.0
     DOUBLE_PARABOLA: Family(
         2, _double_parabola, lambda p, y: 4.0 * (p[0] - y * y) * y, _double_parabola_step,
-        _quartic_higher, lambda p: [p[1] - p[0] * p[0], 0.0, 2.0 * p[0], 0.0, -1.0]),
+        _quartic_higher, _double_parabola_partials,
+        lambda p: [p[1] - p[0] * p[0], 0.0, 2.0 * p[0], 0.0, -1.0]),
     SHRIMP3: Family(
         3, *_shrimp3, _unfused(*_shrimp3),
-        _quartic_higher, lambda p: [p[1] - p[0] * p[0], p[2], 2.0 * p[0], 0.0, -1.0]),
+        _quartic_higher, lambda p, y: _double_parabola_partials(p, y) + ((y, 1.0),),
+        lambda p: [p[1] - p[0] * p[0], p[2], 2.0 * p[0], 0.0, -1.0]),
 }
 
 FAMILY_ARITY = {name: family.arity for name, family in FAMILIES.items()}
@@ -125,17 +140,20 @@ class ModelMap:
     params: tuple
 
     def __post_init__(self):
-        if self.family not in FAMILY_ARITY:
-            raise ValueError(f"unknown family '{self.family}'")
-        params = tuple(float(p) for p in self.params)
-        if len(params) != FAMILY_ARITY[self.family]:
-            raise ValueError(
-                f"{self.family} takes {FAMILY_ARITY[self.family]} parameters, "
-                f"got {len(params)}"
-            )
-        if not all(math.isfinite(p) for p in params):
-            raise ValueError("parameters must be finite")
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", family_params(self.family, self.params))
+
+
+def family_params(family: str, params) -> tuple:
+    """params as a tuple of floats; ValueError unless the family is known and
+    params are as many finite numbers as it has parameters."""
+    if family not in FAMILY_ARITY:
+        raise ValueError(f"unknown family '{family}'")
+    params = tuple(map(float, params))
+    if len(params) != FAMILY_ARITY[family]:
+        raise ValueError(f"{family} takes {FAMILY_ARITY[family]} parameters, got {len(params)}")
+    if not all(map(math.isfinite, params)):
+        raise ValueError("parameters must be finite")
+    return params
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shrimplab.bifurcation import (
     PD,
     SN,
-    CallableYMap,
     FamilyYMap,
+    _extended_system,
     continue_codim1,
     curve_to_csv,
     detect_codim2,
     find_periodic_orbit,
     lyapunov_value_1,
     orbit_jet,
+    orbit_pass,
     solve_codim1,
 )
 from shrimplab.errors import ConvergenceError, NumericalError, ShrimplabError
@@ -86,9 +89,92 @@ def test_lyapunov_value_examples():
 
     from shrimplab.bifurcation import BifPoint, PeriodicOrbit
 
-    cubic = CallableYMap(lambda y, p: -y + y**3)
-    pdc = BifPoint(kind=PD, orbit=PeriodicOrbit(1, 0.0, -1.0, (0.0,)))
-    assert abs(lyapunov_value_1(cubic, pdc) - 1.0) < 1e-4
+    # cubic_plus at (M1, M2) = (0, -1) is -Y + Y^3: a flip at 0 whose first
+    # Lyapunov value is 0.25 * 0^2 + 6 / 6
+    cubic = FamilyYMap("cubic_plus")
+    pdc = BifPoint(kind=PD, orbit=PeriodicOrbit(1, 0.0, -1.0, (0.0, -1.0)))
+    assert abs(lyapunov_value_1(cubic, pdc) - 1.0) < 1e-12
+
+
+def test_orbit_passes_reject_non_finite_params():
+    for ymap, params in ((DP, (math.nan, 0.0)), (PAR, (math.inf, 0.0))):
+        with pytest.raises(ValueError, match="finite"):
+            orbit_jet(ymap, 0.1, params, 2)
+        with pytest.raises(ValueError, match="finite"):
+            orbit_pass(ymap, 0.1, params, 2, (0, 1))
+
+
+# Planes per family; index 1 of the parabola is a dummy axis.
+PLANES = {
+    "parabola": [(0, 1)],
+    "cubic_plus": [(0, 1), (1, 0)],
+    "cubic_minus": [(0, 1), (1, 0)],
+    "double_parabola": [(0, 1), (1, 0)],
+    "shrimp3": [(0, 1), (0, 2), (2, 1)],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(sorted(PLANES)),
+    plane_pick=st.integers(0, 2),
+    period=st.integers(1, 4),
+    kind=st.sampled_from([SN, PD]),
+    y=st.floats(-1.0, 1.0),
+    params=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+)
+def test_bordered_jacobian_matches_central_difference(family, plane_pick, period, kind, y, params):
+    ymap = FamilyYMap(family)
+    plane = PLANES[family][plane_pick % len(PLANES[family])]
+    params = params[: max(ymap.arity, 2)]
+    orbit = [y]
+    for _ in range(period):
+        orbit.append(ymap.value(orbit[-1], params))
+    assume(max(abs(v) for v in orbit) < 3.0)  # keep the difference quotients in range
+    u = np.array([y, params[plane[0]], params[plane[1]]])
+    _, jac, _ = _extended_system(ymap, period, kind, u, plane, params)
+    jac = np.array(jac)
+    diff = np.empty((2, 3))
+    for j in range(3):
+        h = 1.0e-6 * (1.0 + abs(u[j]))
+        up, um = u.copy(), u.copy()
+        up[j] += h
+        um[j] -= h
+        rp = _extended_system(ymap, period, kind, up, plane, params)[0]
+        rm = _extended_system(ymap, period, kind, um, plane, params)[0]
+        diff[:, j] = (np.array(rp) - np.array(rm)) / (2.0 * h)
+    scale = 1.0 + np.max(np.abs(jac))
+    assert np.allclose(jac, diff, rtol=1.0e-6, atol=1.0e-6 * scale)
+    if family == "parabola":
+        assert jac[0, 2] == 0.0 and jac[1, 2] == 0.0
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_first_tangent_follows_gradient_cross_product(direction):
+    # direction=+1 leaves the start along grad r0 x grad r1, the gradients in
+    # (Y, M1, M2) of r0 = M2 - (M1 - Y^2)^2 - Y and r1 = 4 (M1 - Y^2) Y - 1
+    sn = solve_codim1(DP, 1, SN, 1, (0.9, 1.0), (0.9, 0.0))
+    y, m1 = sn.orbit.y, sn.orbit.params[0]
+    t = m1 - y * y
+    cross = np.cross([4.0 * t * y - 1.0, -2.0 * t, 1.0], [4.0 * t - 8.0 * y * y, 4.0 * y, 0.0])
+    curve = continue_codim1(DP, sn, (0, 1), sn.orbit.params, step=0.02, max_points=2,
+                            bounds=4.0, direction=direction)
+    first = np.array([curve.y_values[1] - curve.y_values[0],
+                      *np.subtract(curve.points[1], curve.points[0])])
+    assert direction * float(first @ cross) > 0.0
+
+
+def test_continuation_map_steps_per_point(monkeypatch):
+    # one orbit pass per Newton step: about 5 map steps per point on this
+    # period-1 fold, where finite-difference Jacobians took 27
+    calls = []
+    jet = FamilyYMap.jet
+    monkeypatch.setattr(FamilyYMap, "jet", lambda self, *a, **k: calls.append(1) or jet(self, *a, **k))
+    sn = solve_codim1(DP, 1, SN, 1, (0.9, 1.0), (0.9, 0.0))
+    calls.clear()
+    curve = continue_codim1(DP, sn, (0, 1), sn.orbit.params, step=0.02, max_points=40, bounds=4.0)
+    assert len(curve.points) == 40
+    assert len(calls) <= 10 * len(curve.points)
 
 
 def test_lyapunov_requires_flip():
@@ -135,7 +221,7 @@ def test_cubic_minus_pitchfork_cusp():
     sn = solve_codim1(CM, 1, SN, 1, (0.3, 1.2), (0.05, 1.0))
     curve = continue_codim1(
         CM, sn, (0, 1), sn.orbit.params, step=0.02, max_points=150, bounds=4.0,
-        direction=-1.0,
+        direction=1.0,
     )
     cusps = [h for h in curve.codim2_hits if h.kind == "cusp"]
     assert any(abs(h.orbit.params[0]) < 1e-7 and abs(h.orbit.params[1] - 1.0) < 1e-7 for h in cusps)
@@ -199,10 +285,3 @@ def test_curve_csv_columns(tmp_path):
     assert lines[0] == "# demo = 1"
     assert lines[1] == "kind,period,M1,M2,Y,multiplier,test_value"
     assert len(lines) == 2 + len(curve.points)
-
-
-def test_callable_map_fd_jets():
-    target = CallableYMap(lambda y, p: p[0] - y * y)
-    jet = target.jet(0.3, (0.7,), 3)
-    assert abs(jet[1] + 0.6) < 1e-8
-    assert abs(jet[2] + 2.0) < 1e-5

@@ -173,6 +173,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("sequence-plan", ["plan.theta0=inf"], "theta0"),
         # theta0 * m overflows at m = 4: was an OverflowError traceback
         ("sequence-plan", ["plan.theta0=1e308"], "theta0"),
+        # continuation settings: were tracebacks (non-finite guesses or step,
+        # a free parameter the family lacks) or a meaningless curve with exit 0
+        ("continue", ["continue.period=0"], "continue.period"),
+        ("codim2", ["continue.period=-2"], "continue.period"),
+        ("continue", ["continue.step=nan"], "continue.step"),
+        ("codim2", ["continue.step=0"], "continue.step"),
+        ("continue", ["continue.y_guess=nan"], "continue.y_guess"),
+        ("codim2", ["continue.param_guess=inf"], "continue.param_guess"),
+        ("continue", ["continue.free_param=5"], "continue.free_param"),
+        ("codim2", ["continue.free_param=-1"], "continue.free_param"),
+        ("continue", ["continue.bounds=nan"], "continue.bounds"),
+        ("codim2", ["continue.bounds=-1"], "continue.bounds"),
+        ("continue", ["continue.max_points=0"], "continue.max_points"),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
