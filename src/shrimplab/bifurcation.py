@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError, EscapeError, NumericalError
 from .families import FAMILIES, FAMILY_ARITY, family_params
 from .gridio import write_table
 
@@ -35,7 +35,8 @@ class FamilyYMap:
     Extra trailing parameters are ignored, so a one-parameter family can be
     continued in a plane with a dummy second axis.  value and jet are one map
     step each and take params as given; every orbit pass validates them once
-    first, through checked.
+    first, through checked.  A state that is not finite, as when an orbit
+    overflows, raises EscapeError.
     """
 
     def __init__(self, family: str):
@@ -50,7 +51,7 @@ class FamilyYMap:
 
     def value(self, y, params):
         if not math.isfinite(y):
-            raise ValueError("state must be finite")
+            raise EscapeError("orbit state is not finite", value=y)
         return self._formulas.value(params, y)
 
     def jet(self, y, params, order=3, plane=()):
@@ -58,7 +59,7 @@ class FamilyYMap:
         for each parameter index in plane the pair (df/dp, df_y/dp); an index
         at or beyond the arity, a dummy axis, gives (0.0, 0.0)."""
         if not math.isfinite(y):
-            raise ValueError("state must be finite")
+            raise EscapeError("orbit state is not finite", value=y)
         formulas = self._formulas
         out = (formulas.value(params, y), formulas.slope(params, y))
         if order > 1:

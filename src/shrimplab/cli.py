@@ -226,7 +226,8 @@ def _cmd_sequence_plan(cfg, outdir, force, workers):
 
 def _cmd_shrimp_predict(cfg, outdir, force, workers):
     ks = _get_list(cfg, "predict.ks", int)
-    m_event = (_get_float(cfg, "predict.m1"), _get_float(cfg, "predict.m2"))
+    m_event = tuple(_setting(cfg, key, _get_float, math.isfinite, "finite")
+                    for key in ("predict.m1", "predict.m2"))
     rows = []
     for k in ks:
         rcfg = build_return_config(cfg, k=k, m=k)

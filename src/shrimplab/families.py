@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -65,17 +64,15 @@ def _double_parabola_partials(p, y):
     return ((-2.0 * (p[0] - y * y), 4.0 * y), (1.0, 0.0))
 
 
-def step_in_place(value, slope, y, dy=None):
-    """Overwrite y with value(y) and, given dy, write slope(y) of the old y
-    into dy: the in-place step of a map given as a value and a slope of y."""
-    if dy is not None:
-        dy[...] = slope(y)
-    y[...] = value(y)
-
-
 def _unfused(value, slope):
-    """The step of a family whose value and slope share no subexpression."""
-    return lambda p, y, dy=None: step_in_place(partial(value, p), partial(slope, p), y, dy)
+    """The step of a family whose value and slope share no subexpression:
+    y becomes value(y) and, given dy, dy the slope at the old y."""
+    def step(p, y, dy=None):
+        if dy is not None:
+            dy[...] = slope(p, y)
+        y[...] = value(p, y)
+
+    return step
 
 
 def _double_parabola_step(p, y, dy=None):

@@ -14,6 +14,7 @@ b, c are 2-vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class GlobalMapTaylor:
         if _norm(self.c) == 0.0:
             raise ValueError("c must be nonzero")
 
-    @property
+    @cached_property
     def x_dim(self) -> int:
         return np.atleast_1d(np.asarray(self.x_plus, dtype=float)).size
 
@@ -52,16 +53,27 @@ class GlobalMapTaylor:
         return replace(self, mu=float(mu))
 
 
-def apply_global(g: GlobalMapTaylor, x, y, mu=None):
+def apply_global(g: GlobalMapTaylor, x, y, mu=None, tangent=None):
     """Apply the excursion map to a point (x, y) near the unstable axis, or
     to arrays of such points.
 
     A vector x (saddle-focus) keeps its components on the last axis.  mu, a
-    scalar or one value per point, replaces g.mu when given.
+    scalar or one value per point, replaces g.mu when given.  A tangent, a
+    list [dx, dy] of scalars or arrays that broadcast with the points, gets
+    the items (a dx + b dy, c.dx + 2 d (y - y_minus) dy) in their place.
     """
     if mu is None:
         mu = g.mu
     dy = y - g.y_minus
+    if tangent is not None:
+        tx, ty = tangent
+        fold = 2.0 * g.d * dy * ty
+        if g.x_dim == 1:
+            tangent[:] = g.a * tx + g.b * ty, g.c * tx + fold
+        else:
+            a, b, c = (np.asarray(v, dtype=float) for v in (g.a, g.b, g.c))
+            new_x = apply_matrix(a, tx) + b * np.expand_dims(ty, -1)
+            tangent[:] = new_x, apply_matrix(c, tx) + fold
     if g.x_dim == 1:
         xbar = g.x_plus + g.a * x + g.b * dy
         ybar = mu + g.c * x + g.d * dy * dy

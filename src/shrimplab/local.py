@@ -13,6 +13,10 @@ The stage maps work on arrays of points: iterate_points and
 cross_form_points return per-point escape and convergence outcomes, and
 local_iterate / cross_form_solve are their one-point forms, which raise
 instead.  A saddle-focus x keeps its two components on the last axis.
+
+Both array forms also push a tangent forward (forward mode) when given one:
+a list [dx, dy] of scalars or arrays that broadcast with the points, whose
+items they replace with the tangent's image under the stage's Jacobian.
 """
 from __future__ import annotations
 
@@ -128,12 +132,19 @@ def local_apply(local: LocalNormalForm, x, y):
     return a * x + x * x * y, local.gamma * y + x * y * y
 
 
+def _cubic_tangent(lam_s, gam, x, y, dx, dy):
+    """The test-cubic step's Jacobian at (x, y) applied to (dx, dy)."""
+    xy2 = 2.0 * x * y
+    return (lam_s + xy2) * dx + x * x * dy, y * y * dx + (gam + xy2) * dy
+
+
 def iterate_points(
     local: LocalNormalForm,
     x,
     y,
     n: int,
     escape_radius: float = 1.0e6,
+    tangent=None,
 ):
     """n-fold forward application to arrays of points: (xn, yn, escape_step).
 
@@ -141,32 +152,51 @@ def iterate_points(
     the first step that left it; such a point keeps that step's values and
     is not iterated further.  The linear case uses exact powers and checks
     |y| after the last step only; the nonlinear case checks max(|x|, |y|)
-    after every step.
+    after every step.  No state exceeds an infinite escape_radius, so that
+    one skips the checks.  A tangent (module docstring) becomes (L^n dx,
+    gamma^n dy) in the linear case and is pushed through each step's
+    Jacobian along the orbit otherwise, stopping where the point stops.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    checked = escape_radius < math.inf
     if local.nonlinearity == LINEAR:
-        yn = local.gamma**n * y
-        step = np.where(np.abs(yn) > escape_radius, n, 0)
-        return _leading_apply(local, local.leading_power(n), x), yn, step
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    x_out, y_out = _flat_points(shape, x, y)
-    escape_step = np.zeros(x_out.size, dtype=int)
-    live = np.arange(x_out.size)
-    xc, yc = x_out, y_out
+        lead, grow = local.leading_power(n), local.gamma**n
+        yn = grow * y
+        step = (np.where(np.abs(yn) > escape_radius, n, 0) if checked
+                else np.zeros(np.shape(yn), int))
+        if tangent is not None:
+            tangent[:] = _leading_apply(local, lead, tangent[0]), grow * tangent[1]
+        return _leading_apply(local, lead, x), yn, step
+    lam_s = local.sign_lambda * local.lam
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y), *map(np.shape, tangent or ()))
+    out_arrays = _flat_points(shape, x, y, *(tangent or ()))
+    escape_step = np.zeros(out_arrays[0].size, dtype=int)
+    live = np.arange(escape_step.size)
+    cur = list(out_arrays)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n + 1):
-            xc, yc = local_apply(local, xc, yc)
-            ax, ay = np.abs(xc), np.abs(yc)
+            if tangent is not None:
+                cur[2:] = _cubic_tangent(lam_s, local.gamma, *cur)
+            cur[:2] = local_apply(local, cur[0], cur[1])
+            if not checked:
+                continue
+            ax, ay = np.abs(cur[0]), np.abs(cur[1])
             # Python's max(ax, ay), NaN ordering included.
             out = np.where(ay > ax, ay, ax) > escape_radius
             if out.any():
                 gone = live[out]
-                x_out[gone], y_out[gone], escape_step[gone] = xc[out], yc[out], step
+                for full, c in zip(out_arrays, cur):
+                    full[gone] = c[out]
+                escape_step[gone] = step
                 keep = ~out
-                live, xc, yc = live[keep], xc[keep], yc[keep]
-    x_out[live], y_out[live] = xc, yc
-    return x_out.reshape(shape), y_out.reshape(shape), escape_step.reshape(shape)
+                live, cur = live[keep], [c[keep] for c in cur]
+    for full, c in zip(out_arrays, cur):
+        full[live] = c
+    x_out, y_out, *pushed = (a.reshape(shape) for a in out_arrays)
+    if tangent is not None:
+        tangent[:] = pushed
+    return x_out, y_out, escape_step.reshape(shape)
 
 
 def local_iterate(
@@ -197,6 +227,7 @@ def cross_form_points(
     tol: float = 1.0e-12,
     max_sweeps: int = 200,
     damping: float = 0.8,
+    tangent=None,
 ):
     """Two-point problem for arrays of points: (x at time k, y at time 0, status).
 
@@ -206,12 +237,20 @@ def cross_form_points(
     cross_form_solve on every point at once; a point leaves the sweep at the
     sweep that solves it or hits a singular step, so it gets exactly the
     sweeps the one-point solve would run.  Unsolved points return NaN.
+
+    A tangent (dx0, dyk) of the given data (module docstring) becomes
+    (dxk, dyk), that of the point (xk, yk) the composition goes on from.
+    It is the implicit-function rule on the solved orbit, not a derivative
+    of the sweeps: with M the product of the step Jacobians along the
+    orbit, dxk = (det M dx0 + M01 dyk) / M11 (NaN where unsolved).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if local.nonlinearity == LINEAR:
         xk = _leading_apply(local, local.leading_power(k), x0)
         y0 = yk / local.gamma**k
+        if tangent is not None:
+            tangent[0] = _leading_apply(local, local.leading_power(k), tangent[0])
         return xk, y0, SOLVED
 
     lam_s = local.sign_lambda * local.lam
@@ -253,7 +292,17 @@ def cross_form_points(
                 y0_out[live[solved]] = ys[0, solved]
                 keep = ~done
                 live, xs, ys = live[keep], xs[:, keep], ys[:, keep]
-    return xk_out.reshape(shape), y0_out.reshape(shape), status.reshape(shape)
+    xk_out, y0_out = xk_out.reshape(shape), y0_out.reshape(shape)
+    if tangent is not None:
+        # M = product of the step Jacobians, shot along the solved orbit
+        m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+        x, y = x0.reshape(shape), y0_out
+        for _ in range(k):
+            m00, m10 = _cubic_tangent(lam_s, gam, x, y, m00, m10)
+            m01, m11 = _cubic_tangent(lam_s, gam, x, y, m01, m11)
+            x, y = local_apply(local, x, y)
+        tangent[0] = ((m00 * m11 - m01 * m10) * tangent[0] + m01 * tangent[1]) / m11
+    return xk_out, y0_out, status.reshape(shape)
 
 
 def cross_form_solve(

@@ -16,6 +16,12 @@ k < m the mirror composition is used and the parameter roles swap.
 The chart origins are solved numerically from the concrete stage maps (a
 small linear system for a linear local map, a damped Newton iteration
 otherwise), so the frame stays exact for nonzero feedback coefficients a.
+
+The return map is composed once, in _stages, for every local model; it
+carries an optional forward-mode tangent with each stage's exact rule, so
+the sweep slope, the fold Jacobian, the linear coefficient and the vertex
+condition of the chart origins are exact derivatives, not differences.
+_pipeline wraps it in the frame's charts.
 """
 from __future__ import annotations
 
@@ -33,7 +39,6 @@ from .local import (
     LocalNormalForm,
     _leading_apply,
     cross_form_points,
-    cross_form_solve,
     iterate_points,
     raise_unsolved,
 )
@@ -61,8 +66,6 @@ class RescaleFrame:
     delta_km: float
     center_x2: object
     center_y1: float
-    center_x1: object
-    center_y2: float
     mu1_center: float
     mu2_center: float
     m1_scale: float
@@ -71,7 +74,6 @@ class RescaleFrame:
     m2: float
     m3_coeff: float
     nu: float
-    x_scale: float
 
     def mus_for(self, m_first: float, m_second: float):
         """Splitting parameters realizing rescaled parameters (exact inverse)."""
@@ -85,25 +87,28 @@ class RescaleFrame:
         For the saddle-focus the pair sits on the last axis of frame_x, so
         arrays of points map point by point.
         """
+        return self.center_x2 + self.chart_dx(frame_x, b2)
+
+    def chart_dx(self, frame_dx, b2):
+        """The linear part of chart_x: a rescaled displacement in x."""
         if np.ndim(self.center_x2) == 0:
-            return self.center_x2 + self.x_scale * frame_x
-        frame_x = np.asarray(frame_x, dtype=float)
-        x1, x22 = frame_x[..., 0:1], frame_x[..., 1:2]
+            return float(b2) * self.beta2 * frame_dx
+        frame_dx = np.asarray(frame_dx, dtype=float)
+        x1, x22 = frame_dx[..., 0:1], frame_dx[..., 1:2]
         b = np.asarray(b2, dtype=float)
-        return (
-            np.asarray(self.center_x2, dtype=float)
-            + self.beta2 * x1 * b
-            + self.delta_km * self.beta2 * x22 * np.array([0.0, 1.0])
-        )
+        return self.beta2 * x1 * b + self.delta_km * self.beta2 * x22 * np.array([0.0, 1.0])
 
     def chart_x_inv(self, x, b2):
         """Original x back to rescaled X coordinates (inverse of chart_x)."""
+        return self.chart_dx_inv(np.asarray(x, dtype=float) - self.center_x2, b2)
+
+    def chart_dx_inv(self, dx, b2):
+        """The linear part of chart_x_inv: a displacement in x, rescaled."""
         if np.ndim(self.center_x2) == 0:
-            return (x - self.center_x2) / self.x_scale
-        v = np.asarray(x, dtype=float) - np.asarray(self.center_x2, dtype=float)
+            return dx / (float(b2) * self.beta2)
         b = np.asarray(b2, dtype=float)
-        x1 = v[..., 0] / (b[0] * self.beta2)
-        x22 = (v[..., 1] - (b[1] / b[0]) * v[..., 0]) / (self.delta_km * self.beta2)
+        x1 = dx[..., 0] / (b[0] * self.beta2)
+        x22 = (dx[..., 1] - (b[1] / b[0]) * dx[..., 0]) / (self.delta_km * self.beta2)
         return np.stack([x1, x22], axis=-1)
 
     def chart_y(self, frame_y):
@@ -153,71 +158,76 @@ def _linear_centers(cfg: ReturnMapConfig):
         x1c = np.asarray(t1.x_plus, dtype=float) + np.asarray(t1.a, dtype=float) @ (ak @ xi)
     mu1c = t2.y_minus / gamma**m - _leading_apply(local, t1.c, _leading_apply(local, ak, xi))
     mu2c = t1.y_minus / gamma**k - _leading_apply(local, t2.c, _leading_apply(local, am, x1c))
-    y2c = float(t2.y_minus)
-    return eta, xi, x1c, y2c, mu1c, mu2c
+    return eta, xi, mu1c, mu2c
 
 
-def _center_residual(cfg: ReturnMapConfig, u, h=1.0e-6):
-    """Residuals of the four centering conditions through the actual stages.
+def _stages(oc: ReturnMapConfig, x02, y11, mu1, mu2, escape_radius, tangent=None):
+    """The double-round return map (oriented config) in cross coordinates,
+    for one point or for arrays of points: the one composition of the stages.
 
-    Each row of u is one set of unknowns (eta, xi, mu1, mu2); the rows and
-    their three legs (Y at eta + h, eta - h and eta) run as one batch of
-    points.  Returns one row of residuals per row of u.
+    The point is (x02, y11): x where the k-step local pass starts and y where
+    it ends.  The stages are that pass in cross form, T1, local^m, T2 and the
+    next k-step pass.  Returns (y12, xb02, yb11, status, step_m, step_k,
+    tangents): y12 is y after local^m, (xb02, yb11) the image in cross
+    coordinates, status the cross-form outcome (local.SOLVED where it
+    converged) and step_m, step_k the escape steps of the local stages.  A
+    tangent (dx, dy) at (x02, y11), scalars or arrays that broadcast with
+    the points, is pushed through every stage by its exact rule (forward
+    mode); tangents is then (dy12, dxb02, dyb11), else None.
     """
-    local, k, m = cfg.local, cfg.k, cfg.m
-    xdim = local.x_dim
-    eta, mu1, mu2 = u[:, 0], u[:, -2], u[:, -1]
-    xi = u[:, 1] if xdim == 1 else u[:, 1:3]
-    y11 = np.stack([eta + h, eta - h, eta])
-    x11, _, status = cross_form_points(local, xi, y11, k)
-    raise_unsolved(status, k)
-    x01, y01 = apply_global(cfg.t1, x11, y11, mu1)
-    x12, y12, step_m = iterate_points(local, x01, y01, m)
-    xb, yb = apply_global(cfg.t2, x12, y12, mu2)
-    _, yb11, step_k = iterate_points(local, xb, yb, k)
-    # First escape in the order the rows, their legs and stages run.
-    steps = np.stack([step_m, step_k], axis=-1).swapaxes(0, 1).ravel()
+    local, t1, t2, k, m = oc.local, oc.t1, oc.t2, oc.k, oc.m
+    t = None if tangent is None else list(tangent)
+    x11, _, status = cross_form_points(local, x02, y11, k, tangent=t)
+    x01, y01 = apply_global(t1, x11, y11, mu1, tangent=t)
+    x12, y12, step_m = iterate_points(local, x01, y01, m, escape_radius, t)
+    dy12 = None if t is None else t[1]
+    xb02, yb02 = apply_global(t2, x12, y12, mu2, tangent=t)
+    dxb02 = None if t is None else t[0]
+    _, yb11, step_k = iterate_points(local, xb02, yb02, k, escape_radius, t)
+    return y12, xb02, yb11, status, step_m, step_k, None if t is None else (dy12, dxb02, t[1])
+
+
+def _center_residual(cfg: ReturnMapConfig, u):
+    """Residuals of the four centering conditions of a test-cubic saddle,
+    through the composition.
+
+    Each row of u is one set of unknowns (eta, xi, mu1, mu2), and the rows
+    run as one batch of points.  The vertex condition, y12 stationary in Y,
+    reads the exact dy12/dY of the stages' tangent.  Returns one row of
+    residuals per row of u.
+    """
+    eta, xi, mu1, mu2 = u.T
+    y12, xb, yb11, status, step_m, step_k, (dy12, _, _) = _stages(
+        cfg, xi, eta, mu1, mu2, DEFAULT_ESCAPE_RADIUS, (0.0, 1.0)
+    )
+    raise_unsolved(status, cfg.k)
+    # First escape in the order the rows and their stages run.
+    steps = np.stack([step_m, step_k], axis=-1).ravel()
     if steps.any():
         raise EscapeError("local orbit left the escape radius", step=int(steps[steps > 0][0]))
-    vertex = (y12[0] - y12[1]) / (2.0 * h)
-    x_res = (xb[2] - xi).reshape(len(u), xdim)
-    return np.column_stack([vertex, y12[2] - cfg.t2.y_minus, x_res, yb11[2] - eta])
+    return np.column_stack([dy12, y12 - cfg.t2.y_minus, xb - xi, yb11 - eta])
 
 
-def _polish_centers(cfg: ReturnMapConfig, eta, xi, mu1, mu2, tol=1.0e-12):
-    """Newton-polish the chart origins through the concrete composition.
+def _polish_centers(cfg: ReturnMapConfig, u, tol=1.0e-12):
+    """Newton-polish the chart origins u = (eta, xi, mu1, mu2) of a
+    test-cubic saddle through the concrete composition.
 
-    The Jacobian is a central difference; its 2n probes run as one batch.
+    The residual is exact; the Newton Jacobian is a central difference of
+    it, whose 2n probes run as one batch.
     """
-    xdim = cfg.local.x_dim
-    u = np.concatenate(
-        [[eta], np.atleast_1d(np.asarray(xi, dtype=float)), [mu1, mu2]]
-    )
-
-    def unpack(v):
-        if xdim == 1:
-            return v[0], float(v[1]), v[2], v[3]
-        return v[0], v[1:3].copy(), v[3], v[4]
-
     n = u.size
-    diag = np.arange(n)
     for _ in range(30):
         r = _center_residual(cfg, u[None, :])[0]
         if np.max(np.abs(r)) <= tol:
-            break
+            return u
         step = 1.0e-7 * (1.0 + np.abs(u))
-        up, um = np.tile(u, (n, 1)), np.tile(u, (n, 1))
-        up[diag, diag] += step
-        um[diag, diag] -= step
-        probes = _center_residual(cfg, np.concatenate([up, um]))
+        probes = _center_residual(cfg, np.concatenate([u + np.diag(step), u - np.diag(step)]))
         jac = ((probes[:n] - probes[n:]) / (2.0 * step)[:, None]).T
         try:
             u = u - np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as err:
             raise ConvergenceError("center polish hit a singular system") from err
-    else:
-        raise ConvergenceError("center polish did not converge")
-    return unpack(u)
+    raise ConvergenceError("center polish did not converge")
 
 
 def _parameter_scales(oc: ReturnMapConfig):
@@ -243,22 +253,14 @@ def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
     m1_scale, m2_scale = _parameter_scales(oc)
     delta_km = gamma ** (-(2.0 * k + m) / 9.0)
 
-    eta, xi, x1c, y2c, mu1c, mu2c = _linear_centers(oc)
+    eta, xi, mu1c, mu2c = _linear_centers(oc)
     if local.nonlinearity == TEST_CUBIC:
-        eta, xi, mu1c, mu2c = _polish_centers(oc, eta, xi, mu1c, mu2c)
-        x11, _ = cross_form_solve(local, xi, eta, k)
-        x1c, _ = apply_global(t1, x11, eta, mu1c)
+        eta, xi, mu1c, mu2c = _polish_centers(oc, np.array([eta, xi, mu1c, mu2c]))
 
     m3_coeff, nu = _y_linear_coefficient(local, t1, t2, m, k)
 
-    if local.kind == SADDLE:
-        x_scale = float(t2.b) * beta2
-    else:
-        if np.asarray(t2.b)[0] == 0.0 or np.asarray(t1.b)[0] == 0.0:
-            raise NumericalError(
-                "frame charts need a nonzero first component of b"
-            )
-        x_scale = float(np.asarray(t2.b)[0]) * beta2
+    if local.kind == SADDLE_FOCUS and (np.asarray(t2.b)[0] == 0.0 or np.asarray(t1.b)[0] == 0.0):
+        raise NumericalError("frame charts need a nonzero first component of b")
 
     return RescaleFrame(
         k=k,
@@ -269,8 +271,6 @@ def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
         delta_km=float(delta_km),
         center_x2=xi,
         center_y1=float(eta),
-        center_x1=x1c,
-        center_y2=float(y2c),
         mu1_center=float(mu1c),
         mu2_center=float(mu2c),
         m1_scale=float(m1_scale),
@@ -279,7 +279,6 @@ def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
         m2=float(m2_scale * (t2.mu - mu2c)),
         m3_coeff=float(m3_coeff),
         nu=float(nu),
-        x_scale=float(x_scale),
     )
 
 
@@ -291,33 +290,53 @@ def _pipeline(
     mu1,
     mu2,
     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
+    tangent=None,
 ):
     """Rescaled-in, rescaled-out composition (oriented config) for one point
-    or for arrays of points, with splitting parameters mu1, mu2 per point.
+    or for arrays of points, with splitting parameters mu1, mu2 per point:
+    the charts around _stages.
 
     A scalar saddle-focus X stands for the pair (X, 0).  Returns (Xbar, Ybar,
-    status, inside): status is the per-point outcome of the cross-form solve
-    (local.SOLVED where it converged); inside is False where a local stage
-    left escape_radius or the image is not finite or lies beyond it.  Every
-    model runs the same stages, each with the operation order of its
-    one-point form, so a lattice point gets the bits it would get alone.
+    status, inside, tangent): status is the per-point outcome of the
+    cross-form solve (local.SOLVED where it converged); inside is False where
+    a local stage left escape_radius or the image is not finite or lies
+    beyond it.  Every model runs the same stages, each with the operation
+    order of its one-point form, so a lattice point gets the bits it would
+    get alone.  Given a direction tangent = (dX, dY) (scalars, or arrays
+    broadcasting with the points), the last item is the exact derivative
+    (dXbar, dYbar) of the map along it; otherwise it is None.
     """
-    local, t1, t2, k, m = oc.local, oc.t1, oc.t2, oc.k, oc.m
-    if local.kind == SADDLE_FOCUS and np.ndim(X) == 0:
-        X = np.array([float(X), 0.0])
-    x02 = frame.chart_x(X, t2.b)
-    y11 = frame.chart_y(Y)
-    x11, _, status = cross_form_points(local, x02, y11, k)
-    x01, y01 = apply_global(t1, x11, y11, mu1)
-    x12, y12, step_m = iterate_points(local, x01, y01, m, escape_radius)
-    xb02, yb02 = apply_global(t2, x12, y12, mu2)
-    _, yb11, step_k = iterate_points(local, xb02, yb02, k, escape_radius)
+    local, t2 = oc.local, oc.t2
+    focus = local.kind == SADDLE_FOCUS
+
+    def pair(v):  # a scalar saddle-focus X stands for (X, 0)
+        return np.array([float(v), 0.0]) if focus and np.ndim(v) == 0 else v
+
+    x02, y11 = frame.chart_x(pair(X), t2.b), frame.chart_y(Y)
+    if tangent is not None:
+        tangent = frame.chart_dx(pair(tangent[0]), t2.b), frame.beta1 * tangent[1]
+    _, xb02, yb11, status, step_m, step_k, tangents = _stages(
+        oc, x02, y11, mu1, mu2, escape_radius, tangent
+    )
     xbar, ybar = frame.chart_x_inv(xb02, t2.b), frame.chart_y_inv(yb11)
     x_inside = np.abs(xbar) <= escape_radius
-    if local.kind == SADDLE_FOCUS:
+    if focus:
         x_inside = x_inside.all(axis=-1)
     inside = (step_m == 0) & (step_k == 0) & x_inside & (np.abs(ybar) <= escape_radius)
-    return xbar, ybar, status, inside
+    if tangents is not None:
+        _, dxb02, dyb11 = tangents
+        tangents = (frame.chart_dx_inv(dxb02, t2.b), dyb11 / frame.beta1)
+    return xbar, ybar, status, inside, tangents
+
+
+def _usable(out, k: int):
+    """The _pipeline output out of one point, after raising what
+    rescaled_return raises when the point's composition is unusable."""
+    xbar, ybar, status, inside, _ = out
+    raise_unsolved(status, k)
+    if not inside:
+        raise EscapeError("rescaled return escaped", value=(xbar, ybar))
+    return out
 
 
 def rescaled_return(
@@ -339,10 +358,7 @@ def rescaled_return(
     if frame is None:
         frame = rescale_frame(cfg)
     mu1, mu2 = (oc.t1.mu, oc.t2.mu) if M is None else frame.mus_for(M[0], M[1])
-    xbar, ybar, status, inside = _pipeline(oc, frame, X, Y, mu1, mu2, escape_radius)
-    raise_unsolved(status, oc.k)
-    if not inside:
-        raise EscapeError("rescaled return escaped", value=(xbar, ybar))
+    xbar, ybar, _, _, _ = _usable(_pipeline(oc, frame, X, Y, mu1, mu2, escape_radius), oc.k)
     return xbar, ybar
 
 
@@ -385,7 +401,7 @@ def limit_map_deviation(
     yv, m1v, m2v = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
     mu1, mu2 = frame.mus_for(m1v, m2v)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, ybar, status, inside = _pipeline(oc, frame, x_value, yv, mu1, mu2)
+        _, ybar, status, inside, _ = _pipeline(oc, frame, x_value, yv, mu1, mu2)
     ok = (status == SOLVED) & inside
 
     lim2 = m2v - (m1v - yv**2) ** 2
@@ -398,17 +414,16 @@ def limit_map_deviation(
     return DeviationReport(err_two_param=err2, err_three_param=err3, skipped=skipped)
 
 
-def measured_y_linear_coeff(
-    cfg: ReturnMapConfig,
-    frame: RescaleFrame | None = None,
-    h: float = 1.0e-3,
-) -> float:
-    """Finite-difference linear-in-Y coefficient at Y=0 with M = (0, 0)."""
+def measured_y_linear_coeff(cfg: ReturnMapConfig, frame: RescaleFrame | None = None) -> float:
+    """Linear-in-Y coefficient of the composed map: its exact slope dYbar/dY
+    at X = Y = 0 with M = (0, 0), from the composition's tangent."""
+    oc, _ = _oriented(cfg)
     if frame is None:
         frame = rescale_frame(cfg)
-    _, yp = rescaled_return(cfg, 0.0, h, M=(0.0, 0.0), frame=frame)
-    _, ym = rescaled_return(cfg, 0.0, -h, M=(0.0, 0.0), frame=frame)
-    return float((yp - ym) / (2.0 * h))
+    mu1, mu2 = frame.mus_for(0.0, 0.0)
+    out = _pipeline(oc, frame, 0.0, 0.0, mu1, mu2, tangent=(0.0, 1.0))
+    _, slope = _usable(out, oc.k)[4]
+    return float(slope)
 
 
 def predict_shrimp_location(cfg: ReturnMapConfig, m_event) -> tuple:
@@ -433,99 +448,64 @@ def predict_shrimp_location(cfg: ReturnMapConfig, m_event) -> tuple:
     return float(mu1), float(mu2)
 
 
-def _rescaled_state_map(cfg, frame, mu1, mu2):
-    oc, _ = _oriented(cfg)
-
-    def f(state):
-        x, y = state
-        xb, yb, _, _ = _pipeline(oc, frame, x, y, mu1, mu2)
-        return np.array([float(np.atleast_1d(xb)[0]), float(yb)])
-
-    return f
-
-
-def locate_fold(cfg: ReturnMapConfig, m_event, tol: float = 1.0e-7):
+def locate_fold(cfg: ReturnMapConfig, m_event, tol: float = 1.0e-12):
     """Find the fold (multiplier +1) of the actual return map nearest the
     predicted location of m_event, probing along the radial direction in the
     splitting-parameter plane.
 
     The defining system is the fixed point of the two-dimensional rescaled
-    map plus det(J - I) = 0 with J taken by central differences; tol is set
-    by the finite-difference noise floor of that determinant, which leaves
-    the parameter offset t far more accurate than tol itself (the t-column
-    of the bordered system carries the parameter rescaling gain).
+    map plus det(J - I) = 0, with J the exact Jacobian carried by the
+    composition's tangent: the residual has no truncation error, so tol sits
+    near round-off.  Only the Newton Jacobian of that system is a central
+    difference, which sets the convergence rate and not the answer.
 
     Returns (mu_measured, mu_predicted, relative_offset).
     """
     if cfg.local.kind != SADDLE or cfg.local.nonlinearity == TEST_CUBIC:
         raise NumericalError("fold location implemented for the linear saddle model")
+    oc, _ = _oriented(cfg)
     frame = rescale_frame(cfg)
     mu_pred = np.array(predict_shrimp_location(cfg, m_event))
     direction = mu_pred / np.linalg.norm(mu_pred)
 
     m1e, m2e = m_event
     ystar = _fold_seed(m1e, m2e)
+    # the point twice, with the tangents along X and along Y: both columns of J
+    columns = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
     def residual(u):
         x, y, tt = u
         mu = mu_pred + tt * direction
-        f = _rescaled_state_map(cfg, frame, mu[0], mu[1])
-        fx = f((x, y))
-        h = 1.0e-5
-        jac = np.empty((2, 2))
-        for j, e in enumerate(np.eye(2)):
-            jac[:, j] = (
-                f((x + h * e[0], y + h * e[1])) - f((x - h * e[0], y - h * e[1]))
-            ) / (2.0 * h)
-        return np.array([fx[0] - x, fx[1] - y, np.linalg.det(jac - np.eye(2))])
+        xb, yb, _, _, jac = _pipeline(
+            oc, frame, np.full(2, x), np.full(2, y), mu[0], mu[1], tangent=columns
+        )
+        return np.array([xb[0] - x, yb[0] - y, np.linalg.det(np.array(jac) - np.eye(2))])
 
     u = np.array([m1e - ystar**2, ystar, 0.0])
+    r = residual(u)
     for _ in range(60):
-        r = residual(u)
         if np.max(np.abs(r)) <= tol:
-            mu = mu_pred + u[2] * direction
-            rel = abs(u[2]) / np.linalg.norm(mu_pred)
-            return mu, mu_pred, float(rel)
-        jac = np.empty((3, 3))
-        for j in range(3):
-            step = 1.0e-7 * (1.0 + abs(u[j]))
-            up, um = u.copy(), u.copy()
-            up[j] += step
-            um[j] -= step
-            jac[:, j] = (residual(up) - residual(um)) / (2.0 * step)
+            break
+        step = 1.0e-7 * (1.0 + np.abs(u))
+        jac = np.column_stack([(residual(u + e) - residual(u - e)) / (2.0 * h)
+                               for e, h in zip(np.diag(step), step)])
         try:
             delta = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as err:
             raise ConvergenceError("fold solve hit a singular system") from err
         u = u - delta
+        r = residual(u)
         if np.max(np.abs(delta)) < 1.0e-14 * (1.0 + np.max(np.abs(u))):
             break
-    r = residual(u)
-    if np.max(np.abs(r)) <= 10.0 * tol:
-        mu = mu_pred + u[2] * direction
-        rel = abs(u[2]) / np.linalg.norm(mu_pred)
-        return mu, mu_pred, float(rel)
-    raise ConvergenceError("fold solve did not converge")
+    if not np.max(np.abs(r)) <= 10.0 * tol:
+        raise ConvergenceError("fold solve did not converge")
+    mu = mu_pred + u[2] * direction
+    return mu, mu_pred, float(abs(u[2]) / np.linalg.norm(mu_pred))
 
 
 def _fold_seed(m1: float, m2: float) -> float:
-    """Fold point of the limit family near (m1, m2): root of g'(Y) = 1 whose
-    fixed-point residual against m2 is smallest (seed for the 2D solve)."""
-    roots = []
-    for y0 in np.linspace(-2.5, 2.5, 41):
-        y = y0
-        for _ in range(80):
-            q = 4.0 * y * (m1 - y * y) - 1.0
-            dq = 4.0 * m1 - 12.0 * y * y
-            if dq == 0.0 or not math.isfinite(y):
-                break
-            y_new = y - q / dq
-            if abs(y_new - y) < 1.0e-13:
-                y = y_new
-                break
-            y = y_new
-        if math.isfinite(y) and abs(4.0 * y * (m1 - y * y) - 1.0) < 1.0e-9:
-            roots.append(y)
-    if not roots:
-        return 0.5
+    """Fold point of the limit family near (m1, m2): the real root of
+    g'(Y) = 4 Y (m1 - Y^2) = 1 whose fixed-point residual against m2 is
+    smallest (seed for the 2D solve)."""
+    roots = [r.real for r in np.roots([-4.0, 0.0, 4.0 * m1, -1.0]) if abs(r.imag) < 1.0e-9]
     return min(roots, key=lambda y: abs(m2 - (m1 - y * y) ** 2 - y))

@@ -1,4 +1,4 @@
-"""Double-round first-return map composed from local passes and excursions.
+"""Configuration of the double-round first-return map.
 
 With k local steps before the first excursion and m before the second, the
 return map for a starting point near the first landing region is
@@ -7,21 +7,18 @@ return map for a starting point near the first landing region is
     k <  m:  T1 o T0^k o T2 o T0^m   (start near the T1-side landing point)
 
 The two orderings are mirror images under swapping (k, T1) with (m, T2).
+The composition itself is rescale._stages, in cross coordinates and for the
+oriented (k >= m) configuration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import EscapeError
-from .global_map import GlobalMapTaylor, apply_global
-from .local import SADDLE_FOCUS, LocalNormalForm, local_iterate
+from .global_map import GlobalMapTaylor
+from .local import LocalNormalForm
 
 K_GE_M = "k_ge_m"
 K_LT_M = "k_lt_m"
-
-DEFAULT_ESCAPE_RADIUS = 1.0e6
 
 
 @dataclass(frozen=True)
@@ -62,46 +59,3 @@ class ReturnMapConfig:
         """Mirror configuration: exchange the roles of the two excursions."""
         return ReturnMapConfig(self.local, self.t2, self.t1, self.m, self.k)
 
-
-def _stages(cfg: ReturnMapConfig):
-    if cfg.ordering == K_GE_M:
-        return (
-            ("local^k", cfg.k, None),
-            ("T1", None, cfg.t1),
-            ("local^m", cfg.m, None),
-            ("T2", None, cfg.t2),
-        )
-    return (
-        ("local^m", cfg.m, None),
-        ("T2", None, cfg.t2),
-        ("local^k", cfg.k, None),
-        ("T1", None, cfg.t1),
-    )
-
-
-def compose_stages(cfg: ReturnMapConfig, x, y, escape_radius=DEFAULT_ESCAPE_RADIUS):
-    """Run all four stages, returning the point after each one."""
-    points = []
-    xc, yc = x, y
-    for index, (label, n, g) in enumerate(_stages(cfg)):
-        try:
-            if g is None:
-                xc, yc = local_iterate(cfg.local, xc, yc, n, escape_radius)
-            else:
-                xc, yc = apply_global(g, xc, yc)
-        except EscapeError as err:
-            raise EscapeError(str(err), stage=f"{index}:{label}") from err
-        mag = float(np.max(np.abs(np.atleast_1d(xc)))) if cfg.local.kind == SADDLE_FOCUS else abs(xc)
-        if not np.isfinite(yc) or max(mag, abs(yc)) > escape_radius:
-            raise EscapeError(
-                "return-map orbit left the escape radius",
-                stage=f"{index}:{label}",
-                value=(xc, yc),
-            )
-        points.append((xc, yc))
-    return points
-
-
-def first_return(cfg: ReturnMapConfig, x, y, escape_radius=DEFAULT_ESCAPE_RADIUS):
-    """One application of the double-round return map in original coordinates."""
-    return compose_stages(cfg, x, y, escape_radius)[-1]

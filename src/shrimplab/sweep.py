@@ -57,9 +57,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import FieldError, NumericalError
-from .families import FAMILIES, ModelMap, param_index, step_in_place
-from .rescale import rescale_frame
+from .errors import FieldError
+from .families import FAMILIES, ModelMap, param_index
+from .rescale import _oriented, _stages, rescale_frame
 from .returnmap import ReturnMapConfig
 
 KIND_PERIOD = "period"
@@ -152,13 +152,13 @@ class FamilyPlaneTarget:
 class RescaledPlaneTarget:
     """Sweep target: the rescaled double-round map on its (M1, M2) plane.
 
-    The cross coordinate is the dynamical variable; the leading state is held
-    at the chart center.  Only the linear saddle model is vectorized.
+    The cross coordinate Y is the dynamical variable and the leading state is
+    held at the chart center X = 0: a step is the composition of
+    rescale._pipeline at X = 0, for every local model.  A cell whose
+    cross-form solve fails gets NaN and is classified escaped.
     """
 
     def __init__(self, cfg: ReturnMapConfig):
-        if cfg.local.kind != "saddle" or cfg.local.nonlinearity != "linear":
-            raise NumericalError("rescaled sweeps support the linear saddle model")
         self.cfg = cfg
 
     @cached_property
@@ -166,35 +166,38 @@ class RescaledPlaneTarget:
         """The rescaling frame, built once per target on first use."""
         return rescale_frame(self.cfg)
 
-    def maps(self, m1, m2):
-        cfg, frame = self.cfg, self.frame
-        oc = cfg if cfg.ordering == "k_ge_m" else cfg.swapped()
-        t1, t2, local = oc.t1, oc.t2, oc.local
-        gamma = local.gamma
-        lead_k = local.leading_power(oc.k)
-        lead_m = local.leading_power(oc.m)
-        mu1 = frame.mu1_center + m1 / frame.m1_scale
-        mu2 = frame.mu2_center + m2 / frame.m2_scale
-        x02 = frame.center_x2
-        x11 = lead_k * x02
-        x01 = t1.x_plus + t1.a * x11
-
-        def f(y):
-            y11 = frame.center_y1 + frame.beta1 * y
-            y01 = mu1 + t1.c * x11 + t1.d * (y11 - t1.y_minus) ** 2
-            y12 = gamma**oc.m * y01
-            x12 = lead_m * (x01 + t1.b * (y11 - t1.y_minus))
-            yb = mu2 + t2.c * x12 + t2.d * (y12 - t2.y_minus) ** 2
-            return (gamma**oc.k * yb - frame.center_y1) / frame.beta1
-
-        def df(y, h=1.0e-6):
-            return (f(y + h) - f(y - h)) / (2.0 * h)
-
-        return f, df
-
     def stepper(self, m1, m2):
-        """maps as one in-place step(y, dy=None), the contract of families.FAMILIES."""
-        return partial(step_in_place, *self.maps(m1, m2))
+        """The fused in-place step(y, dy=None) of families.FAMILIES: y becomes
+        Ybar(y) and, given dy, dy the exact slope at the old y, from one pass
+        of rescale._stages in _pipeline's charts (without its escape flags
+        and Xbar, which the sweep does not use)."""
+        oc, frame = _oriented(self.cfg)[0], self.frame
+        mu1, mu2 = frame.mus_for(m1, m2)
+        x02 = frame.center_x2  # X = 0
+        along_y = (np.zeros(np.shape(x02)), frame.beta1)  # (dx02, dy11) of a unit dY
+
+        def step(y, dy=None):
+            tangent = None if dy is None else along_y
+            _, _, yb11, _, _, _, tangents = _stages(
+                oc, x02, frame.chart_y(y), mu1, mu2, np.inf, tangent
+            )
+            y[...] = frame.chart_y_inv(yb11)
+            if dy is not None:
+                np.divide(tangents[2], frame.beta1, out=dy)
+
+        return step
+
+    def maps(self, m1, m2):
+        """The value and slope of stepper's composition, as functions of y."""
+        step = self.stepper(m1, m2)
+
+        def f(y, slope=False):
+            y = np.array(y, dtype=float)
+            dy = np.empty_like(y) if slope else None
+            step(y, dy)
+            return dy if slope else y
+
+        return f, partial(f, slope=True)
 
     def meta(self):
         oc = self.cfg

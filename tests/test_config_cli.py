@@ -186,6 +186,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("continue", ["continue.bounds=nan"], "continue.bounds"),
         ("codim2", ["continue.bounds=-1"], "continue.bounds"),
         ("continue", ["continue.max_points=0"], "continue.max_points"),
+        # was a LinAlgError traceback from the fold seed's cubic
+        ("shrimp-predict", ["predict.m1=nan"], "predict.m1"),
+        ("shrimp-predict", ["predict.m2=inf"], "predict.m2"),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
@@ -256,6 +259,19 @@ def test_cli_sequence_plan_gain_overflow_is_numerical_failure(tmp_path, capsys):
     message = capsys.readouterr().err
     assert message.count("\n") == 1 and "Traceback" not in message
     assert "overflows" in message
+
+
+def test_cli_continue_overflow_is_numerical_failure(tmp_path, capsys):
+    # The period-2 orbit from Y = 1e80 overflows to inf inside the first
+    # orbit pass: was a ValueError traceback.
+    code = run_cli([
+        "continue", "--out", str(tmp_path / "c"),
+        "--set", "continue.period=2", "--set", "continue.y_guess=1e80",
+    ])
+    assert code == 2
+    message = capsys.readouterr().err
+    assert message.count("\n") == 1 and "Traceback" not in message
+    assert "numerical failure" in message and "not finite" in message
 
 
 def test_cli_shrimp_predict(tmp_path):

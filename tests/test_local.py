@@ -156,14 +156,12 @@ def test_cross_form_decay_envelope():
     lam_hat, gamma_hat = 0.45, 2.05
     dev_x, dev_y = {}, {}
     for k in range(5, 31):
-        worst_x, worst_y = 0.0, 0.0
-        for _ in range(100):
-            x0 = rng.uniform(-1, 1)
-            yk = rng.uniform(-1, 1)
-            xk, y0 = cross_form_solve(loc, x0, yk, k)
-            worst_x = max(worst_x, abs(xk - 0.4**k * x0))
-            worst_y = max(worst_y, abs(y0 - yk / 2.0**k))
-        dev_x[k], dev_y[k] = worst_x, worst_y
+        # the draws of 100 one-point solves (x0, yk, x0, yk, ...), solved at once
+        x0, yk = rng.uniform(-1, 1, (100, 2)).T
+        xk, y0, status = cross_form_points(loc, x0, yk, k)
+        assert (status == SOLVED).all()
+        dev_x[k] = np.max(np.abs(xk - 0.4**k * x0))
+        dev_y[k] = np.max(np.abs(y0 - yk / 2.0**k))
     cx = max(dev_x[k] / lam_hat**k for k in range(5, 11))
     cy = max(dev_y[k] / gamma_hat**-k for k in range(5, 11))
     for k in range(11, 31):

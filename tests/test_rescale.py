@@ -1,13 +1,17 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shrimplab.errors import ConvergenceError, EscapeError
 from shrimplab.global_map import focus_global, saddle_global
-from shrimplab.local import LocalNormalForm
-from shrimplab.returnmap import ReturnMapConfig
+from shrimplab.local import SOLVED, LocalNormalForm
+from shrimplab.returnmap import K_GE_M, ReturnMapConfig
 from shrimplab.rescale import (
+    _pipeline,
     limit_map_deviation,
     locate_fold,
     measured_y_linear_coeff,
@@ -211,6 +215,18 @@ def test_test_cubic_center_polish():
     assert abs(y0) < 1e-7
 
 
+def test_test_cubic_center_polish_with_feedback():
+    # Was "center polish did not converge": the vertex residual was a +-1e-6
+    # central difference whose noise floor lay above the 1e-12 tolerance.
+    local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0, nonlinearity="test_cubic")
+    cfg = ReturnMapConfig(local, saddle_global(a=0.3), saddle_global(a=0.3), 14, 13)
+    fr = rescale_frame(cfg)
+    xb, yb = rescaled_return(cfg, 0.0, 0.0, M=(0.0, 0.0), frame=fr)
+    assert abs(xb) < 1e-9 and abs(yb) < 1e-9
+    report = limit_map_deviation(cfg, 2.0, 13, frame=fr)
+    assert report.skipped == 0
+
+
 def test_fold_location_convergence():
     ystar = -(0.25 ** (1.0 / 3.0))
     m2star = ystar + ystar**4
@@ -295,3 +311,52 @@ def test_deviation_accepts_prebuilt_frame():
     cfg = cubic_cfg(8, 8)
     frame = rescale_frame(cfg)
     assert limit_map_deviation(cfg, 2.0, 5, frame=frame) == limit_map_deviation(cfg, 2.0, 5)
+
+
+TANGENT_CONFIGS = {
+    "saddle": ReturnMapConfig(
+        LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0, sign_lambda=-1),
+        saddle_global(a=0.4, d=1.3, b=1.2), saddle_global(a=-0.3, c=0.7, d=0.9), 9, 7,
+    ),
+    "saddle-focus": focus_cfg(10, 8),
+    "test-cubic": ReturnMapConfig(
+        LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0, nonlinearity="test_cubic"),
+        saddle_global(a=0.3), saddle_global(a=0.3), 10, 9,
+    ),
+    "mirror": saddle_cfg(6, 9, a=0.2, d=1.4),
+}
+
+
+@lru_cache(maxsize=None)
+def _tangent_case(name):
+    cfg = TANGENT_CONFIGS[name]
+    return (cfg if cfg.ordering == K_GE_M else cfg.swapped()), rescale_frame(cfg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(TANGENT_CONFIGS)),
+    state=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+    m=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+)
+def test_pipeline_tangent_matches_central_differences(name, state, m):
+    # The exact tangent of the composition along each rescaled state axis
+    # (X, the saddle-focus X2, and Y) against a central difference.
+    oc, frame = _tangent_case(name)
+    focus = oc.local.x_dim == 2
+    X = np.array(state[:2]) if focus else state[0]
+    Y = state[2]
+    mu1, mu2 = frame.mus_for(*m)
+    axes = [(np.array([1.0, 0.0]), 0.0), (np.array([0.0, 1.0]), 0.0)] if focus else [(1.0, 0.0)]
+    axes.append((np.zeros(2) if focus else 0.0, 1.0))
+    h = 1.0e-5
+    for dX, dY in axes:
+        xb, yb, status, inside, (dxb, dyb) = _pipeline(
+            oc, frame, X, Y, mu1, mu2, tangent=(dX, dY)
+        )
+        assume(status == SOLVED and inside)
+        xp, yp, _, _, _ = _pipeline(oc, frame, X + h * dX, Y + h * dY, mu1, mu2)
+        xm, ym, _, _, _ = _pipeline(oc, frame, X - h * dX, Y - h * dY, mu1, mu2)
+        for exact, plus, minus in ((dxb, xp, xm), (dyb, yp, ym)):
+            central = (plus - minus) / (2.0 * h)
+            assert np.allclose(exact, central, rtol=1e-6, atol=1e-6), (dX, dY)

@@ -7,7 +7,7 @@ from shrimplab.bifurcation import FamilyYMap, find_periodic_orbit
 from shrimplab.errors import ShrimplabError
 from shrimplab.families import ModelMap, eval_jet, eval_map, param_index
 from shrimplab.local import LocalNormalForm
-from shrimplab.global_map import saddle_global
+from shrimplab.global_map import focus_global, saddle_global
 from shrimplab.returnmap import ReturnMapConfig
 from shrimplab import sweep
 from shrimplab.sweep import (
@@ -36,6 +36,18 @@ def par_spec(lo, hi, nx=4, **kw):
     target = FamilyPlaneTarget(PAR, "M1", "dummy")
     plane = PlaneSpec("M1", lo, hi, "dummy", 0.0, 1.0)
     return SweepSpec(target=target, plane=plane, nx=nx, ny=2, **kw)
+
+
+def focus_return_config():
+    local = LocalNormalForm(kind="saddle_focus", lam=0.4, gamma=2.0, phi=0.3)
+    g = focus_global(x_plus=[1.0, 0.5], y_minus=1.0, a=np.zeros((2, 2)), b=[1.0, 0.5],
+                     c=[1.0, -0.5], d=1.0)
+    return ReturnMapConfig(local, g, g, 10, 10)
+
+
+def cubic_return_config():
+    local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0, nonlinearity="test_cubic")
+    return ReturnMapConfig(local, saddle_global(), saddle_global(), 10, 10)
 
 
 def family_spec(family, params, **kw):
@@ -189,6 +201,16 @@ def test_workers_bit_identical(monkeypatch):
         SweepSpec(
             target=RescaledPlaneTarget(cfg), plane=PlaneSpec("M1", -1.0, 3.0, "M2", -2.0, 2.0),
             nx=8, ny=8, **quick,
+        ),
+        SweepSpec(
+            target=RescaledPlaneTarget(focus_return_config()),
+            plane=PlaneSpec("M1", -1.0, 3.0, "M2", -2.0, 2.0), nx=6, ny=6,
+            transient=64, samples=32, max_period=4,
+        ),
+        SweepSpec(
+            target=RescaledPlaneTarget(cubic_return_config()),
+            plane=PlaneSpec("M1", -1.0, 3.0, "M2", -2.0, 2.0), nx=6, ny=6,
+            transient=32, samples=16, max_period=4,
         ),
     ]
     for spec in specs:
@@ -487,11 +509,14 @@ def test_monotone_refinement_sampled():
 
 def test_rescaled_plane_target():
     local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0)
-    cfg = ReturnMapConfig(local, saddle_global(), saddle_global(), 10, 10)
-    target = RescaledPlaneTarget(cfg)
+    saddle = ReturnMapConfig(local, saddle_global(), saddle_global(), 10, 10)
     plane = PlaneSpec("M1", -0.2, 0.2, "M2", -0.2, 0.2)
-    spec = SweepSpec(target=target, plane=plane, nx=6, ny=6, transient=512, samples=512)
-    grid = plane_sweep(spec)
-    # near the origin of the rescaled plane the fixed point is attracting
-    out = attractor_scan(target, (0.0, 0.0), spec)
-    assert out.kind == "period"
+    # the saddle-focus was rejected when only the linear saddle was vectorized
+    for cfg in (saddle, focus_return_config()):
+        target = RescaledPlaneTarget(cfg)
+        spec = SweepSpec(target=target, plane=plane, nx=6, ny=6, transient=512, samples=512)
+        grid = plane_sweep(spec)
+        # near the origin of the rescaled plane the fixed point is attracting
+        assert grid.outcome(3, 3).kind == "period"
+        out = attractor_scan(target, (0.0, 0.0), spec)
+        assert out.kind == "period" and out.period == 1
