@@ -2,12 +2,18 @@
 
 Everything here works on a scalar map exposing value-plus-jet evaluation at a
 parameter vector; the polynomial families provide exact jets in Y and exact
-first derivatives of value and slope in each parameter.  Orbit jets
-(derivatives of the n-fold composition) are propagated with the chain rule up
-to third order, which is what the first Lyapunov value needs.  The bordered
-Jacobians of the fold/flip defining systems are exact too: orbit_pass carries
-the parameter derivatives of T^n and (T^n)' along the same pass that computes
-the residual, so one pass per Newton step gives both.
+first derivatives of value and slope in each parameter.  orbit_pass is the
+one chain-rule loop: it propagates the Y-derivatives of the n-fold
+composition to third order, which is what the first Lyapunov value needs,
+and, given a parameter plane, the parameter derivatives of T^n and (T^n)'
+along the same orbit, so one pass per Newton step gives the residual and the
+exact bordered Jacobian of the fold/flip defining system.
+
+Codimension-2 points (cusps on fold curves, degenerate flips on flip curves)
+are zeros of a test value along a continued curve: each sign change between
+two curve points is refined by regula falsi on the test value, every trial
+point put back on the curve by the continuation corrector.  No derivative of
+the test value is needed.
 """
 from __future__ import annotations
 
@@ -70,41 +76,28 @@ class FamilyYMap:
         return out
 
 
-def orbit_jet(ymap, y, params, period, order=3):
-    """Value and derivatives (to ``order``) of the period-fold composition."""
+def orbit_pass(ymap, y, params, period, plane=None):
+    """T^n(y), its Y-derivatives of orders 1 to 3 and, given plane, the
+    derivatives of T^n and of (T^n)' in the parameters plane[0] and plane[1]
+    as two pairs (zeros without a plane): forward-mode propagation along one
+    orbit of period map steps."""
     params = ymap.checked(params)
-    v = y
-    d1, d2, d3 = 1.0, 0.0, 0.0
-    for _ in range(period):
-        jet = ymap.jet(v, params, order)
-        fv = jet[0]
-        f1 = jet[1]
-        f2 = jet[2] if order >= 2 else 0.0
-        f3 = jet[3] if order >= 3 else 0.0
-        nd1 = f1 * d1
-        nd2 = f2 * d1 * d1 + f1 * d2
-        nd3 = f3 * d1**3 + 3.0 * f2 * d1 * d2 + f1 * d3
-        v, d1, d2, d3 = fv, nd1, nd2, nd3
-    return (v, d1, d2, d3)[: order + 1]
-
-
-def orbit_pass(ymap, y, params, period, plane):
-    """T^n(y) and its Y-derivatives (T^n)', (T^n)'', plus the derivatives of
-    T^n and of (T^n)' in the parameters plane[0] and plane[1], as two pairs:
-    forward-mode propagation along one orbit of period map steps."""
-    params = ymap.checked(params)
-    v, d1, d2 = y, 1.0, 0.0
+    v, d1, d2, d3 = y, 1.0, 0.0, 0.0
     va = vb = da = db = 0.0
     for _ in range(period):
-        fv, f1, f2, (fa, fya), (fb, fyb) = ymap.jet(v, params, 2, plane)
-        da = (f2 * va + fya) * d1 + f1 * da
-        db = (f2 * vb + fyb) * d1 + f1 * db
-        va = f1 * va + fa
-        vb = f1 * vb + fb
+        jet = ymap.jet(v, params, 3, plane)
+        fv, f1, f2, f3 = jet[:4]
+        if plane:
+            (fa, fya), (fb, fyb) = jet[4:]
+            da = (f2 * va + fya) * d1 + f1 * da
+            db = (f2 * vb + fyb) * d1 + f1 * db
+            va = f1 * va + fa
+            vb = f1 * vb + fb
+        d3 = f3 * d1**3 + 3.0 * f2 * d1 * d2 + f1 * d3
         d2 = f2 * d1 * d1 + f1 * d2
         d1 = f1 * d1
         v = fv
-    return v, d1, d2, (va, vb), (da, db)
+    return v, d1, d2, d3, (va, vb), (da, db)
 
 
 def _first_lyapunov(d2, d3):
@@ -116,7 +109,7 @@ def _reject_divisor_period(ymap, y, params, period, tol, what):
     """Raise NumericalError when y recurs at a proper divisor of period."""
     for div in range(1, period):
         if period % div == 0:
-            vd, _ = orbit_jet(ymap, y, params, div, order=1)
+            vd = orbit_pass(ymap, y, params, div)[0]
             if abs(vd - y) <= tol:
                 raise NumericalError(f"{what} has period {div}, not minimal period {period}")
 
@@ -139,7 +132,7 @@ class BifPoint:
 def _bif_point(ymap, kind, period, y, params) -> BifPoint:
     """The point y of a period-cycle at params, with its fixed-point residual
     and both codim-2 test values (second orbit derivative, first Lyapunov)."""
-    v, d1, d2, d3 = orbit_jet(ymap, y, params, period, order=3)
+    v, d1, d2, d3, _, _ = orbit_pass(ymap, y, params, period)
     orbit = PeriodicOrbit(period, float(y), float(d1), tuple(params))
     tests = {"fixed_point": abs(v - y), "second_derivative": d2,
              "lyapunov_1": _first_lyapunov(d2, d3)}
@@ -173,7 +166,7 @@ def find_periodic_orbit(
     params = tuple(float(p) for p in params)
     y = float(y_guess)
     for _ in range(max_iter):
-        v, d1 = orbit_jet(ymap, y, params, period, order=1)
+        v, d1 = orbit_pass(ymap, y, params, period)[:2]
         f = v - y
         if abs(f) <= tol:
             break
@@ -186,7 +179,7 @@ def find_periodic_orbit(
     else:
         raise ConvergenceError(f"orbit Newton did not converge in {max_iter} steps")
     _reject_divisor_period(ymap, y, params, period, distinct_tol, "solution")
-    v, mult = orbit_jet(ymap, y, params, period, order=1)
+    v, mult = orbit_pass(ymap, y, params, period)[:2]
     if abs(v - y) > 1.0e-10:
         raise ConvergenceError("orbit residual above verification tolerance")
     return PeriodicOrbit(period=period, y=float(y), multiplier=float(mult), params=params)
@@ -215,7 +208,7 @@ def solve_codim1(
     for _ in range(max_iter):
         params[free_index] = p
         # orbit_pass wants two parameters; the free one twice gives its column
-        v, d1, d2, (vp, _), (dp, _) = orbit_pass(
+        v, d1, d2, _, (vp, _), (dp, _) = orbit_pass(
             ymap, y, params, period, (free_index, free_index))
         r = np.array([v - y, d1 - target])
         if np.max(np.abs(r)) <= tol:
@@ -247,7 +240,7 @@ def lyapunov_value_1(ymap, pd_point: BifPoint) -> float:
     orbit = pd_point.orbit
     if abs(orbit.multiplier + 1.0) > 1.0e-6:
         raise NumericalError("first Lyapunov value needs a multiplier at -1")
-    _, _, d2, d3 = orbit_jet(ymap, orbit.y, orbit.params, orbit.period, order=3)
+    _, _, d2, d3, _, _ = orbit_pass(ymap, orbit.y, orbit.params, orbit.period)
     return float(_first_lyapunov(d2, d3))
 
 
@@ -261,7 +254,7 @@ def _plane_params(u, plane, params):
 def _extended_system(ymap, period, kind, u, plane, params):
     """At u = (y, p_i, p_j): the residual (T^n(y) - y, (T^n)'(y) -+ 1), its
     exact 2x3 Jacobian in u and the multiplier (T^n)'(y), from one orbit pass."""
-    v, d1, d2, dv, dd = orbit_pass(ymap, u[0], _plane_params(u, plane, params), period, plane)
+    v, d1, d2, _, dv, dd = orbit_pass(ymap, u[0], _plane_params(u, plane, params), period, plane)
     r = (v - u[0], d1 - _multiplier_target(kind))
     return r, ((d1 - 1.0, dv[0], dv[1]), (d2, dd[0], dd[1])), d1
 
@@ -316,7 +309,7 @@ def _canonical_rep(ymap, y, params, period):
 
 def _test_value(ymap, period, kind, y, params):
     rep = _canonical_rep(ymap, y, params, period)
-    _, _, d2, d3 = orbit_jet(ymap, rep, params, period, order=3)
+    _, _, d2, d3, _, _ = orbit_pass(ymap, rep, params, period)
     if kind == SN:
         return d2
     return _first_lyapunov(d2, d3)
@@ -396,85 +389,55 @@ def continue_both_ways(ymap, start: BifPoint, plane, params, **options) -> BifCu
     return joined
 
 
-def _codim2_residual(ymap, period, kind, u, plane, params):
-    r, _, _ = _extended_system(ymap, period, kind, u, plane, params)
-    test = _test_value(ymap, period, kind, u[0], _plane_params(u, plane, params))
-    return np.array([r[0], r[1], test])
-
-
-def _solve_codim2(ymap, period, kind, seed, plane, params, tol=1.0e-10):
-    u = seed.copy()
-    for _ in range(40):
-        r = _codim2_residual(ymap, period, kind, u, plane, params)
-        if np.max(np.abs(r)) <= tol:
+def _refine_codim2(ymap, curve, i, params):
+    """The zero of the test value between curve points i and i + 1, whose
+    test values have opposite signs: regula falsi with the Illinois rule (the
+    value kept at an end that survives twice running is halved).  Each trial
+    point goes back on the curve through the corrector across the curve
+    tangent there.  Ends when the test value is zero or the point stops
+    moving."""
+    kind, period, plane = curve.kind, curve.period, curve.plane
+    ua = np.array([curve.y_values[i], *curve.points[i]])
+    ub = np.array([curve.y_values[i + 1], *curve.points[i + 1]])
+    fa, fb = curve.test_values[i], curve.test_values[i + 1]
+    u, kept = ua, None
+    for _ in range(NEWTON_MAX_ITER):
+        trial = (fb * ua - fa * ub) / (fb - fa)
+        t = _tangent(_extended_system(ymap, period, kind, trial, plane, params)[1])
+        prev, (u, _, _) = u, _corrector(ymap, period, kind, trial, plane, params, t, trial, 0.0)
+        f = _test_value(ymap, period, kind, u[0], _plane_params(u, plane, params))
+        if f == 0.0 or np.max(np.abs(u - prev)) <= 1.0e-15 * (1.0 + np.max(np.abs(u))):
             return u
-        jac = np.empty((3, 3))
-        for j in range(3):
-            h = 1.0e-6 * (1.0 + abs(u[j]))
-            up, um = u.copy(), u.copy()
-            up[j] += h
-            um[j] -= h
-            jac[:, j] = (
-                _codim2_residual(ymap, period, kind, up, plane, params)
-                - _codim2_residual(ymap, period, kind, um, plane, params)
-            ) / (2.0 * h)
-        try:
-            u = u - np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError as err:
-            raise ConvergenceError("codim-2 system singular") from err
-        if not np.all(np.isfinite(u)):
-            raise ConvergenceError("codim-2 Newton diverged")
-    raise ConvergenceError("codim-2 Newton did not converge")
+        if (f < 0.0) == (fa < 0.0):
+            ua, fa = u, f
+            fb, kept = (0.5 * fb if kept == "b" else fb), "b"
+        else:
+            ub, fb = u, f
+            fa, kept = (0.5 * fa if kept == "a" else fa), "a"
+    raise ConvergenceError("codim-2 refinement did not converge")
 
 
-def detect_codim2(curve: BifCurve, ymap=None, params=None, tol: float = 1.0e-8):
-    """Locate sign changes of the recorded test function along a curve.
+def detect_codim2(curve: BifCurve, ymap, params):
+    """Locate the sign changes of the recorded test value along a curve.
 
     Fold curves yield cusp points (second orbit derivative crossing zero);
     flip curves yield degenerate flips (first Lyapunov value crossing zero).
-    Each sign-change bracket seeds a Newton solve of the three-equation
-    defining system, refined well below the 1e-8 parameter tolerance; a
-    bisection of the bracket is the fallback when that solve fails.
+    Each bracket of consecutive points with opposite test values is refined
+    by regula falsi to a zero of the test value on the curve
+    (_refine_codim2); a bracket whose refinement fails gives no hit.
     """
-    if len(curve.points) < 3 or ymap is None:
-        return []
     hits = []
-    kind, period, plane = curve.kind, curve.period, curve.plane
-    full = list(params) if params is not None else [0.0, 0.0]
+    kind = CUSP if curve.kind == SN else DEGENERATE_FLIP
     for i in range(len(curve.points) - 1):
         a, b = curve.test_values[i], curve.test_values[i + 1]
         if a == 0.0 or not (a < 0.0) != (b < 0.0):
             continue
-        ua = np.array([curve.y_values[i], *curve.points[i]])
-        ub = np.array([curve.y_values[i + 1], *curve.points[i + 1]])
-        w = abs(a) / (abs(a) + abs(b))
-        seed = (1.0 - w) * ua + w * ub
         try:
-            u = _solve_codim2(ymap, period, kind, seed, plane, full, tol=1.0e-10)
+            u = _refine_codim2(ymap, curve, i, params)
         except ConvergenceError:
-            u = _bisect_codim2(ymap, period, kind, ua, ub, a, plane, full, tol)
-            if u is None:
-                continue
-        pfull = _plane_params(u, plane, full)
-        hits.append(_bif_point(ymap, CUSP if kind == SN else DEGENERATE_FLIP, period, u[0], pfull))
+            continue
+        hits.append(_bif_point(ymap, kind, curve.period, u[0], _plane_params(u, curve.plane, params)))
     return hits
-
-
-def _bisect_codim2(ymap, period, kind, ua, ub, fa, plane, params, tol):
-    try:
-        while np.max(np.abs(ub - ua)) > tol:
-            anchor = 0.5 * (ua + ub)
-            _, jac, _ = _extended_system(ymap, period, kind, anchor, plane, params)
-            t = _tangent(jac)
-            um, _, _ = _corrector(ymap, period, kind, anchor, plane, params, t, anchor, 0.0)
-            fm = _test_value(ymap, period, kind, um[0], _plane_params(um, plane, params))
-            if (fm < 0.0) == (fa < 0.0):
-                ua, fa = um, fm
-            else:
-                ub = um
-        return ua
-    except ConvergenceError:
-        return None
 
 
 def curve_to_csv(curve: BifCurve, path, param_names=("p_i", "p_j"), header_lines=()):

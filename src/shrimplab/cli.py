@@ -7,7 +7,11 @@ Commands: sweep, continue, codim2, rescale-verify, sequence-plan,
 shrimp-predict.  Every output file starts with '#' comment lines embedding
 the fully resolved configuration, so identical configs give identical bytes.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure, 3 I/O
-error.
+error.  Each command runs with numpy's floating-point overflow, invalid
+operations and division by zero raised, so a run that would produce inf or
+NaN exits 2, as does a Python float overflow.  The sweep's cells, the
+deviation lattice and the cross-form solves still mask them: a fault there
+belongs to one point.
 """
 from __future__ import annotations
 
@@ -15,6 +19,8 @@ import argparse
 import math
 import os
 import sys
+
+import numpy as np
 
 from .bifurcation import FamilyYMap, continue_both_ways, curve_to_csv, solve_codim1
 from .config import (
@@ -92,6 +98,12 @@ def _finite_positive(x):
     return math.isfinite(x) and x > 0.0
 
 
+def _ks(cfg, key):
+    """The pass counts of key: a list of integers >= 1."""
+    return _setting(cfg, key, lambda c, k: _get_list(c, k, int), lambda ks: min(ks) >= 1,
+                    "integers >= 1")
+
+
 def _continuation(cfg):
     model = build_model(cfg)
     ymap = FamilyYMap(model.family)
@@ -158,9 +170,9 @@ def _cmd_codim2(cfg, outdir, force, workers):
 
 
 def _cmd_rescale_verify(cfg, outdir, force, workers):
-    ks = _get_list(cfg, "rescale.ks", int)
-    radius = _get_float(cfg, "rescale.radius")
-    grid = _get_int(cfg, "rescale.grid")
+    ks = _ks(cfg, "rescale.ks")
+    radius = _setting(cfg, "rescale.radius", _get_float, _finite_positive, "finite and positive")
+    grid = _setting(cfg, "rescale.grid", _get_int, lambda n: n >= 2, "an integer >= 2")
     rows = []
     for k in ks:
         rcfg = build_return_config(cfg, k=k, m=k)
@@ -225,7 +237,7 @@ def _cmd_sequence_plan(cfg, outdir, force, workers):
 
 
 def _cmd_shrimp_predict(cfg, outdir, force, workers):
-    ks = _get_list(cfg, "predict.ks", int)
+    ks = _ks(cfg, "predict.ks")
     m_event = tuple(_setting(cfg, key, _get_float, math.isfinite, "finite")
                     for key in ("predict.m1", "predict.m2"))
     rows = []
@@ -293,11 +305,12 @@ def main(argv=None) -> int:
         workers = _worker_count(args.workers)
         cfg = load_config(args.config, args.set)
         os.makedirs(args.out, exist_ok=True)
-        paths = _DISPATCH[args.command](cfg, args.out, args.force, workers)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            paths = _DISPATCH[args.command](cfg, args.out, args.force, workers)
     except ConfigError as err:
         print(f"shrimplab: config error: {err}", file=sys.stderr)
         return 1
-    except (ConvergenceError, EscapeError, NumericalError) as err:
+    except (ConvergenceError, EscapeError, NumericalError, ArithmeticError) as err:
         print(f"shrimplab: numerical failure: {err}", file=sys.stderr)
         return 2
     except OSError as err:

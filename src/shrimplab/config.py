@@ -223,8 +223,8 @@ def build_global(cfg, section: str, kind: str) -> GlobalMapTaylor:
             d=_get_float(cfg, f"{section}.d"),
             mu=_get_float(cfg, f"{section}.mu"),
         )
-    except ValueError as err:
-        raise ConfigError(str(err), key=f"{section}.*") from err
+    except FieldError as err:
+        raise ConfigError(str(err), key=f"{section}.{err.field}") from err
 
 
 def build_return_config(cfg, k=None, m=None) -> ReturnMapConfig:

@@ -7,7 +7,8 @@ neighborhood back to the stable-side neighborhood:
     ybar = mu + c x + d (y - y_minus)^2
 
 with d != 0 (quadratic fold in y) and nonzero b, c.  The maps are exactly
-these polynomials: no hidden higher-order terms.  For a saddle all
+these polynomials: no hidden higher-order terms.  Every coefficient is
+finite; a bad one raises FieldError naming it.  For a saddle all
 coefficients are scalars; for a saddle-focus x is a 2-vector, a is 2x2, and
 b, c are 2-vectors.
 """
@@ -18,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import FieldError
 from .local import apply_matrix
 
 
@@ -38,12 +40,15 @@ class GlobalMapTaylor:
     mu: float = 0.0
 
     def __post_init__(self):
+        for name in ("x_plus", "y_minus", "a", "b", "c", "d", "mu"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise FieldError(name, f"{name} must be finite")
         if self.d == 0.0:
-            raise ValueError("d must be nonzero (quadratic fold)")
+            raise FieldError("d", "d must be nonzero (quadratic fold)")
         if _norm(self.b) == 0.0:
-            raise ValueError("b must be nonzero")
+            raise FieldError("b", "b must be nonzero")
         if _norm(self.c) == 0.0:
-            raise ValueError("c must be nonzero")
+            raise FieldError("c", "c must be nonzero")
 
     @cached_property
     def x_dim(self) -> int:

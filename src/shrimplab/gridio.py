@@ -237,7 +237,7 @@ class _ImportedTarget:
             k.removeprefix("target."): v for k, v in meta.items() if k.startswith("target.")
         }
 
-    def maps(self, p1, p2):
+    def stepper(self, p1, p2):
         raise ConfigError("imported grids cannot be re-iterated")
 
     def meta(self):

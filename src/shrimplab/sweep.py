@@ -496,7 +496,9 @@ def _scan_cells(spec: SweepSpec, p1: np.ndarray, p2: np.ndarray):
     kind = np.zeros(n, dtype=np.uint8)
     period = np.zeros(n, dtype=np.int32)
     lyap = np.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a fault in one cell's arithmetic must not abort the sweep: the cell's
+    # inf or NaN is classified like any other value
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             _scan_block(spec, p1[lo:hi], p2[lo:hi], kind[lo:hi], period[lo:hi], lyap[lo:hi])

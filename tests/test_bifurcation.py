@@ -10,12 +10,12 @@ from shrimplab.bifurcation import (
     SN,
     FamilyYMap,
     _extended_system,
+    continue_both_ways,
     continue_codim1,
     curve_to_csv,
     detect_codim2,
     find_periodic_orbit,
     lyapunov_value_1,
-    orbit_jet,
     orbit_pass,
     solve_codim1,
 )
@@ -58,7 +58,7 @@ def test_find_orbit_rejects_divisor_period():
 
 def test_orbit_reverifies_its_invariants():
     o = find_periodic_orbit(DP, 1, -0.9, (0.1, 0.2))
-    v, d1 = orbit_jet(DP, o.y, o.params, o.period, order=1)
+    v, d1 = orbit_pass(DP, o.y, o.params, o.period)[:2]
     assert abs(v - o.y) <= 1e-10
     assert abs(d1 - o.multiplier) <= 1e-10
 
@@ -99,7 +99,7 @@ def test_lyapunov_value_examples():
 def test_orbit_passes_reject_non_finite_params():
     for ymap, params in ((DP, (math.nan, 0.0)), (PAR, (math.inf, 0.0))):
         with pytest.raises(ValueError, match="finite"):
-            orbit_jet(ymap, 0.1, params, 2)
+            orbit_pass(ymap, 0.1, params, 2)
         with pytest.raises(ValueError, match="finite"):
             orbit_pass(ymap, 0.1, params, 2, (0, 1))
 
@@ -225,6 +225,28 @@ def test_cubic_minus_pitchfork_cusp():
     )
     cusps = [h for h in curve.codim2_hits if h.kind == "cusp"]
     assert any(abs(h.orbit.params[0]) < 1e-7 and abs(h.orbit.params[1] - 1.0) < 1e-7 for h in cusps)
+
+
+def test_cubic_minus_degenerate_flips():
+    # On the flip curve M2 - 3 Y^2 = -1 of M1 + M2 Y - Y^3 the first Lyapunov
+    # value is 9 Y^2 - 1: zero at Y = +-1/3, M2 = -2/3, M1 = +-16/27.
+    pd = solve_codim1(CM, 1, PD, 1, (0.0, -0.9), (0.0, -0.9))
+    curve = continue_both_ways(CM, pd, (0, 1), pd.orbit.params, step=0.02, max_points=200,
+                               bounds=3.0)
+    hits = sorted(curve.codim2_hits, key=lambda h: h.orbit.y)
+    assert [h.kind for h in hits] == ["degenerate_flip"] * 2
+    for hit, sign in zip(hits, (-1.0, 1.0)):
+        m1, m2 = hit.orbit.params
+        assert abs(m1 - sign * 16.0 / 27.0) <= 1e-13
+        assert abs(m2 + 2.0 / 3.0) <= 1e-13
+        assert abs(hit.orbit.y - sign / 3.0) <= 1e-13
+        assert abs(lyapunov_value_1(CM, hit)) <= 1e-12
+
+
+def test_orbit_pass_plane_leaves_y_derivatives_unchanged():
+    for ymap, params, plane in ((DP, (0.3, 0.2), (0, 1)), (CM, (0.1, -0.8), (1, 0))):
+        with_plane = orbit_pass(ymap, 0.4, params, 3, plane)
+        assert with_plane[:4] == orbit_pass(ymap, 0.4, params, 3)[:4]
 
 
 def test_shrimp3_codim3_flip_endpoint():

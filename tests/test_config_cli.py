@@ -1,9 +1,16 @@
-import os
+import contextlib
+import io
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shrimplab.cli import main
+from shrimplab.cli import COMMANDS, main
 from shrimplab.config import (
+    BENCHMARK_DEFAULTS,
+    _SADDLE_FOCUS_VECTOR_DEFAULTS,
     build_local,
     build_model,
     build_return_config,
@@ -189,6 +196,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         # was a LinAlgError traceback from the fold seed's cubic
         ("shrimp-predict", ["predict.m1=nan"], "predict.m1"),
         ("shrimp-predict", ["predict.m2=inf"], "predict.m2"),
+        # pass counts, lattice size and radius: were a ValueError traceback
+        # (grid, negative radius), exit 2 after RuntimeWarnings (infinite
+        # radius) or an error on the key 'return.*' (ks)
+        ("rescale-verify", ["rescale.grid=0"], "rescale.grid"),
+        ("rescale-verify", ["rescale.radius=-1"], "rescale.radius"),
+        ("rescale-verify", ["rescale.radius=inf"], "rescale.radius"),
+        ("rescale-verify", ["rescale.ks=8,0"], "rescale.ks"),
+        ("shrimp-predict", ["predict.ks=-1"], "predict.ks"),
+        # non-finite excursion coefficients: were RuntimeWarnings and exit 2,
+        # or exit 0 with non-finite rows
+        ("rescale-verify", ["t1.b=inf"], "t1.b"),
+        ("shrimp-predict", ["t1.c=inf"], "t1.c"),
+        ("rescale-verify", ["t2.mu=nan"], "t2.mu"),
+        ("rescale-verify", ["local.kind=saddle_focus", "t1.x_plus=1,inf"], "t1.x_plus"),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
@@ -272,6 +293,58 @@ def test_cli_continue_overflow_is_numerical_failure(tmp_path, capsys):
     message = capsys.readouterr().err
     assert message.count("\n") == 1 and "Traceback" not in message
     assert "numerical failure" in message and "not finite" in message
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        # was a LinAlgError traceback from the fold seed's cubic
+        ("shrimp-predict", "predict.m1=1e308"),
+        # were exit 0 with RuntimeWarnings and non-finite rows
+        ("rescale-verify", "t1.mu=1e308"),
+        ("rescale-verify", "t1.x_plus=1e308"),
+        # (T^n)' of the chaotic parabola 2 - Y^2 is about 2^400, and its cube
+        # in the orbit pass overflows a Python float: exit 2, no traceback
+        ("continue", "continue.period=400"),
+    ],
+)
+def test_cli_floating_point_overflow_is_numerical_failure(tmp_path, capsys, command, setting):
+    parabola = ["model.family=parabola", "model.params=2", "plane.y_name=dummy",
+                "continue.kind=PD", "continue.y_guess=0.3", "continue.param_guess=2"]
+    sets = ["rescale.ks=6", "rescale.grid=3", "predict.ks=8", *parabola, setting]
+    code = run_cli([command, "--out", str(tmp_path / "x"), *(a for s in sets for a in ("--set", s))])
+    assert code == 2
+    message = capsys.readouterr().err
+    assert message.count("\n") == 1 and message.startswith("shrimplab: numerical failure: ")
+
+
+# Cheap settings under every drawn one: each command ends in well under a second.
+CHEAP = ["sweep.nx=6", "sweep.ny=6", "sweep.transient=32", "sweep.samples=32",
+         "sweep.max_period=4", "rescale.grid=3", "rescale.ks=6", "plan.count=3",
+         "predict.ks=8", "continue.max_points=20"]
+DRAWN_VALUES = ["nan", "inf", "-inf", "-1", "0", "2", "1e308", "x", "1,2", "0,0;0,0",
+                "saddle_focus", "test_cubic", "M3", "dummy"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(COMMANDS),
+    key=st.sampled_from(sorted(set(BENCHMARK_DEFAULTS) | set(_SADDLE_FOCUS_VECTOR_DEFAULTS))),
+    value=st.sampled_from(DRAWN_VALUES),
+)
+def test_cli_exit_code_contract(command, key, value):
+    # any one setting: an exit code of the contract, no warning, and stderr
+    # empty on success, else one line
+    sets = [arg for item in CHEAP + [f"{key}={value}"] for arg in ("--set", item)]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--out", out, *sets])
+    assert code in (0, 1, 2, 3)
+    assert [str(w.message) for w in caught] == []
+    message = err.getvalue()
+    assert message == "" if code == 0 else message.count("\n") == 1
 
 
 def test_cli_shrimp_predict(tmp_path):

@@ -4,7 +4,9 @@ import pytest
 from shrimplab.errors import ConfigError
 from shrimplab.families import ModelMap
 from shrimplab.gridio import export_grid, gray_for, import_grid_csv
-from shrimplab.sweep import FamilyPlaneTarget, PlaneSpec, SweepGrid, SweepSpec, plane_sweep
+from shrimplab.sweep import (
+    FamilyPlaneTarget, PlaneSpec, SweepGrid, SweepSpec, attractor_scan, plane_sweep,
+)
 
 
 def small_grid():
@@ -47,6 +49,18 @@ def test_round_trip_exact(tmp_path):
     assert back.spec.nx == grid.spec.nx
     assert back.spec.plane == grid.spec.plane
     assert back.spec.target.meta() == grid.spec.target.meta()
+
+
+def test_imported_grid_cannot_be_reswept(tmp_path):
+    target = FamilyPlaneTarget(ModelMap("double_parabola", (0.0, 0.0)), "M1", "M2")
+    plane = PlaneSpec("M1", -0.3, 0.9, "M2", -0.3, 0.9)
+    grid = plane_sweep(SweepSpec(target=target, plane=plane, nx=4, ny=4, transient=64, samples=64))
+    export_grid(grid, tmp_path / "grid.csv", tmp_path / "grid.pgm")
+    spec = import_grid_csv(tmp_path / "grid.csv").spec
+    with pytest.raises(ConfigError, match="re-iterated"):
+        plane_sweep(spec)
+    with pytest.raises(ConfigError, match="re-iterated"):
+        attractor_scan(spec.target, (0.0, 0.0), spec)
 
 
 def test_gray_mapping():
