@@ -4,8 +4,8 @@ Everything here works on a scalar map exposing value-plus-jet evaluation at a
 parameter vector; the polynomial families provide exact jets in Y and exact
 first derivatives of value and slope in each parameter.  orbit_pass is the
 one chain-rule loop: it propagates the Y-derivatives of the n-fold
-composition to third order, which is what the first Lyapunov value needs,
-and, given a parameter plane, the parameter derivatives of T^n and (T^n)'
+composition to second order, or to third where the first Lyapunov value
+needs it, and, given a parameter plane, the parameter derivatives of T^n and (T^n)'
 along the same orbit, so one pass per Newton step gives the residual and the
 exact bordered Jacobian of the fold/flip defining system.
 
@@ -76,24 +76,30 @@ class FamilyYMap:
         return out
 
 
-def orbit_pass(ymap, y, params, period, plane=None):
+def orbit_pass(ymap, y, params, period, plane=None, order=2):
     """T^n(y), its Y-derivatives of orders 1 to 3 and, given plane, the
     derivatives of T^n and of (T^n)' in the parameters plane[0] and plane[1]
     as two pairs (zeros without a plane): forward-mode propagation along one
-    orbit of period map steps."""
+    orbit of period map steps.  The third derivative is formed only for
+    order=3 and is None for the default order=2; its overflow raises
+    ConvergenceError."""
     params = ymap.checked(params)
-    v, d1, d2, d3 = y, 1.0, 0.0, 0.0
+    v, d1, d2, d3 = y, 1.0, 0.0, (0.0 if order > 2 else None)
     va = vb = da = db = 0.0
     for _ in range(period):
-        jet = ymap.jet(v, params, 3, plane)
-        fv, f1, f2, f3 = jet[:4]
+        jet = ymap.jet(v, params, order, plane)
+        fv, f1, f2 = jet[:3]
         if plane:
-            (fa, fya), (fb, fyb) = jet[4:]
+            (fa, fya), (fb, fyb) = jet[order + 1 :]
             da = (f2 * va + fya) * d1 + f1 * da
             db = (f2 * vb + fyb) * d1 + f1 * db
             va = f1 * va + fa
             vb = f1 * vb + fb
-        d3 = f3 * d1**3 + 3.0 * f2 * d1 * d2 + f1 * d3
+        if order > 2:
+            try:  # a float power overflows with an error, not to inf
+                d3 = jet[3] * d1**3 + 3.0 * f2 * d1 * d2 + f1 * d3
+            except OverflowError as err:
+                raise ConvergenceError("third orbit derivative overflowed") from err
         d2 = f2 * d1 * d1 + f1 * d2
         d1 = f1 * d1
         v = fv
@@ -132,7 +138,7 @@ class BifPoint:
 def _bif_point(ymap, kind, period, y, params) -> BifPoint:
     """The point y of a period-cycle at params, with its fixed-point residual
     and both codim-2 test values (second orbit derivative, first Lyapunov)."""
-    v, d1, d2, d3, _, _ = orbit_pass(ymap, y, params, period)
+    v, d1, d2, d3, _, _ = orbit_pass(ymap, y, params, period, order=3)
     orbit = PeriodicOrbit(period, float(y), float(d1), tuple(params))
     tests = {"fixed_point": abs(v - y), "second_derivative": d2,
              "lyapunov_1": _first_lyapunov(d2, d3)}
@@ -240,7 +246,7 @@ def lyapunov_value_1(ymap, pd_point: BifPoint) -> float:
     orbit = pd_point.orbit
     if abs(orbit.multiplier + 1.0) > 1.0e-6:
         raise NumericalError("first Lyapunov value needs a multiplier at -1")
-    _, _, d2, d3, _, _ = orbit_pass(ymap, orbit.y, orbit.params, orbit.period)
+    _, _, d2, d3, _, _ = orbit_pass(ymap, orbit.y, orbit.params, orbit.period, order=3)
     return float(_first_lyapunov(d2, d3))
 
 
@@ -309,7 +315,7 @@ def _canonical_rep(ymap, y, params, period):
 
 def _test_value(ymap, period, kind, y, params):
     rep = _canonical_rep(ymap, y, params, period)
-    _, _, d2, d3, _, _ = orbit_pass(ymap, rep, params, period)
+    _, _, d2, d3, _, _ = orbit_pass(ymap, rep, params, period, order=2 if kind == SN else 3)
     if kind == SN:
         return d2
     return _first_lyapunov(d2, d3)

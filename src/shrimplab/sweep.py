@@ -3,15 +3,27 @@
 Each cell of an (nx, ny) grid gets one outcome: a detected minimal period, a
 chaotic label with its Lyapunov exponent, or escape.
 
-Cells are classified in blocks of _BLOCK cells taken in flat (raveled,
-x-major) order, so the arrays of every stage stay in cache and a sweep's
-memory is bounded by the block size rather than by nx * ny.  Within a block
-each stage after the transient runs only on the cells that still need it:
-Newton refinement on the cells still waiting for a label, the nudge re-run
-on the parked cells, the Lyapunov loop on the cells still unlabelled.  No
-stage lets one cell affect another, so the outcome of a cell depends neither
-on the block size nor on how the grid is split across workers; parallel
-sweeps are byte-identical to serial ones.
+Cells start in blocks of _BLOCK cells taken in flat (raveled, x-major)
+order.  The head of a block runs its orbits to the first retirement
+checkpoint (below; the step-64 drop when no checkpoint fits in the
+transient), and the cells that are done by then, escaped or retired, are
+labelled from the window read off the ring.  The long tail is pooled across
+blocks in two queues of at most _BLOCK cells, each run as one batch when it
+is full and at the end: the tail queue holds the cells still running, all
+at the same step, with their state and running maximum, and runs the rest
+of the transient and the window; the Lyapunov queue holds the cells left
+unlabelled after period detection, with their last state and their
+_relaxed_period fallback.  So every stage works on full batches (on the
+512^2 acceptance window a block has 1,000 to 8,000 cells left after the
+first checkpoint), and a sweep's memory is bounded by one head block and
+the two queues rather than by nx * ny; the cells' parameters are looked up
+per batch.  Within a batch each stage runs only on the cells that still
+need it: Newton refinement on the cells still waiting for a label, the
+nudge re-run on the parked cells.  Each cell keeps its own steps and
+checkpoint schedule, and no stage lets one cell affect another, so the
+outcome of a cell depends neither on the block size or the batching nor on
+how the grid is split across workers; parallel sweeps are byte-identical to
+serial ones.
 
 Classification per cell: discard a transient, look for a recurrence of
 minimal period p <= max_period (confirmed twice at tolerance period_tol) with
@@ -20,7 +32,8 @@ over `samples` iterations and call the cell chaotic when it is positive.
 Orbits that park exactly on a repelling cycle (it happens: the critical
 orbit of the full-height parabola lands on its fixed point in floating
 point) are nudged once by 1e-9 and re-classified; only those cells run the
-transient and window again.
+transient and window again, as a head of their own whose survivors join the
+tail queue.
 
 A cell has escaped when its state left escape_radius at some step, NaN and
 inf included.  The orbit stages keep a running maximum of |y| (np.maximum,
@@ -284,22 +297,43 @@ def _cycle_lags(ring):
     return lag
 
 
-def _orbit_window(target, p1, p2, y, radius, transient, length):
-    """Discard `transient` steps from y, then record `length` states in S.
+def _handoff(transient):
+    """The step at which a block's head stops and its cells still running
+    join the tail queue: the first retirement checkpoint, or the drop when no
+    checkpoint fits in the transient."""
+    drop = min(transient, _DROP_STEP)
+    return drop + _CHECK if drop + _CHECK <= transient else drop
 
-    S[0] is the state after the transient.  Escaped cells are flagged in esc
-    and their S and y are 0.  Cells that escape within the first
-    min(transient, _DROP_STEP) steps are dropped there, cells whose orbit
-    repeats bit for bit are retired at the checkpoints (module docstring),
-    and the step is rebuilt on the cells left each time.  Returns (S, y, esc)
-    with y the last state; the caller's y is not written.
+
+def _orbit_window(target, p1, p2, y, radius, transient, length, top=None, t=0, stop=None):
+    """Run y on from step t: discard the steps up to `transient`, then record
+    `length` states in S.
+
+    S[0] is the state after the transient and S[-1] the last state.  Escaped
+    cells are flagged in esc and their S is 0.  From t = 0, the cells that
+    escape within the first min(transient, _DROP_STEP) steps are dropped
+    there.  A resumed run takes the states y at a step t past that, with
+    `top`, the running maximum of |y| up to t, and drops the cells that have
+    already escaped.  Cells whose orbit repeats bit for bit are retired at
+    the checkpoints (module docstring), and the step is rebuilt on the cells
+    left each time.
+
+    Returns (S, esc, rest).  Given a step `stop` of the schedule, the drop
+    or a checkpoint no later than the last one (_handoff(transient) is), the
+    run stops there and rest = (live, y, top) holds the cells still running:
+    their indices, states and running maxima; their S and esc are left 0 and
+    False, and resuming them from t = stop gives the bits of an
+    uninterrupted run.  Without a stop rest is None.  The caller's y and top
+    are not written.
     """
     n = y.size
     y = y.copy()
+    top = np.zeros(n) if top is None else top.copy()
+    mag = np.empty(n)
     step = target.stepper(p1, p2)
-    top, mag = np.zeros(n), np.empty(n)
-    t = min(transient, _DROP_STEP)
-    _advance(step, y, top, mag, t)
+    drop = min(transient, _DROP_STEP)
+    _advance(step, y, top, mag, drop - t)
+    t = max(t, drop)
     S = np.zeros((length, n))
     esc = np.ones(n, dtype=bool)
     live = np.arange(n)
@@ -310,7 +344,7 @@ def _orbit_window(target, p1, p2, y, radius, transient, length):
             live, y, top = live[keep], y[keep], top[keep]
             mag = mag[: live.size]
             step = target.stepper(p1[live], p2[live])
-        if t + _CHECK > transient or not live.size:
+        if t == stop or t + _CHECK > transient or not live.size:
             break
         if ring is None:
             ring = np.empty((_RING, live.size))
@@ -330,7 +364,11 @@ def _orbit_window(target, p1, p2, y, radius, transient, length):
             for w in range(length):  # row by row: no (length, cells) temporaries
                 S[w, cells] = R[_RING - 1 - q + (transient + w - t) % q, out]
             esc[cells] = ~(top[out] <= radius)
-    if live.size:
+    rest = None
+    if stop is not None:
+        esc[live] = False
+        rest = (live, y, top)
+    elif live.size:
         _advance(step, y, top, mag, transient - t)
         S[0, live] = y
         for w in range(1, length):
@@ -338,7 +376,7 @@ def _orbit_window(target, p1, p2, y, radius, transient, length):
             S[w, live] = y
         esc[live] = ~(top <= radius)
     S[:, esc] = 0.0
-    return S, S[-1].copy(), esc
+    return S, esc, rest
 
 
 def _newton_orbit(step, y0, d, iterations=12):
@@ -425,84 +463,150 @@ def _lyapunov(step, y, radius, samples):
     return acc / samples, ~(top <= radius)
 
 
-def _relaxed_period(S, max_period, tol=1.0e-3):
-    """Best-recurrence fallback for cells that defeated both detectors."""
-    n = S.shape[1]
-    period = np.zeros(n, dtype=np.int32)
-    best = np.full(n, np.inf)
+def _relaxed_period(S, cells, max_period, tol=1.0e-3):
+    """Best-recurrence fallback for the cells (columns of S) that defeated
+    both detectors; reads S row by row, so no columns are copied."""
+    period = np.zeros(cells.size, dtype=np.int32)
+    best = np.full(cells.size, np.inf)
+    s0 = S[0, cells]
     for p in range(1, max_period + 1):
-        err = np.maximum(np.abs(S[p] - S[0]), np.abs(S[2 * p] - S[p]))
+        sp = S[p, cells]
+        err = np.maximum(np.abs(sp - s0), np.abs(S[2 * p, cells] - sp))
         take = (err < best) & (err < tol)
         period[take] = p
         best = np.where(take, err, best)
     return period
 
 
-def _scan_block(spec: SweepSpec, p1, p2, kind, period, lyap):
-    """Classify one block of cells, writing into the kind/period/lyap views."""
-    target = spec.target
-    radius = spec.escape_radius
-    window = 2 * spec.max_period + 1
+class _Queue:
+    """Cells waiting for a stage, as columns of _BLOCK capacity.  push hands
+    each full batch to `run`, and flush hands over the rest."""
 
-    S, y, esc = _orbit_window(
-        target, p1, p2, np.full(p1.size, spec.seed()), radius, spec.transient, window
-    )
-    per, parked = _detect_periods(S, target, p1, p2, ~esc, spec.period_tol, spec.max_period)
-    kind[per > 0] = _CODE[KIND_PERIOD]
-    period[:] = per
+    def __init__(self, *dtypes):
+        self.dtypes, self.cols, self.size = dtypes, None, 0
 
-    idx = np.flatnonzero(parked)
-    if idx.size:
-        # nudge the parked cells off their repelling cycle and classify them again
-        S2, yp, escp = _orbit_window(
-            target, p1[idx], p2[idx], S[0, idx] + 1.0e-9, radius, spec.transient, window
+    def push(self, run, *cols):
+        # run is passed in, not kept: a bound method kept here would tie the
+        # queue and its owner in a reference cycle
+        n, at = len(cols[0]), 0
+        while at < n:
+            if self.cols is None:  # on first use: not during the first head's window
+                self.cols = [np.empty(_BLOCK, dtype=dtype) for dtype in self.dtypes]
+            take = min(n - at, _BLOCK - self.size)
+            for q, c in zip(self.cols, cols):
+                q[self.size : self.size + take] = c[at : at + take]
+            self.size += take
+            at += take
+            if self.size == _BLOCK:
+                self.flush(run)
+
+    def flush(self, run):
+        # the batch is a view of the columns, which are free again once it is
+        # handed over: a run queues cells only after it has read its batch
+        n, self.size = self.size, 0
+        if n:
+            run(*(q[:n] for q in self.cols))
+
+
+class _Scan:
+    """The outcome arrays of n cells, whose parameters are params(cells) for
+    an array of cell indices, and the two queues that pool their long tail
+    across blocks (module docstring)."""
+
+    def __init__(self, spec: SweepSpec, n, params):
+        self.spec, self.params = spec, params
+        self.kind = np.zeros(n, dtype=np.uint8)
+        self.period = np.zeros(n, dtype=np.int32)
+        self.lyap = np.zeros(n)
+        self.handoff = _handoff(spec.transient)
+        # cell, state, running maximum of |y|, nudged
+        self.tail = _Queue(np.intp, float, float, bool)
+        # cell, last window state, _relaxed_period
+        self.chaotic = _Queue(np.intp, float, np.int32)
+
+    def _window(self, p, y, **resume):
+        spec = self.spec
+        return _orbit_window(
+            spec.target, *p, y, spec.escape_radius, spec.transient, 2 * spec.max_period + 1,
+            **resume,
         )
-        per2, _ = _detect_periods(
-            S2, target, p1[idx], p2[idx], ~escp, spec.period_tol, spec.max_period
+
+    def head(self, cells, y, nudged):
+        """Run the cells from y to the first checkpoint; label those that are
+        done and queue the rest at step self.handoff."""
+        p = self.params(cells)
+        S, esc, (live, y, top) = self._window(p, y, stop=self.handoff)
+        done = np.ones(cells.size, dtype=bool)
+        done[live] = False
+        nudged = np.full(cells.size, nudged)
+        parked = self._settle(cells, p, S, esc, done, nudged)
+        del S  # before the push, which may run a tail batch
+        self.tail.push(self._tail, cells[live], y, top, nudged[live])
+        if parked is not None:
+            self.head(*parked, True)
+
+    def _tail(self, cells, y, top, nudged):
+        p = self.params(cells)
+        S, esc, _ = self._window(p, y, top=top, t=self.handoff)
+        parked = self._settle(cells, p, S, esc, np.ones(cells.size, dtype=bool), nudged)
+        del S
+        if parked is not None:
+            self.head(*parked, True)
+
+    def _settle(self, cells, p, S, esc, done, nudged):
+        """Label the done cells, with parameters p, from their window S:
+        detected periods and escapes; queue the unlabelled ones for the
+        Lyapunov stage.  Returns the parked cells that have not been nudged
+        yet with their start states nudged off the repelling cycle, or None:
+        the caller runs them once it has let go of S."""
+        spec = self.spec
+        per, parked = _detect_periods(
+            S, spec.target, *p, done & ~esc, spec.period_tol, spec.max_period
         )
-        newly = per2 > 0
-        kind[idx[newly]] = _CODE[KIND_PERIOD]
-        period[idx[newly]] = per2[newly]
-        S[:, idx] = S2
-        y[idx] = yp
-        esc[idx] = escp
+        found = per > 0
+        self.kind[cells[found]] = _CODE[KIND_PERIOD]
+        self.period[cells[found]] = per[found]
+        self.kind[cells[done & esc]] = _CODE[KIND_ESCAPED]
+        nudge = parked & ~nudged
+        idx = np.flatnonzero(done & ~esc & ~found & ~nudge)
+        if idx.size:
+            self.chaotic.push(
+                self._lyapunov, cells[idx], S[-1, idx], _relaxed_period(S, idx, spec.max_period)
+            )
+        idx = np.flatnonzero(nudge)
+        return (cells[idx], S[0, idx] + 1.0e-9) if idx.size else None
 
-    kind[esc] = _CODE[KIND_ESCAPED]
-    period[esc] = 0
-
-    idx = np.flatnonzero(kind == 0)
-    if not idx.size:
-        return
-    lam, esca = _lyapunov(target.stepper(p1[idx], p2[idx]), y[idx], radius, spec.samples)
-    kind[idx[esca]] = _CODE[KIND_ESCAPED]
-    chaotic = ~esca & (lam > 0.0)
-    kind[idx[chaotic]] = _CODE[KIND_CHAOTIC]
-    lyap[idx[chaotic]] = lam[chaotic]
-    left = ~esca & ~chaotic
-    if left.any():
-        cells = idx[left]
-        per3 = _relaxed_period(S[:, cells], spec.max_period)
-        settled = per3 > 0
-        kind[cells[settled]] = _CODE[KIND_PERIOD]
-        period[cells[settled]] = per3[settled]
-        stray = ~settled
-        kind[cells[stray]] = _CODE[KIND_CHAOTIC]
-        lyap[cells[stray]] = lam[left][stray]
+    def _lyapunov(self, cells, y, relaxed):
+        """Chaotic when the exponent is positive; otherwise the relaxed
+        period, and a stray chaotic cell where there is none."""
+        spec = self.spec
+        lam, esc = _lyapunov(
+            spec.target.stepper(*self.params(cells)), y, spec.escape_radius, spec.samples
+        )
+        self.kind[cells[esc]] = _CODE[KIND_ESCAPED]
+        chaotic = ~esc & ((lam > 0.0) | (relaxed == 0))
+        self.kind[cells[chaotic]] = _CODE[KIND_CHAOTIC]
+        self.lyap[cells[chaotic]] = lam[chaotic]
+        settled = ~esc & ~chaotic
+        self.kind[cells[settled]] = _CODE[KIND_PERIOD]
+        self.period[cells[settled]] = relaxed[settled]
 
 
-def _scan_cells(spec: SweepSpec, p1: np.ndarray, p2: np.ndarray):
-    """Classify the cells (p1[k], p2[k]), one block of _BLOCK cells at a time."""
-    n = p1.size
-    kind = np.zeros(n, dtype=np.uint8)
-    period = np.zeros(n, dtype=np.int32)
-    lyap = np.zeros(n)
+def _scan_cells(spec: SweepSpec, n: int, params):
+    """Classify the cells 0..n-1 with parameters params(cells): a head per
+    block of _BLOCK cells, the tails and the Lyapunov stage in pooled batches
+    of up to _BLOCK."""
+    scan = _Scan(spec, n, params)
     # a fault in one cell's arithmetic must not abort the sweep: the cell's
     # inf or NaN is classified like any other value
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            _scan_block(spec, p1[lo:hi], p2[lo:hi], kind[lo:hi], period[lo:hi], lyap[lo:hi])
-    return kind, period, lyap
+            cells = np.arange(lo, min(lo + _BLOCK, n))
+            scan.head(cells, np.full(cells.size, spec.seed()), False)
+        while scan.tail.size:  # a tail batch may queue nudged cells again
+            scan.tail.flush(scan._tail)
+        scan.chaotic.flush(scan._lyapunov)
+    return scan.kind, scan.period, scan.lyap
 
 
 def attractor_scan(target, point, spec: SweepSpec) -> CellOutcome:
@@ -510,16 +614,20 @@ def attractor_scan(target, point, spec: SweepSpec) -> CellOutcome:
     spec = replace(spec, target=target)
     p1 = np.array([float(point[0])])
     p2 = np.array([float(point[1])])
-    kind, period, lyap = _scan_cells(spec, p1, p2)
+    kind, period, lyap = _scan_cells(spec, 1, lambda cells: (p1[cells], p2[cells]))
     return CellOutcome(kind=_KIND[int(kind[0])], period=int(period[0]), lyap=float(lyap[0]))
 
 
 def _sweep_cells(spec: SweepSpec, lo: int, hi: int):
-    """Classify the grid cells lo..hi-1 of the flat (raveled, x-major) order."""
-    cells = np.arange(lo, hi)
-    p1 = spec.plane.x_values(spec.nx)[cells // spec.ny]
-    p2 = spec.plane.y_values(spec.ny)[cells % spec.ny]
-    return _scan_cells(spec, p1, p2)
+    """Classify the grid cells lo..hi-1 of the flat (raveled, x-major) order;
+    the parameters of a batch of cells are looked up when it runs."""
+    xs, ys = spec.plane.x_values(spec.nx), spec.plane.y_values(spec.ny)
+
+    def params(cells):
+        i, j = np.divmod(cells + lo, spec.ny)
+        return xs[i], ys[j]
+
+    return _scan_cells(spec, hi - lo, params)
 
 
 def plane_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:

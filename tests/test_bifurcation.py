@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from shrimplab.bifurcation import (
     PD,
     SN,
+    BifPoint,
     FamilyYMap,
+    PeriodicOrbit,
     _extended_system,
     continue_both_ways,
     continue_codim1,
@@ -86,8 +88,6 @@ def test_lyapunov_value_examples():
     s3 = FamilyYMap("shrimp3")
     pd3 = solve_codim1(s3, 1, PD, 2, (0.0, -1.0), (0.0, 0.0, -1.0))
     assert abs(lyapunov_value_1(s3, pd3)) < 1e-8
-
-    from shrimplab.bifurcation import BifPoint, PeriodicOrbit
 
     # cubic_plus at (M1, M2) = (0, -1) is -Y + Y^3: a flip at 0 whose first
     # Lyapunov value is 0.25 * 0^2 + 6 / 6
@@ -245,8 +245,26 @@ def test_cubic_minus_degenerate_flips():
 
 def test_orbit_pass_plane_leaves_y_derivatives_unchanged():
     for ymap, params, plane in ((DP, (0.3, 0.2), (0, 1)), (CM, (0.1, -0.8), (1, 0))):
-        with_plane = orbit_pass(ymap, 0.4, params, 3, plane)
-        assert with_plane[:4] == orbit_pass(ymap, 0.4, params, 3)[:4]
+        for order in (2, 3):
+            with_plane = orbit_pass(ymap, 0.4, params, 3, plane, order)
+            assert with_plane[:4] == orbit_pass(ymap, 0.4, params, 3, order=order)[:4]
+        second = orbit_pass(ymap, 0.4, params, 3, plane)
+        third = orbit_pass(ymap, 0.4, params, 3, plane, 3)
+        assert second[3] is None and third[3] is not None
+        assert second[:3] + second[4:] == third[:3] + third[4:]
+
+
+def test_overflowing_orbit_derivatives_raise_convergence_error():
+    # (T^n)' of the chaotic parabola 2 - Y^2 grows like 2^n: at n = 400
+    # Newton cannot converge, and the cube in the third derivative passes the
+    # float range
+    with pytest.raises(ConvergenceError):
+        find_periodic_orbit(PAR, 400, 0.3, (2.0,))
+    with pytest.raises(ConvergenceError):
+        solve_codim1(PAR, 400, PD, 0, (0.3, 2.0), (2.0,))
+    flip = BifPoint(kind=PD, orbit=PeriodicOrbit(400, 0.3, -1.0, (2.0,)))
+    with pytest.raises(ConvergenceError, match="overflowed"):
+        lyapunov_value_1(PAR, flip)
 
 
 def test_shrimp3_codim3_flip_endpoint():

@@ -303,8 +303,9 @@ def test_cli_continue_overflow_is_numerical_failure(tmp_path, capsys):
         # were exit 0 with RuntimeWarnings and non-finite rows
         ("rescale-verify", "t1.mu=1e308"),
         ("rescale-verify", "t1.x_plus=1e308"),
-        # (T^n)' of the chaotic parabola 2 - Y^2 is about 2^400, and its cube
-        # in the orbit pass overflows a Python float: exit 2, no traceback
+        # (T^n)' of the chaotic parabola 2 - Y^2 is about 2^400, so the
+        # Newton solve cannot converge (its cube once overflowed a Python
+        # float here): exit 2, no traceback
         ("continue", "continue.period=400"),
     ],
 )

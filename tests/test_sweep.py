@@ -78,6 +78,32 @@ def test_scan_parabola_full_height_chaos():
     assert abs(out.lyap - math.log(2.0)) < 0.05
 
 
+def test_reparked_cell_is_nudged_once(monkeypatch):
+    """A nudged cell that parks again (after 4 transient steps its orbit is
+    still within 1e-3 of the repelling fixed point -2) is not nudged a
+    second time: it goes to the Lyapunov stage from the last state of its
+    nudged window, with that window's relaxed period."""
+    spec = par_spec(1.9, 2.0, nx=2, transient=4, samples=64, max_period=1, period_tol=1.0e-3)
+    heads = []
+    head = sweep._Scan.head
+
+    def counted_head(self, cells, y, nudged):
+        heads.append((cells.tolist(), nudged))
+        return head(self, cells, y, nudged)
+
+    monkeypatch.setattr(sweep._Scan, "head", counted_head)
+    grid = plane_sweep(spec)
+    # the two M1 = 2 cells (the second axis is a dummy) park and are nudged once
+    assert heads == [([0, 1, 2, 3], False), ([2, 3], True)]
+    p1, p2 = np.full(2, 2.0), np.zeros(2)
+    y = np.full(2, -2.0 + 1.0e-9)  # the window start -2 of the parked orbit, nudged
+    S, esc, _ = sweep._orbit_window(spec.target, p1, p2, y, spec.escape_radius, 4, 3)
+    lam, _ = sweep._lyapunov(spec.target.stepper(p1, p2), S[-1], spec.escape_radius, 64)
+    assert not esc.any() and np.all(lam > 0.0)
+    assert np.array_equal(grid.kind[1], np.full(2, sweep._CODE["chaotic"]))
+    assert np.array_equal(_bits(grid.lyap[1]), _bits(lam))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         dp_spec(nx=1)
@@ -190,6 +216,10 @@ def test_workers_bit_identical(monkeypatch):
         # transient of unparked cells next to the nudged M1 = 2 cells would
         # label it escaped in some blocks and chaotic in others
         par_spec(-0.251, 2.0, nx=61, transient=64, samples=16, max_period=8),
+        # the cells of the last blocks (M1 near 3) all escape before the drop,
+        # while the survivors of earlier blocks wait in the tail queue at the
+        # first checkpoint
+        par_spec(1.0, 3.0, nx=61, transient=256, samples=64, max_period=8),
         # a radius small enough that orbits leave it and come back
         family_spec("cubic_plus", (0.0, 0.0), escape_radius=0.7, **quick),
         dp_spec(nx=16, ny=16, transient=256, samples=256),
@@ -212,15 +242,56 @@ def test_workers_bit_identical(monkeypatch):
             plane=PlaneSpec("M1", -1.0, 3.0, "M2", -2.0, 2.0), nx=6, ny=6,
             transient=32, samples=16, max_period=4,
         ),
+        # M1 along the second axis: every row ends in a parked M1 = 2 cell, so
+        # at blocks of 7, 64 and 257 the tail batches mix nudged cells with
+        # the survivors of other blocks, and the chaotic cells of several
+        # blocks share one Lyapunov batch
+        SweepSpec(
+            target=FamilyPlaneTarget(PAR, "dummy", "M1"),
+            plane=PlaneSpec("dummy", 0.0, 1.0, "M1", 1.0, 2.0), nx=5, ny=61, **quick,
+        ),
     ]
     for spec in specs:
         reference = plane_sweep(spec)
-        for block in (7, 1000, 16384):
+        # block sizes that split the head blocks and the pooled batches mid-grid
+        for block in (7, 64, 257, 1000, 16384):
             monkeypatch.setattr(sweep, "_BLOCK", block)
             for workers in (1, 2):
                 grid = plane_sweep(spec, workers=workers)
                 assert grid.same_cells(reference), (spec.target.meta(), block, workers)
         monkeypatch.undo()
+
+
+def test_lyapunov_cells_pooled_across_blocks(monkeypatch):
+    """The unlabelled cells of all blocks run the Lyapunov stage in full
+    batches of _BLOCK cells, not one call per block; the stages never see
+    more than _BLOCK cells at once, and the labels do not change."""
+    spec = SweepSpec(
+        target=FamilyPlaneTarget(DP, "M1", "M2"),
+        plane=PlaneSpec("M1", -0.6, 1.5, "M2", -0.55, 1.4),
+        nx=40, ny=40, transient=400, samples=64, max_period=8,
+    )
+    reference = plane_sweep(spec)
+    block = 64  # 25 blocks, each with unlabelled cells
+    lyapunov, orbit_window = sweep._lyapunov, sweep._orbit_window
+    calls, sizes = [], []
+
+    def counted_lyapunov(step, y, radius, samples):
+        calls.append(y.size)
+        return lyapunov(step, y, radius, samples)
+
+    def sized_orbit_window(target, p1, p2, y, *args, **kw):
+        sizes.append(y.size)
+        return orbit_window(target, p1, p2, y, *args, **kw)
+
+    monkeypatch.setattr(sweep, "_BLOCK", block)
+    monkeypatch.setattr(sweep, "_lyapunov", counted_lyapunov)
+    monkeypatch.setattr(sweep, "_orbit_window", sized_orbit_window)
+    assert plane_sweep(spec).same_cells(reference)
+    unlabelled = sum(calls)
+    assert unlabelled > 2 * block
+    assert len(calls) <= math.ceil(unlabelled / block) + 1
+    assert max(calls) <= block and max(sizes) <= block
 
 
 def _reference_escape_step(y, esc, radius):
@@ -330,14 +401,15 @@ def test_escape_tracking_matches_per_step_reference(target, monkeypatch):
         assert _leaves_and_returns(f, y0, 0.7, 100)
         for radius in (0.7, 2.0, 1.0e6, np.inf):
             for transient in (10, 63, 64, 65, 150, 191, 192, 193, 320, 1000):
-                S, y, esc = sweep._orbit_window(target, p1, p2, y0, radius, transient, length)
+                S, esc, rest = sweep._orbit_window(target, p1, p2, y0, radius, transient, length)
                 S_ref, y_ref, esc_ref = _reference_window(f, y0, radius, transient, length)
                 # the states of escaped cells are read by nothing; the engine holds them at 0
                 S_ref[:, esc_ref] = 0.0
+                assert rest is None
                 assert np.array_equal(esc, esc_ref), (radius, transient)
                 assert np.array_equal(_bits(S), _bits(S_ref)), (radius, transient)
-                assert np.array_equal(_bits(y), _bits(y_ref)), (radius, transient)
-                assert np.all(S[:, esc] == 0.0) and np.all(y[esc] == 0.0)
+                assert np.array_equal(_bits(S[-1]), _bits(y_ref)), (radius, transient)
+                assert np.all(S[:, esc] == 0.0)
                 if radius == np.inf:
                     nan_seen |= bool(esc.any())
             lam, esc = sweep._lyapunov(target.stepper(p1, p2), y0.copy(), radius, 80)
@@ -349,6 +421,62 @@ def test_escape_tracking_matches_per_step_reference(target, monkeypatch):
     assert sum(retired) > 0
     if target.meta().get("family", "").startswith("cubic"):
         assert nan_seen
+
+
+@pytest.mark.parametrize(
+    "target", ESCAPE_TARGETS, ids=lambda t: t.meta().get("family", t.meta()["target"])
+)
+def test_orbit_window_resume_matches_uninterrupted_run(target):
+    """Stopping a run at a step of the checkpoint schedule and resuming the
+    cells left from (y, top) at that step, again and again, gives the bits
+    of one uninterrupted run; the caller's states and running maxima are not
+    written."""
+    rng = np.random.default_rng(7)
+    p1, p2 = rng.uniform(-2.5, 2.5, (2, 1000))
+    y0 = rng.uniform(-1.0, 1.0, 1000)
+    special = np.array(SPECIAL_CELLS).T
+    p1, p2, y0 = (np.concatenate([a, b]) for a, b in zip((p1, p2, y0), special))
+    length = 17
+    with np.errstate(over="ignore", invalid="ignore"):
+        for radius in (0.7, 1.0e6, np.inf):
+            for transient in (10, 64, 191, 192, 600):
+                # the drop, then every checkpoint that fits in the transient
+                stops = list(range(min(transient, sweep._DROP_STEP), transient + 1, sweep._CHECK))
+                assert sweep._handoff(transient) == stops[min(1, len(stops) - 1)]
+                S_ref, esc_ref, _ = sweep._orbit_window(target, p1, p2, y0, radius, transient,
+                                                        length)
+                # a running maximum that has left the radius (NaN) marks the
+                # resumed cells escaped, whatever their later states
+                _, _, (live, y, top) = sweep._orbit_window(target, p1, p2, y0, radius,
+                                                           transient, length, stop=stops[0])
+                S, esc, _ = sweep._orbit_window(target, p1[live], p2[live], y, radius, transient,
+                                                length, top=np.full(live.size, np.nan),
+                                                t=stops[0])
+                assert live.size and esc.all() and not S.any()
+                for first in range(min(3, len(stops))):
+                    S, esc, rest = sweep._orbit_window(target, p1, p2, y0, radius, transient,
+                                                       length, stop=stops[first])
+                    cells = np.arange(y0.size)
+                    at = first
+                    while rest is not None and rest[0].size:
+                        live, y, top = rest
+                        cells = cells[live]
+                        y_bits, top_bits = _bits(y).copy(), _bits(top).copy()
+                        # stop at the next checkpoint twice at most, then run to the end
+                        stop = stops[at + 1] if at + 1 < min(first + 3, len(stops)) else None
+                        S_part, esc_part, rest = sweep._orbit_window(
+                            target, p1[cells], p2[cells], y, radius, transient, length,
+                            top=top, t=stops[at], stop=stop,
+                        )
+                        assert np.array_equal(_bits(y), y_bits)
+                        assert np.array_equal(_bits(top), top_bits)
+                        S[:, cells] = S_part
+                        esc[cells] = esc_part
+                        at += 1
+                    assert np.array_equal(esc, esc_ref), (radius, transient, first)
+                    assert np.array_equal(_bits(S), _bits(S_ref)), (radius, transient, first)
+                    if transient == 600:
+                        assert at > first
 
 
 def _reference_components(mask):
