@@ -12,7 +12,10 @@ invariant and the map restricted to them stays linear.
 The stage maps work on arrays of points: iterate_points and
 cross_form_points return per-point escape and convergence outcomes, and
 local_iterate / cross_form_solve are their one-point forms, which raise
-instead.  A saddle-focus x keeps its two components on the last axis.
+instead.  A saddle-focus x keeps its two components on the last axis.  The
+cross form (x given at time 0, y at time k) is closed form for a linear
+map; with the test nonlinearity it is solved by Newton shooting on y at
+time 0.
 
 Both array forms also push a tangent forward (forward mode) when given one:
 a list [dx, dy] of scalars or arrays that broadcast with the points, whose
@@ -101,6 +104,12 @@ def in_ratio_window(k: int, m: int, theta: float, delta: float) -> bool:
 
 # Per-point outcome of the cross-form solve (see cross_form_points).
 SOLVED, SINGULAR, UNCONVERGED = 0, 1, 2
+
+# Newton shooting from the linear guess accepts its 3rd or 4th pass on the
+# rescale lattices, but far from the linear regime (|yk| of tens at k <= 6)
+# a solvable point can take dozens.  A point with no accepted pass after
+# this many is UNCONVERGED.
+_NEWTON_PASSES = 100
 
 
 def apply_matrix(a, x):
@@ -225,24 +234,27 @@ def cross_form_points(
     yk,
     k: int,
     tol: float = 1.0e-12,
-    max_sweeps: int = 200,
-    damping: float = 0.8,
     tangent=None,
 ):
     """Two-point problem for arrays of points: (x at time k, y at time 0, status).
 
-    status is SOLVED, SINGULAR (a sweep step divided by zero) or UNCONVERGED
-    (no convergence in max_sweeps) per point.  The linear case is closed
-    form and its status is SOLVED for all points.  The test-cubic case runs the sweeps of
-    cross_form_solve on every point at once; a point leaves the sweep at the
-    sweep that solves it or hits a singular step, so it gets exactly the
-    sweeps the one-point solve would run.  Unsolved points return NaN.
+    The linear case is closed form and its status is SOLVED for all points.
+    The test-cubic case shoots forward from y0 and runs Newton's method on
+    y0 against the y given at time k: each pass runs the k steps once,
+    carrying M, the product of the step Jacobians, and updates
+    y0 -= (y_k(y0) - yk) / M11 from the linear guess yk / gamma^k.  A pass
+    is accepted once the update that led to it moved y0 by at most
+    tol*(1 + |y0|): its y0 is then a Newton step past that accuracy, so
+    y_k meets yk to within rounding.  status is SOLVED, SINGULAR
+    (M11 is zero or not finite) or UNCONVERGED (no accepted pass within
+    _NEWTON_PASSES) per point.  Every point runs the passes of the one-point
+    solve on its own bits.  Unsolved points return NaN.
 
     A tangent (dx0, dyk) of the given data (module docstring) becomes
     (dxk, dyk), that of the point (xk, yk) the composition goes on from.
-    It is the implicit-function rule on the solved orbit, not a derivative
-    of the sweeps: with M the product of the step Jacobians along the
-    orbit, dxk = (det M dx0 + M01 dyk) / M11 (NaN where unsolved).
+    It is the implicit-function rule on the accepted pass's M, not a
+    derivative of the iteration: dxk = (det M dx0 + M01 dyk) / M11 (NaN
+    where unsolved).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -257,50 +269,37 @@ def cross_form_points(
     gam = local.gamma
     shape = np.broadcast_shapes(np.shape(x0), np.shape(yk))
     x0, yk = _flat_points(shape, x0, yk)
-    xk_out = np.full(x0.size, np.nan)
-    y0_out = np.full(x0.size, np.nan)
     status = np.full(x0.size, UNCONVERGED, dtype=np.int8)
+    # xk, y0 and, for a tangent, the accepted pass's M by columns
+    out = np.full((6 if tangent is not None else 2, x0.size), np.nan)
     live = np.arange(x0.size)
-    xs = np.array([lam_s**j * x0 for j in range(k + 1)], dtype=float)
-    ys = np.array([gam ** (j - k) * yk for j in range(k + 1)], dtype=float)
-    ys[k] = yk
+    y0 = yk / gam**k
+    moved = np.full(x0.size, np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(max_sweeps):
+        for _ in range(_NEWTON_PASSES):
             if live.size == 0:
                 break
-            for j in range(k):
-                xs[j + 1] = lam_s * xs[j] + xs[j] * xs[j] * ys[j]
-            # Each denominator and damped term uses the y of the previous
-            # sweep, so they are formed for all j before the backward pass.
-            denom = gam + xs[:k] * ys[:k]
-            kept = (1.0 - damping) * ys[:k]
-            for j in range(k - 1, -1, -1):
-                ys[j] = kept[j] + damping * (ys[j + 1] / denom[j])
-            singular = (denom == 0.0).any(axis=0)
-            x, y = xs[:k], ys[:k]
-            rx = np.abs(xs[1:] - (lam_s * x + x * x * y))
-            ry = np.abs(ys[1:] - (gam * y + x * y * y))
-            # fmax skips a NaN residual exactly as Python's max does.
-            resid = np.fmax(np.fmax.reduce(rx, axis=0, initial=0.0),
-                            np.fmax.reduce(ry, axis=0, initial=0.0))
-            solved = ~singular & (resid <= tol)
+            x, y = x0, y0
+            cols = [(1.0, 0.0), (0.0, 1.0)] if tangent is not None else [(0.0, 1.0)]
+            for _ in range(k):
+                cols = [_cubic_tangent(lam_s, gam, x, y, *c) for c in cols]
+                x, y = local_apply(local, x, y)
+            m11 = cols[-1][1]
+            singular = ~np.isfinite(m11) | (m11 == 0.0)
+            solved = ~singular & (np.abs(moved) <= tol * (1.0 + np.abs(y0)))
             done = singular | solved
+            moved = (y - yk) / m11
             if done.any():
                 status[live[singular]] = SINGULAR
                 status[live[solved]] = SOLVED
-                xk_out[live[solved]] = xs[k, solved]
-                y0_out[live[solved]] = ys[0, solved]
+                for row, v in zip(out, (x, y0, *(v for c in cols for v in c))):
+                    row[live[solved]] = v[solved]
                 keep = ~done
-                live, xs, ys = live[keep], xs[:, keep], ys[:, keep]
-    xk_out, y0_out = xk_out.reshape(shape), y0_out.reshape(shape)
+                live, x0, yk, y0, moved = live[keep], x0[keep], yk[keep], y0[keep], moved[keep]
+            y0 = y0 - moved
+    xk_out, y0_out = (row.reshape(shape) for row in out[:2])
     if tangent is not None:
-        # M = product of the step Jacobians, shot along the solved orbit
-        m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-        x, y = x0.reshape(shape), y0_out
-        for _ in range(k):
-            m00, m10 = _cubic_tangent(lam_s, gam, x, y, m00, m10)
-            m01, m11 = _cubic_tangent(lam_s, gam, x, y, m01, m11)
-            x, y = local_apply(local, x, y)
+        m00, m10, m01, m11 = (row.reshape(shape) for row in out[2:])
         tangent[0] = ((m00 * m11 - m01 * m10) * tangent[0] + m01 * tangent[1]) / m11
     return xk_out, y0_out, status.reshape(shape)
 
@@ -311,29 +310,27 @@ def cross_form_solve(
     yk: float,
     k: int,
     tol: float = 1.0e-12,
-    max_sweeps: int = 200,
-    damping: float = 0.8,
 ):
     """Solve the two-point problem: given x at time 0 and y at time k, return
     (x at time k, y at time 0) for the k-fold local map.
 
-    Linear case is closed form.  The test-cubic case runs a damped sweep
-    iteration (forward in x, backward in y) that contracts for large k; it
-    raises ConvergenceError when k is too small for contraction.
+    The linear case is closed form.  The test-cubic case is cross_form_points'
+    Newton shooting on one point; it raises ConvergenceError where that
+    point is not SOLVED.
     """
-    xk, y0, status = cross_form_points(local, x0, yk, k, tol, max_sweeps, damping)
+    xk, y0, status = cross_form_points(local, x0, yk, k, tol)
     if local.nonlinearity == LINEAR:
         return xk, y0
-    raise_unsolved(status, k, tol, max_sweeps)
+    raise_unsolved(status, k, tol)
     return float(xk), float(y0)
 
 
-def raise_unsolved(status, k: int, tol: float = 1.0e-12, max_sweeps: int = 200):
+def raise_unsolved(status, k: int, tol: float = 1.0e-12):
     """Raise cross_form_solve's ConvergenceError if any point is unsolved."""
     if np.any(status == SINGULAR):
-        raise ConvergenceError("cross-form sweep hit a singular step")
+        raise ConvergenceError("cross-form Newton shooting hit a singular slope dy_k/dy_0")
     if np.any(status == UNCONVERGED):
         raise ConvergenceError(
-            f"cross-form iteration did not reach {tol:g} in {max_sweeps} sweeps "
-            f"(k={k} may be too small for contraction)"
+            f"cross-form Newton shooting did not reach {tol:g} in {_NEWTON_PASSES} "
+            f"passes (k={k}; y at time k may have no preimage)"
         )

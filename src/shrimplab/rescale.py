@@ -14,8 +14,8 @@ splitting parameters (mu1, mu2) and the rescaled parameters (M1, M2).  For
 k < m the mirror composition is used and the parameter roles swap.
 
 The chart origins are solved numerically from the concrete stage maps (a
-small linear system for a linear local map, a damped Newton iteration
-otherwise), so the frame stays exact for nonzero feedback coefficients a.
+small linear system for a linear local map, a Newton iteration otherwise),
+so the frame stays exact for nonzero feedback coefficients a.
 
 The return map is composed once, in _stages, for every local model; it
 carries an optional forward-mode tangent with each stage's exact rule, so

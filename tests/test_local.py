@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shrimplab.errors import ConvergenceError, EscapeError
 from shrimplab.local import (
+    _NEWTON_PASSES,
     SINGULAR,
     SOLVED,
     UNCONVERGED,
@@ -151,6 +152,8 @@ def test_cross_form_test_cubic_against_shooting_oracle():
 def test_cross_form_decay_envelope():
     # Deviations from the linear solution stay under fitted C * lam_hat^k and
     # C * gamma_hat^-k envelopes, with the envelope fitted on small k only.
+    # Forward-iterating each returned y0 meets the given y at time k to
+    # within a few rounding errors.
     loc = saddle(0.4, 2.0, nonlinearity="test_cubic")
     rng = np.random.default_rng(5)
     lam_hat, gamma_hat = 0.45, 2.05
@@ -160,6 +163,8 @@ def test_cross_form_decay_envelope():
         x0, yk = rng.uniform(-1, 1, (100, 2)).T
         xk, y0, status = cross_form_points(loc, x0, yk, k)
         assert (status == SOLVED).all()
+        _, y_k, _ = iterate_points(loc, x0, y0, k, escape_radius=math.inf)
+        assert np.all(np.abs(y_k - yk) <= 1e-14 * (1.0 + np.abs(yk)))
         dev_x[k] = np.max(np.abs(xk - 0.4**k * x0))
         dev_y[k] = np.max(np.abs(y0 - yk / 2.0**k))
     cx = max(dev_x[k] / lam_hat**k for k in range(5, 11))
@@ -170,56 +175,57 @@ def test_cross_form_decay_envelope():
 
 
 def test_cross_form_non_contraction_reported():
+    # At k = 1 the y equation 2*y0 - 2*y0^2 = 2 has no real root, so the
+    # Newton passes never settle.
     loc = saddle(0.4, 2.0, nonlinearity="test_cubic")
-    with pytest.raises((ConvergenceError, ValueError)):
-        cross_form_solve(loc, 5.0, 40.0, 1, max_sweeps=10)
+    with pytest.raises(ConvergenceError):
+        cross_form_solve(loc, -2.0, 2.0, 1)
+    # 2*y0 + 5*y0^2 = 40 has one, far from the linear guess y0 = 20
+    _, y0 = cross_form_solve(loc, 5.0, 40.0, 1)
+    assert math.isclose(y0, (math.sqrt(804.0) - 2.0) / 10.0, rel_tol=1e-14)
 
 
 def _bits(v):
     return np.asarray(v, dtype=float).tobytes()
 
 
-def _cross_form_loop(local, x0, yk, k, max_sweeps, tol=1.0e-12, damping=0.8):
-    """Reference: the damped sweep for one point, written out with scalars.
-    Returns (xk, y0) or the status of the failure."""
+def _newton_shoot(local, x0, yk, k, tol=1.0e-12):
+    """Reference: Newton shooting on y0 for one point, written out with
+    Python floats.  Returns (xk, y0) or the status of the failure."""
     lam_s = local.sign_lambda * local.lam
     gam = local.gamma
-    xs = [lam_s**j * x0 for j in range(k + 1)]
-    ys = [gam ** (j - k) * yk for j in range(k + 1)]
-    ys[k] = yk
-    for _ in range(max_sweeps):
-        for j in range(k):
-            xs[j + 1] = lam_s * xs[j] + xs[j] * xs[j] * ys[j]
-        for j in range(k - 1, -1, -1):
-            denom = gam + xs[j] * ys[j]
-            if denom == 0.0:
-                return SINGULAR
-            ys[j] = (1.0 - damping) * ys[j] + damping * (ys[j + 1] / denom)
-        resid = 0.0
-        for j in range(k):
-            rx = xs[j + 1] - (lam_s * xs[j] + xs[j] * xs[j] * ys[j])
-            ry = ys[j + 1] - (gam * ys[j] + xs[j] * ys[j] * ys[j])
-            resid = max(resid, abs(rx), abs(ry))
-        if resid <= tol:
-            return xs[k], ys[0]
+    y0, moved = yk / gam**k, math.inf
+    for _ in range(_NEWTON_PASSES):
+        x, y, m01, m11 = x0, y0, 0.0, 1.0
+        for _ in range(k):
+            xy2 = 2.0 * x * y
+            m01, m11 = (lam_s + xy2) * m01 + x * x * m11, y * y * m01 + (gam + xy2) * m11
+            x, y = lam_s * x + x * x * y, gam * y + x * y * y
+        if m11 == 0.0 or not math.isfinite(m11):
+            return SINGULAR
+        if abs(moved) <= tol * (1.0 + abs(y0)):
+            return x, y0
+        moved = (y - yk) / m11
+        y0 = y0 - moved
     return UNCONVERGED
 
 
-def test_cross_form_points_match_one_point_sweeps():
-    # Every point of the array core takes exactly the sweeps of the one-point
-    # loop: same bits when solved, same failure otherwise.  The last two
-    # points hit a singular step (k=1) and a non-contracting sweep.
+def test_cross_form_points_match_one_point_solves():
+    # Every point of the array core takes exactly the Newton passes of the
+    # one-point loop: same bits when solved, same failure otherwise.  The
+    # last two points at k=1 have dy_k/dy0 = 0 at the linear guess
+    # (singular) and no real root (unconverged).
     loc = saddle(0.4, 2.0, nonlinearity="test_cubic")
     rng = np.random.default_rng(11)
     seen = set()
     for k in (1, 3, 6, 12):
-        x0 = np.append(rng.uniform(-3.0, 3.0, 40), [-2.0, 5.0])
-        yk = np.append(rng.uniform(-40.0, 40.0, 40), [2.0, 40.0])
-        xk, y0, status = cross_form_points(loc, x0, yk, k, max_sweeps=60)
+        x0 = np.append(rng.uniform(-3.0, 3.0, 40), [-1.0, -2.0])
+        yk = np.append(rng.uniform(-40.0, 40.0, 40), [2.0, 2.0])
+        xk, y0, status = cross_form_points(loc, x0, yk, k)
         for i in range(x0.size):
-            ref = _cross_form_loop(loc, float(x0[i]), float(yk[i]), k, max_sweeps=60)
+            ref = _newton_shoot(loc, float(x0[i]), float(yk[i]), k)
             try:
-                one = cross_form_solve(loc, x0[i], yk[i], k, max_sweeps=60)
+                one = cross_form_solve(loc, x0[i], yk[i], k)
             except ConvergenceError as err:
                 one = SINGULAR if "singular" in str(err) else UNCONVERGED
             if isinstance(ref, tuple):
@@ -228,6 +234,8 @@ def test_cross_form_points_match_one_point_sweeps():
             else:
                 assert status[i] == ref == one
             seen.add(int(status[i]))
+        if k == 1:
+            assert list(status[-2:]) == [SINGULAR, UNCONVERGED]
     assert seen == {SOLVED, SINGULAR, UNCONVERGED}
 
 
