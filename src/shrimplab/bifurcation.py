@@ -7,7 +7,9 @@ one chain-rule loop: it propagates the Y-derivatives of the n-fold
 composition to second order, or to third where the first Lyapunov value
 needs it, and, given a parameter plane, the parameter derivatives of T^n and (T^n)'
 along the same orbit, so one pass per Newton step gives the residual and the
-exact bordered Jacobian of the fold/flip defining system.
+exact bordered Jacobian of the fold/flip defining system.  The Newton loops
+run on Python floats, and each step's 2x2 or 3x3 system goes through one
+small pivoted elimination, _solve.
 
 Codimension-2 points (cusps on fold curves, degenerate flips on flip curves)
 are zeros of a test value along a continued curve: each sign change between
@@ -19,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ConvergenceError, EscapeError, NumericalError
 from .families import FAMILIES, FAMILY_ARITY, family_params
@@ -216,14 +216,10 @@ def solve_codim1(
         # orbit_pass wants two parameters; the free one twice gives its column
         v, d1, d2, _, (vp, _), (dp, _) = orbit_pass(
             ymap, y, params, period, (free_index, free_index))
-        r = np.array([v - y, d1 - target])
-        if np.max(np.abs(r)) <= tol:
+        r = (v - y, d1 - target)
+        if abs(r[0]) <= tol and abs(r[1]) <= tol:
             break
-        jac = np.array([[d1 - 1.0, vp], [d2, dp]])
-        try:
-            step = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError as err:
-            raise ConvergenceError("singular bordered system") from err
+        step = _solve(((d1 - 1.0, vp), (d2, dp)), r, "singular bordered system")
         y, p = y - step[0], p - step[1]
         if not (math.isfinite(y) and math.isfinite(p)):
             raise ConvergenceError("codim-1 Newton diverged")
@@ -265,21 +261,47 @@ def _extended_system(ymap, period, kind, u, plane, params):
     return r, ((d1 - 1.0, dv[0], dv[1]), (d2, dd[0], dd[1])), d1
 
 
+def _solve(rows, rhs, singular):
+    """The solution x of the small square system rows . x = rhs, by Gaussian
+    elimination with partial pivoting; a zero or NaN pivot raises
+    ConvergenceError(singular)."""
+    a = [[*row, b] for row, b in zip(rows, rhs)]
+    n = len(a)
+    for k in range(n):
+        piv = k
+        for i in range(k + 1, n):
+            if abs(a[i][k]) > abs(a[piv][k]):
+                piv = i
+        a[k], a[piv] = a[piv], a[k]
+        top = a[k]
+        if not abs(top[k]) > 0.0:
+            raise ConvergenceError(singular)
+        for row in a[k + 1 :]:
+            f = row[k] / top[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= f * top[j]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        s = a[k][n]
+        for j in range(k + 1, n):
+            s -= a[k][j] * x[j]
+        x[k] = s / a[k][k]
+    return x
+
+
 def _corrector(ymap, period, kind, u, plane, params, tangent, anchor, ds, tol=NEWTON_TOL):
     """Newton on the extended system plus the arclength equation; returns the
     converged u with the Jacobian and multiplier of its last orbit pass."""
-    u = u.copy()
+    t0, t1, t2 = tangent
     for _ in range(25):
         r, jac, mult = _extended_system(ymap, period, kind, u, plane, params)
-        arc = float(tangent @ (u - anchor)) - ds
-        full = np.array([r[0], r[1], arc])
-        if np.max(np.abs(full)) <= tol:
+        y, pi, pj = u
+        arc = t0 * (y - anchor[0]) + t1 * (pi - anchor[1]) + t2 * (pj - anchor[2]) - ds
+        if abs(r[0]) <= tol and abs(r[1]) <= tol and abs(arc) <= tol:
             return u, jac, mult
-        try:
-            u = u - np.linalg.solve(np.array([*jac, tangent]), full)
-        except np.linalg.LinAlgError as err:
-            raise ConvergenceError("continuation corrector singular") from err
-        if not np.all(np.isfinite(u)):
+        sy, si, sj = _solve((*jac, tangent), (*r, arc), "continuation corrector singular")
+        u = (y - sy, pi - si, pj - sj)
+        if not all(map(math.isfinite, u)):
             raise ConvergenceError("continuation corrector diverged")
     raise ConvergenceError("continuation corrector did not converge")
 
@@ -289,13 +311,13 @@ def _tangent(jac, prev=None):
     Jacobian's rows, which spans its null space; turned to agree with prev
     when given, else oriented as that cross product."""
     (a0, a1, a2), (b0, b1, b2) = jac
-    t = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-    norm = math.hypot(*t)
+    t0, t1, t2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    norm = math.hypot(t0, t1, t2)
     if not (norm > 0.0 and math.isfinite(norm)):
         raise ConvergenceError("singular bordered system: no curve tangent")
-    if prev is not None and float(prev @ t) < 0.0:
-        t = -t
-    return t / norm
+    if prev is not None and prev[0] * t0 + prev[1] * t1 + prev[2] * t2 < 0.0:
+        norm = -norm
+    return t0 / norm, t1 / norm, t2 / norm
 
 
 def _canonical_rep(ymap, y, params, period):
@@ -354,17 +376,16 @@ def continue_codim1(
     """
     kind, period = start.kind, start.orbit.period
     params = list(float(q) for q in params)
-    u = np.array(
-        [start.orbit.y, start.orbit.params[plane[0]], start.orbit.params[plane[1]]]
-    )
+    orbit = start.orbit
+    u = (float(orbit.y), float(orbit.params[plane[0]]), float(orbit.params[plane[1]]))
     curve = BifCurve(kind=kind, period=period, plane=tuple(plane))
     _, jac, mult = _extended_system(ymap, period, kind, u, plane, params)
-    t = _tangent(jac) * direction
+    t = tuple(x * direction for x in _tangent(jac))
     ds = step
     _record_point(curve, ymap, u, mult, plane, params)
 
     while len(curve.points) < max_points:
-        predictor = u + ds * t
+        predictor = tuple(x + ds * dx for x, dx in zip(u, t))
         try:
             u_new, jac, mult = _corrector(ymap, period, kind, predictor, plane, params, t, u, ds)
         except ConvergenceError:
@@ -403,16 +424,17 @@ def _refine_codim2(ymap, curve, i, params):
     tangent there.  Ends when the test value is zero or the point stops
     moving."""
     kind, period, plane = curve.kind, curve.period, curve.plane
-    ua = np.array([curve.y_values[i], *curve.points[i]])
-    ub = np.array([curve.y_values[i + 1], *curve.points[i + 1]])
+    ua = (curve.y_values[i], *curve.points[i])
+    ub = (curve.y_values[i + 1], *curve.points[i + 1])
     fa, fb = curve.test_values[i], curve.test_values[i + 1]
     u, kept = ua, None
     for _ in range(NEWTON_MAX_ITER):
-        trial = (fb * ua - fa * ub) / (fb - fa)
+        trial = tuple((fb * a - fa * b) / (fb - fa) for a, b in zip(ua, ub))
         t = _tangent(_extended_system(ymap, period, kind, trial, plane, params)[1])
         prev, (u, _, _) = u, _corrector(ymap, period, kind, trial, plane, params, t, trial, 0.0)
         f = _test_value(ymap, period, kind, u[0], _plane_params(u, plane, params))
-        if f == 0.0 or np.max(np.abs(u - prev)) <= 1.0e-15 * (1.0 + np.max(np.abs(u))):
+        moved = max(abs(x - x0) for x, x0 in zip(u, prev))
+        if f == 0.0 or moved <= 1.0e-15 * (1.0 + max(map(abs, u))):
             return u
         if (f < 0.0) == (fa < 0.0):
             ua, fa = u, f

@@ -379,32 +379,41 @@ def _orbit_window(target, p1, p2, y, radius, transient, length, top=None, t=0, s
     return S, esc, rest
 
 
-def _newton_orbit(step, y0, d, iterations=12):
-    """Vectorized Newton on the d-fold fixed-point equation from seeds y0.
+def _newton_orbit(target, p1, p2, y0, d, iterations=12):
+    """Vectorized Newton on the d-fold fixed-point equation of target's cells
+    (p1, p2) from seeds y0.
 
     Returns (root, residual, multiplier); non-converging entries keep their
-    last iterate and a large residual.
+    last iterate and a large residual.  A cell whose iterate repeats bit for
+    bit would repeat every later step too, so it leaves the loop with the
+    residual and multiplier of that step.
     """
     y = y0.copy()
-    v, dv = np.empty_like(y), np.empty_like(y)
-    for _ in range(iterations):
-        np.copyto(v, y)
-        dp = np.ones_like(y)
+    resid, mult = np.empty_like(y), np.empty_like(y)
+    live = np.arange(y.size)
+    step = target.stepper(p1, p2)
+    for it in range(iterations + 1):
+        yl = y[live]
+        v, dv, dp = yl.copy(), np.empty_like(yl), np.ones_like(yl)
         for _ in range(d):
             step(v, dv)
             dp *= dv
-        g = v - y
+        g = v - yl
+        resid[live], mult[live] = np.abs(g), dp
+        if it == iterations:
+            break
         gp = dp - 1.0
         safe = np.abs(gp) > 1.0e-14
-        move = np.where(safe, g / np.where(safe, gp, 1.0), 0.0)
-        y = y - move
-        y = np.where(np.isfinite(y), y, y0)
-    np.copyto(v, y)
-    dp = np.ones_like(y)
-    for _ in range(d):
-        step(v, dv)
-        dp *= dv
-    return y, np.abs(v - y), dp
+        new = yl - np.where(safe, g / np.where(safe, gp, 1.0), 0.0)
+        new = np.where(np.isfinite(new), new, y0[live])
+        y[live] = new
+        moved = new.view(np.int64) != yl.view(np.int64)
+        if not moved.all():
+            live = live[moved]
+            if not live.size:
+                break
+            step = target.stepper(p1[live], p2[live])
+    return y, resid, mult
 
 
 def _detect_periods(S, target, p1, p2, open_mask, tol, max_period):
@@ -433,7 +442,7 @@ def _detect_periods(S, target, p1, p2, open_mask, tol, max_period):
         if not idx.size:
             continue
         seed = S[0, idx]
-        root, resid, mult = _newton_orbit(target.stepper(p1[idx], p2[idx]), seed, d)
+        root, resid, mult = _newton_orbit(target, p1[idx], p2[idx], seed, d)
         spread = np.abs(S[d, idx] - seed)
         good = (
             (resid < 1.0e-10 * (1.0 + np.abs(root)))

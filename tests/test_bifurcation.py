@@ -5,13 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shrimplab import bifurcation
 from shrimplab.bifurcation import (
+    NEWTON_TOL,
     PD,
     SN,
     BifPoint,
     FamilyYMap,
     PeriodicOrbit,
     _extended_system,
+    _solve,
     continue_both_ways,
     continue_codim1,
     curve_to_csv,
@@ -204,6 +207,77 @@ def test_continuation_retraceable():
     start = np.array([dp_sn.orbit.params[0], dp_sn.orbit.params[1]])
     dists = [np.linalg.norm(np.array(p) - start) for p in back.points]
     assert min(dists) < 1e-2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    entries=st.lists(st.floats(-4.0, 4.0), min_size=12, max_size=12),
+    zero_col=st.integers(0, 2),
+    nan_at=st.integers(0, 8),
+)
+def test_solve_matches_numpy(n, entries, zero_col, nan_at):
+    a = np.array(entries[: n * n]).reshape(n, n)
+    b = np.array(entries[9 : 9 + n])
+    rows = [list(r) for r in a]
+    if np.linalg.cond(a) < 1.0e3:
+        x = np.array(_solve(rows, list(b), "singular"))
+        ref = np.linalg.solve(a, b)
+        scale = np.max(np.abs(a)) * np.max(np.abs(x)) + np.max(np.abs(b))
+        assert np.max(np.abs(a @ x - b)) <= 1.0e-12 * scale
+        assert np.max(np.abs(x - ref)) <= 1.0e-12 * (1.0 + np.max(np.abs(ref)))
+    # an exact zero pivot and a NaN end in ConvergenceError, never in a
+    # ZeroDivisionError
+    zeroed = [[0.0 if j == zero_col % n else v for j, v in enumerate(r)] for r in rows]
+    with pytest.raises(ConvergenceError, match="^singular$"):
+        _solve(zeroed, list(b), "singular")
+    rows[nan_at // 3 % n][nan_at % 3 % n] = math.nan
+    with pytest.raises(ConvergenceError, match="^singular$"):
+        _solve(rows, list(b), "singular")
+
+
+def _numpy_corrector(ymap, period, kind, u, plane, params, tangent, anchor, ds, tol=NEWTON_TOL):
+    """The corrector on numpy 3-vectors and numpy.linalg.solve: the reference
+    for the one on Python floats."""
+    u, tangent, anchor = np.array(u, dtype=float), np.array(tangent), np.array(anchor)
+    for _ in range(25):
+        r, jac, mult = _extended_system(ymap, period, kind, u, plane, params)
+        arc = float(tangent @ (u - anchor)) - ds
+        full = np.array([r[0], r[1], arc])
+        if np.max(np.abs(full)) <= tol:
+            return u, jac, mult
+        try:
+            u = u - np.linalg.solve(np.array([*jac, tangent]), full)
+        except np.linalg.LinAlgError as err:
+            raise ConvergenceError("continuation corrector singular") from err
+        if not np.all(np.isfinite(u)):
+            raise ConvergenceError("continuation corrector diverged")
+    raise ConvergenceError("continuation corrector did not converge")
+
+
+@pytest.mark.parametrize("kind, guess, params", [
+    (SN, (0.9, 1.0), (0.9, 0.0)),  # the fold through the cusp at (0.75, 0.75)
+    (PD, (1.0, 1.06), (0.75, 0.0)),
+])
+def test_corrector_matches_numpy_reference(monkeypatch, kind, guess, params):
+    start = solve_codim1(DP, 1, kind, 1, guess, params)
+    options = dict(step=0.015, max_step=0.02, max_points=900, bounds=5.0)
+    curves = {}
+    for name in ("floats", "numpy"):
+        if name == "numpy":
+            monkeypatch.setattr(bifurcation, "_corrector", _numpy_corrector)
+        curves[name] = [continue_codim1(DP, start, (0, 1), start.orbit.params, direction=d,
+                                        **options) for d in (1.0, -1.0)]
+    for got, ref in zip(curves["floats"], curves["numpy"]):
+        assert len(got.points) == len(ref.points) > 100
+        for field in ("points", "y_values", "multipliers", "test_values"):
+            a, b = np.array(getattr(got, field)), np.array(getattr(ref, field))
+            assert np.all(np.abs(a - b) <= 1.0e-12 * (1.0 + np.abs(b))), field
+        assert len(got.codim2_hits) == len(ref.codim2_hits)
+    cusps = [h.orbit.params for c in curves["floats"] for h in c.codim2_hits]
+    assert len(cusps) == (1 if kind == SN else 0)
+    for m1, m2 in cusps:
+        assert abs(m1 - 0.75) <= 1e-12 and abs(m2 - 0.75) <= 1e-12
 
 
 def test_dp_cusp_detection():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shrimplab import bifurcation
 from shrimplab.cli import COMMANDS, main
 from shrimplab.config import (
     BENCHMARK_DEFAULTS,
@@ -18,7 +19,7 @@ from shrimplab.config import (
     load_config,
     parse_config_text,
 )
-from shrimplab.errors import ConfigError
+from shrimplab.errors import ConfigError, ConvergenceError
 
 
 def test_parse_basics():
@@ -293,6 +294,40 @@ def test_cli_continue_overflow_is_numerical_failure(tmp_path, capsys):
     message = capsys.readouterr().err
     assert message.count("\n") == 1 and "Traceback" not in message
     assert "numerical failure" in message and "not finite" in message
+
+
+@pytest.mark.parametrize("command", ["continue", "codim2"])
+def test_cli_continue_defaults_exit_on_singular_bordered_system(tmp_path, capsys, command):
+    # The default start Y = 0.5, M1 = 0.75 gives the exactly singular
+    # codim-1 system [[0, -1], [0, 2]].
+    assert run_cli([command, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "shrimplab: numerical failure: singular bordered system\n"
+
+
+def test_cli_continue_overflowing_step_is_halved(tmp_path, capsys, monkeypatch):
+    # The corrector runs on Python floats, outside the CLI's np.errstate: an
+    # overflowing Newton step fails the correction and halves the step until
+    # one converges, here outside the bounds, so each direction keeps only
+    # the start.  Was exit 2, "overflow encountered in scalar multiply".
+    failures = []
+    corrector = bifurcation._corrector
+
+    def recorded(*args, **kwargs):
+        try:
+            return corrector(*args, **kwargs)
+        except ConvergenceError as err:
+            failures.append(str(err))
+            raise
+
+    monkeypatch.setattr(bifurcation, "_corrector", recorded)
+    out = tmp_path / "c"
+    sn_neg = ["continue.y_guess=-0.5", "continue.param_guess=-0.25", "model.params=0,0",
+              "continue.free_param=1", "continue.step=1e300"]
+    assert run_cli(["continue", "--out", str(out), *(a for s in sn_neg for a in ("--set", s))]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [l for l in (out / "curve.csv").read_text().splitlines() if not l.startswith("#")]
+    assert len(rows) == 1 + 2
+    assert "continuation corrector diverged" in failures
 
 
 @pytest.mark.parametrize(

@@ -608,6 +608,49 @@ def test_period_labels_reverify():
         assert abs(orbit.multiplier) < 1.0
 
 
+def _newton_orbit_reference(step, y0, d, iterations=12):
+    """Every cell through all iterations, then one final evaluation."""
+    y = y0.copy()
+    v, dv = np.empty_like(y), np.empty_like(y)
+    for _ in range(iterations):
+        np.copyto(v, y)
+        dp = np.ones_like(y)
+        for _ in range(d):
+            step(v, dv)
+            dp *= dv
+        g = v - y
+        gp = dp - 1.0
+        safe = np.abs(gp) > 1.0e-14
+        move = np.where(safe, g / np.where(safe, gp, 1.0), 0.0)
+        y = y - move
+        y = np.where(np.isfinite(y), y, y0)
+    np.copyto(v, y)
+    dp = np.ones_like(y)
+    for _ in range(d):
+        step(v, dv)
+        dp *= dv
+    return y, np.abs(v - y), dp
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_newton_orbit_matches_full_iteration_reference(seed):
+    # cells leave the Newton loop once their iterate repeats; root, residual
+    # and multiplier stay bit-identical to running every cell to the end
+    rng = np.random.default_rng(seed)
+    n = 600
+    target = FamilyPlaneTarget(DP, "M1", "M2")
+    p1, p2 = rng.uniform(-0.5, 1.5, n), rng.uniform(-0.5, 1.0, n)
+    y0 = rng.uniform(-1.5, 1.5, n)
+    y0[:6] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0e300]
+    rng.shuffle(y0)
+    for d in (1, 2, 3, int(rng.integers(4, 9))):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as plane_sweep
+            ref = _newton_orbit_reference(target.stepper(p1, p2), y0, d)
+            got = sweep._newton_orbit(target, p1, p2, y0, d)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_monotone_refinement_sampled():
     plane = PlaneSpec("M1", -0.3, 0.9, "M2", -0.3, 0.9)
     coarse_n = 17
