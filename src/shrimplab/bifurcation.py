@@ -369,7 +369,9 @@ def continue_codim1(
     The defining system stays two equations in (y, p_i, p_j); the third
     equation is the arclength anchor.  Codimension-2 test values (fold:
     second orbit derivative; flip: first Lyapunov value) are recorded per
-    point and their sign changes refined by detect_codim2.
+    point and their sign changes refined by detect_codim2.  Steps start at
+    min(step, max_step), halve on a failed correction and grow by 1.3 up to
+    max_step on a success.
 
     direction=+1 starts along grad r0 x grad r1, the cross product of the
     gradients of the two defining equations at the start, -1 against it.
@@ -381,7 +383,7 @@ def continue_codim1(
     curve = BifCurve(kind=kind, period=period, plane=tuple(plane))
     _, jac, mult = _extended_system(ymap, period, kind, u, plane, params)
     t = tuple(x * direction for x in _tangent(jac))
-    ds = step
+    ds = min(step, max_step)
     _record_point(curve, ymap, u, mult, plane, params)
 
     while len(curve.points) < max_points:

@@ -65,9 +65,9 @@ BENCHMARK_DEFAULTS = {
     "sweep.target": "family",
     "continue.period": "1",
     "continue.kind": "SN",
-    "continue.y_guess": "0.5",
-    "continue.param_guess": "0.75",
-    "continue.free_param": "0",
+    "continue.y_guess": "-0.5",
+    "continue.param_guess": "-0.25",
+    "continue.free_param": "1",
     "continue.step": "0.01",
     "continue.max_points": "400",
     "continue.bounds": "10.0",

@@ -1,10 +1,14 @@
 """Deterministic grid export: CSV (lossless, round-trippable) and plain PGM.
 
 Gray mapping, documented here and in the README: escaped cells are black
-(0), chaotic cells are white (255), and a period-p cell maps to
-16 + (p - 1) * 224 // max(1, max_period - 1), spreading periods over
-mid-grays.  CSV files carry '#'-prefixed metadata lines followed by a header
-row and one row per cell; escaped cells leave the value column empty.
+(0), chaotic cells are white (255), unresolved cells are 248, and a period-p
+cell maps to 16 + (p - 1) * 224 // max(1, max_period - 1), spreading periods
+over mid-grays up to 240 (most unresolved cells are periods above
+max_period, hence the gray just above).  CSV files carry '#'-prefixed
+metadata lines followed by a header row and one row per cell; the value
+column holds a period cell's period, a chaotic or unresolved cell's
+Lyapunov exponent (.17g, so it imports back to the same bits), and nothing
+for an escaped cell.
 write_table writes every other CSV output (curves, codim-2 points, rescale
 checks, plans, predictions) in the same '#'-header form.
 """
@@ -20,6 +24,7 @@ from .sweep import (
     KIND_CHAOTIC,
     KIND_ESCAPED,
     KIND_PERIOD,
+    KIND_UNRESOLVED,
     PlaneSpec,
     SweepGrid,
     SweepSpec,
@@ -43,6 +48,8 @@ def gray_for(outcome_kind: str, period: int, max_period: int) -> int:
         return 0
     if outcome_kind == KIND_CHAOTIC:
         return 255
+    if outcome_kind == KIND_UNRESOLVED:
+        return 248
     return 16 + (period - 1) * 224 // max(1, max_period - 1)
 
 
@@ -73,7 +80,7 @@ def export_grid_csv(grid: SweepGrid, path, extra_meta=()):
     spec = grid.spec
     xs = [f"{x:.17g}" for x in spec.plane.x_values(spec.nx).tolist()]
     ys = [f"{y:.17g}" for y in spec.plane.y_values(spec.ny).tolist()]
-    period_code, chaotic_code = _CODE[KIND_PERIOD], _CODE[KIND_CHAOTIC]
+    period_code, escaped_code = _CODE[KIND_PERIOD], _CODE[KIND_ESCAPED]
     with open(path, "w", newline="") as fh:
         _write_meta(fh, grid, extra_meta)
         csv.writer(fh).writerow(
@@ -90,10 +97,10 @@ def export_grid_csv(grid: SweepGrid, path, extra_meta=()):
             ):
                 if code == period_code:
                     value = f"{KIND_PERIOD},{p}"
-                elif code == chaotic_code:
-                    value = f"{KIND_CHAOTIC},{lam:.17g}"
+                elif code == escaped_code:
+                    value = f"{KIND_ESCAPED},"
                 else:
-                    value = f"{_KIND[code]},"
+                    value = f"{_KIND[code]},{lam:.17g}"
                 rows.append(f"{i}{head}{xs[i]}{tail}{value}\r\n")
             fh.write("".join(rows))
     return path
@@ -102,7 +109,7 @@ def export_grid_csv(grid: SweepGrid, path, extra_meta=()):
 def export_grid_pgm(grid: SweepGrid, path, extra_meta=()):
     spec = grid.spec
     gray = gray_for(KIND_PERIOD, grid.period, spec.max_period)
-    for outcome_kind in (KIND_CHAOTIC, KIND_ESCAPED):
+    for outcome_kind in (KIND_CHAOTIC, KIND_ESCAPED, KIND_UNRESOLVED):
         gray[grid.kind == _CODE[outcome_kind]] = gray_for(outcome_kind, 0, spec.max_period)
     text = [str(level) for level in range(256)]
     with open(path, "w") as fh:
@@ -132,9 +139,9 @@ def export_grid(grid: SweepGrid, csv_path, pgm_path, extra_meta=()):
 
 # One CSV cell row as np.loadtxt reads columns i, j, outcome and value.  Each
 # text field is one byte wider than anything the exporter writes (the longest
-# outcome name; the longest '.17g' repr of a double), so a field that fills
-# its width was cut short and is rejected.
-_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("outcome", "S8"), ("value", "S25")])
+# outcome name, 'unresolved'; the longest '.17g' repr of a double), so a field
+# that fills its width was cut short and is rejected.
+_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("outcome", "S11"), ("value", "S25")])
 
 
 def import_grid_csv(path) -> SweepGrid:
@@ -212,8 +219,8 @@ def _cells(rows, nx, ny):
         raise ValueError("duplicated cell index")
     outcome, value = rows["outcome"], rows["value"]
     code = np.zeros(n, dtype=np.uint8)
-    for name in (KIND_PERIOD, KIND_CHAOTIC, KIND_ESCAPED):
-        code[outcome == name.encode()] = _CODE[name]
+    for name, c in _CODE.items():
+        code[outcome == name.encode()] = c
     if not code.all():
         raise ValueError(f"unknown outcome {outcome[code == 0][0].decode('latin-1')!r}")
     if (np.char.str_len(value) == _ROW["value"].itemsize).any():
@@ -222,9 +229,10 @@ def _cells(rows, nx, ny):
     period = np.zeros(n, dtype=np.int32)
     lyap = np.zeros(n)
     kind[flat] = code
-    periodic, chaotic = code == _CODE[KIND_PERIOD], code == _CODE[KIND_CHAOTIC]
+    periodic = code == _CODE[KIND_PERIOD]
+    exponent = (code == _CODE[KIND_CHAOTIC]) | (code == _CODE[KIND_UNRESOLVED])
     period[flat[periodic]] = value[periodic].astype(np.int32)
-    lyap[flat[chaotic]] = value[chaotic].astype(np.float64)
+    lyap[flat[exponent]] = value[exponent].astype(np.float64)
     shape = (nx, ny)
     return kind.reshape(shape), period.reshape(shape), lyap.reshape(shape)
 

@@ -43,7 +43,7 @@ from .local import (
     raise_unsolved,
 )
 from .global_map import apply_global
-from .returnmap import K_GE_M, ReturnMapConfig
+from .returnmap import ReturnMapConfig
 
 DEFAULT_ESCAPE_RADIUS = 1.0e6
 
@@ -119,7 +119,7 @@ class RescaleFrame:
 
 
 def _oriented(cfg: ReturnMapConfig):
-    if cfg.ordering == K_GE_M:
+    if cfg.k >= cfg.m:
         return cfg, False
     return cfg.swapped(), True
 

@@ -17,10 +17,6 @@ from dataclasses import dataclass
 from .global_map import GlobalMapTaylor
 from .local import LocalNormalForm
 
-K_GE_M = "k_ge_m"
-K_LT_M = "k_lt_m"
-
-
 @dataclass(frozen=True)
 class ReturnMapConfig:
     """Local form, the two excursion maps, and the pass counts (k, m)."""
@@ -30,18 +26,10 @@ class ReturnMapConfig:
     t2: GlobalMapTaylor
     k: int
     m: int
-    ordering: str = ""
 
     def __post_init__(self):
         if self.k < 1 or self.m < 1:
             raise ValueError("k and m must be >= 1")
-        derived = K_GE_M if self.k >= self.m else K_LT_M
-        if self.ordering == "":
-            object.__setattr__(self, "ordering", derived)
-        elif self.ordering != derived:
-            raise ValueError(
-                f"ordering '{self.ordering}' inconsistent with k={self.k}, m={self.m}"
-            )
         want = self.local.x_dim
         for name, g in (("t1", self.t1), ("t2", self.t2)):
             if g.x_dim != want:
@@ -51,8 +39,7 @@ class ReturnMapConfig:
 
     def with_mus(self, mu1: float, mu2: float) -> "ReturnMapConfig":
         return ReturnMapConfig(
-            self.local, self.t1.with_mu(mu1), self.t2.with_mu(mu2),
-            self.k, self.m, self.ordering,
+            self.local, self.t1.with_mu(mu1), self.t2.with_mu(mu2), self.k, self.m
         )
 
     def swapped(self) -> "ReturnMapConfig":

@@ -47,31 +47,18 @@ def _require_expanding(gamma: float):
         raise FieldError("gamma", "gamma must be finite with |gamma| > 1")
 
 
-def _ratio_pick(theta0: float, m: int, rule) -> int:
-    if callable(rule):
-        return int(rule(theta0, m))
-    if rule == "round":
-        return round(theta0 * m)
-    if rule == "floor":
-        return math.floor(theta0 * m)
-    if rule == "ceil":
-        return math.ceil(theta0 * m)
-    raise ValueError(f"unknown ratio rule '{rule}'")
-
-
 def plan_modulus_sequence(
     theta0: float,
     gamma: float,
     s_values,
     m_values=None,
-    ratio_rule="round",
 ) -> SequencePlan:
     """Saddle planner: intervals of theta over which lam^m*|gamma|^k sweeps
     [1/s_j, s_j].
 
-    theta endpoints are k/m -+ ln(s)/(m ln|gamma|); the interval I_j is
-    extended to contain theta0.  Entries with no admissible k >= m are
-    skipped with a diagnostic.
+    Entry j takes k = round(theta0 * m); its theta endpoints are
+    k/m -+ ln(s)/(m ln|gamma|), and the interval I_j is extended to contain
+    theta0.  Entries with no admissible k >= m are skipped with a diagnostic.
     """
     if not (math.isfinite(theta0) and theta0 > 1.0):
         raise FieldError("theta0", "theta0 must be finite and exceed 1")
@@ -85,7 +72,7 @@ def plan_modulus_sequence(
         m = int(m_values[j - 1]) if m_values is not None else j * j
         if not math.isfinite(theta0 * m):
             raise FieldError("theta0", f"theta0 * m = {theta0} * {m} overflows a double")
-        k = _ratio_pick(theta0, m, ratio_rule)
+        k = round(theta0 * m)
         if k < m:
             skipped.append((j, f"no k >= m={m} at ratio {theta0}"))
             continue

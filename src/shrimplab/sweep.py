@@ -1,7 +1,8 @@
 """Parameter-plane rasterization of attractor type.
 
 Each cell of an (nx, ny) grid gets one outcome: a detected minimal period, a
-chaotic label with its Lyapunov exponent, or escape.
+chaotic label with its Lyapunov exponent, escape, or unresolved with its
+Lyapunov exponent.
 
 Cells start in blocks of _BLOCK cells taken in flat (raveled, x-major)
 order.  The head of a block runs its orbits to the first retirement
@@ -11,29 +12,31 @@ labelled from the window read off the ring.  The long tail is pooled across
 blocks in two queues of at most _BLOCK cells, each run as one batch when it
 is full and at the end: the tail queue holds the cells still running, all
 at the same step, with their state and running maximum, and runs the rest
-of the transient and the window; the Lyapunov queue holds the cells left
-unlabelled after period detection, with their last state and their
-_relaxed_period fallback.  So every stage works on full batches (on the
-512^2 acceptance window a block has 1,000 to 8,000 cells left after the
-first checkpoint), and a sweep's memory is bounded by one head block and
-the two queues rather than by nx * ny; the cells' parameters are looked up
-per batch.  Within a batch each stage runs only on the cells that still
-need it: Newton refinement on the cells still waiting for a label, the
-nudge re-run on the parked cells.  Each cell keeps its own steps and
-checkpoint schedule, and no stage lets one cell affect another, so the
-outcome of a cell depends neither on the block size or the batching nor on
-how the grid is split across workers; parallel sweeps are byte-identical to
-serial ones.
+of the transient and the window; the Lyapunov queue (_Scan.unlabelled)
+holds the cells left unlabelled after period detection, with their last
+state.  So every stage works on full batches (on the 512^2 acceptance
+window a block has 1,000 to 8,000 cells left after the first checkpoint),
+and a sweep's memory is bounded by one head block and the two queues
+rather than by nx * ny; the cells' parameters are looked up per batch.
+Within a batch each stage runs only on the cells that still need it:
+Newton refinement on the cells still waiting for a label, the nudge re-run
+on the parked cells.  Each cell keeps its own steps and checkpoint
+schedule, and no stage lets one cell affect another, so the outcome of a
+cell depends neither on the block size or the batching nor on how the grid
+is split across workers; parallel sweeps are byte-identical to serial ones.
 
-Classification per cell: discard a transient, look for a recurrence of
-minimal period p <= max_period (confirmed twice at tolerance period_tol) with
-an attracting cycle multiplier, otherwise measure the average log-derivative
-over `samples` iterations and call the cell chaotic when it is positive.
-Orbits that park exactly on a repelling cycle (it happens: the critical
-orbit of the full-height parabola lands on its fixed point in floating
-point) are nudged once by 1e-9 and re-classified; only those cells run the
-transient and window again, as a head of their own whose survivors join the
-tail queue.
+Classification per cell, along one path: discard a transient, look for a
+recurrence of minimal period p <= max_period (confirmed twice at tolerance
+period_tol) whose Newton-refined cycle is attracting, otherwise measure the
+average log-derivative (the Lyapunov exponent) over `samples` iterations and
+call the cell chaotic when it is positive.  A cell that is neither, and has
+not escaped, is unresolved and keeps its exponent: no detector confirmed a
+label for it (most such cells are periods above max_period, or orbits still
+converging slowly near a flip).  Orbits that park exactly on a repelling
+cycle (it happens: the critical orbit of the full-height parabola lands on
+its fixed point in floating point) are nudged once by 1e-9 and
+re-classified; only those cells run the transient and window again, as a
+head of their own whose survivors join the tail queue.
 
 A cell has escaped when its state left escape_radius at some step, NaN and
 inf included.  The orbit stages keep a running maximum of |y| (np.maximum,
@@ -78,8 +81,9 @@ from .returnmap import ReturnMapConfig
 KIND_PERIOD = "period"
 KIND_CHAOTIC = "chaotic"
 KIND_ESCAPED = "escaped"
+KIND_UNRESOLVED = "unresolved"
 
-_CODE = {KIND_PERIOD: 1, KIND_CHAOTIC: 2, KIND_ESCAPED: 3}
+_CODE = {KIND_PERIOD: 1, KIND_CHAOTIC: 2, KIND_ESCAPED: 3, KIND_UNRESOLVED: 4}
 _KIND = {v: k for k, v in _CODE.items()}
 
 # Cells classified together: every stage of a sweep works on at most this many
@@ -472,21 +476,6 @@ def _lyapunov(step, y, radius, samples):
     return acc / samples, ~(top <= radius)
 
 
-def _relaxed_period(S, cells, max_period, tol=1.0e-3):
-    """Best-recurrence fallback for the cells (columns of S) that defeated
-    both detectors; reads S row by row, so no columns are copied."""
-    period = np.zeros(cells.size, dtype=np.int32)
-    best = np.full(cells.size, np.inf)
-    s0 = S[0, cells]
-    for p in range(1, max_period + 1):
-        sp = S[p, cells]
-        err = np.maximum(np.abs(sp - s0), np.abs(S[2 * p, cells] - sp))
-        take = (err < best) & (err < tol)
-        period[take] = p
-        best = np.where(take, err, best)
-    return period
-
-
 class _Queue:
     """Cells waiting for a stage, as columns of _BLOCK capacity.  push hands
     each full batch to `run`, and flush hands over the rest."""
@@ -530,8 +519,8 @@ class _Scan:
         self.handoff = _handoff(spec.transient)
         # cell, state, running maximum of |y|, nudged
         self.tail = _Queue(np.intp, float, float, bool)
-        # cell, last window state, _relaxed_period
-        self.chaotic = _Queue(np.intp, float, np.int32)
+        # cell, last window state
+        self.unlabelled = _Queue(np.intp, float)
 
     def _window(self, p, y, **resume):
         spec = self.spec
@@ -579,26 +568,21 @@ class _Scan:
         nudge = parked & ~nudged
         idx = np.flatnonzero(done & ~esc & ~found & ~nudge)
         if idx.size:
-            self.chaotic.push(
-                self._lyapunov, cells[idx], S[-1, idx], _relaxed_period(S, idx, spec.max_period)
-            )
+            self.unlabelled.push(self._lyapunov, cells[idx], S[-1, idx])
         idx = np.flatnonzero(nudge)
         return (cells[idx], S[0, idx] + 1.0e-9) if idx.size else None
 
-    def _lyapunov(self, cells, y, relaxed):
-        """Chaotic when the exponent is positive; otherwise the relaxed
-        period, and a stray chaotic cell where there is none."""
+    def _lyapunov(self, cells, y):
+        """Escaped, chaotic when the exponent is positive, and unresolved
+        otherwise; the cells that have not escaped keep their exponent."""
         spec = self.spec
         lam, esc = _lyapunov(
             spec.target.stepper(*self.params(cells)), y, spec.escape_radius, spec.samples
         )
-        self.kind[cells[esc]] = _CODE[KIND_ESCAPED]
-        chaotic = ~esc & ((lam > 0.0) | (relaxed == 0))
-        self.kind[cells[chaotic]] = _CODE[KIND_CHAOTIC]
-        self.lyap[cells[chaotic]] = lam[chaotic]
-        settled = ~esc & ~chaotic
-        self.kind[cells[settled]] = _CODE[KIND_PERIOD]
-        self.period[cells[settled]] = relaxed[settled]
+        code = np.where(lam > 0.0, _CODE[KIND_CHAOTIC], _CODE[KIND_UNRESOLVED])
+        code[esc] = _CODE[KIND_ESCAPED]
+        self.kind[cells] = code
+        self.lyap[cells[~esc]] = lam[~esc]
 
 
 def _scan_cells(spec: SweepSpec, n: int, params):
@@ -614,7 +598,7 @@ def _scan_cells(spec: SweepSpec, n: int, params):
             scan.head(cells, np.full(cells.size, spec.seed()), False)
         while scan.tail.size:  # a tail batch may queue nudged cells again
             scan.tail.flush(scan._tail)
-        scan.chaotic.flush(scan._lyapunov)
+        scan.unlabelled.flush(scan._lyapunov)
     return scan.kind, scan.period, scan.lyap
 
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrimplab import bifurcation
 from shrimplab.cli import COMMANDS, main
 from shrimplab.config import (
     BENCHMARK_DEFAULTS,
@@ -19,7 +18,7 @@ from shrimplab.config import (
     load_config,
     parse_config_text,
 )
-from shrimplab.errors import ConfigError, ConvergenceError
+from shrimplab.errors import ConfigError
 
 
 def test_parse_basics():
@@ -296,38 +295,27 @@ def test_cli_continue_overflow_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in message and "not finite" in message
 
 
-@pytest.mark.parametrize("command", ["continue", "codim2"])
-def test_cli_continue_defaults_exit_on_singular_bordered_system(tmp_path, capsys, command):
-    # The default start Y = 0.5, M1 = 0.75 gives the exactly singular
-    # codim-1 system [[0, -1], [0, 2]].
-    assert run_cli([command, "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err == "shrimplab: numerical failure: singular bordered system\n"
-
-
-def test_cli_continue_overflowing_step_is_halved(tmp_path, capsys, monkeypatch):
-    # The corrector runs on Python floats, outside the CLI's np.errstate: an
-    # overflowing Newton step fails the correction and halves the step until
-    # one converges, here outside the bounds, so each direction keeps only
-    # the start.  Was exit 2, "overflow encountered in scalar multiply".
-    failures = []
-    corrector = bifurcation._corrector
-
-    def recorded(*args, **kwargs):
-        try:
-            return corrector(*args, **kwargs)
-        except ConvergenceError as err:
-            failures.append(str(err))
-            raise
-
-    monkeypatch.setattr(bifurcation, "_corrector", recorded)
-    out = tmp_path / "c"
-    sn_neg = ["continue.y_guess=-0.5", "continue.param_guess=-0.25", "model.params=0,0",
-              "continue.free_param=1", "continue.step=1e300"]
-    assert run_cli(["continue", "--out", str(out), *(a for s in sn_neg for a in ("--set", s))]) == 0
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_every_command_exits_0_on_defaults(tmp_path, capsys, command):
+    # No config and no --set: the defaults make a working run of each command
+    # (continue and codim2 start on the fold of the double parabola through
+    # Y = -0.5, M1 = 0, M2 = -0.25).
+    assert run_cli([command, "--out", str(tmp_path / "x")]) == 0
     assert capsys.readouterr().err == ""
-    rows = [l for l in (out / "curve.csv").read_text().splitlines() if not l.startswith("#")]
-    assert len(rows) == 1 + 2
-    assert "continuation corrector diverged" in failures
+
+
+def test_cli_continue_overflowing_step_is_halved(tmp_path, capsys):
+    # The first step is capped at max_step (0.1), so an overflowing
+    # continue.step needs no halving and gives the curve of step 0.1.
+    rows = []
+    for step in ("1e300", "0.1"):
+        out = tmp_path / step
+        assert run_cli(["continue", "--out", str(out), "--set", f"continue.step={step}"]) == 0
+        assert capsys.readouterr().err == ""
+        text = (out / "curve.csv").read_text()
+        rows.append([l for l in text.splitlines() if not l.startswith("#")])
+    assert len(rows[0]) > 100
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize(
@@ -346,7 +334,8 @@ def test_cli_continue_overflowing_step_is_halved(tmp_path, capsys, monkeypatch):
 )
 def test_cli_floating_point_overflow_is_numerical_failure(tmp_path, capsys, command, setting):
     parabola = ["model.family=parabola", "model.params=2", "plane.y_name=dummy",
-                "continue.kind=PD", "continue.y_guess=0.3", "continue.param_guess=2"]
+                "continue.kind=PD", "continue.free_param=0", "continue.y_guess=0.3",
+                "continue.param_guess=2"]
     sets = ["rescale.ks=6", "rescale.grid=3", "predict.ks=8", *parabola, setting]
     code = run_cli([command, "--out", str(tmp_path / "x"), *(a for s in sets for a in ("--set", s))])
     assert code == 2

@@ -66,6 +66,7 @@ def test_imported_grid_cannot_be_reswept(tmp_path):
 def test_gray_mapping():
     assert gray_for("escaped", 0, 20) == 0
     assert gray_for("chaotic", 0, 20) == 255
+    assert gray_for("unresolved", 0, 20) == 248
     g1 = gray_for("period", 1, 20)
     g20 = gray_for("period", 20, 20)
     assert g1 == 16
@@ -107,18 +108,30 @@ def test_import_matches_cells_of_all_outcomes(tmp_path):
     plane = PlaneSpec("M1", -0.6, 1.5, "M2", -0.55, 1.4)
     grid = plane_sweep(SweepSpec(target=target, plane=plane, nx=24, ny=20, transient=512,
                                  samples=512))
-    assert set(np.unique(grid.kind).tolist()) == {1, 2, 3}
+    assert set(np.unique(grid.kind).tolist()) == {1, 2, 3, 4}
     path = tmp_path / "grid.csv"
     export_grid(grid, path, tmp_path / "grid.pgm")
     back = import_grid_csv(path)
     assert back.same_cells(grid)
     assert np.array_equal(back.lyap.view(np.uint64), grid.lyap.view(np.uint64))
+    # unresolved cells carry their exponent, and a gray of their own
+    unresolved = np.argwhere(grid.kind == 4).tolist()
+    rows = {tuple(map(int, r.split(",")[:2])): r.split(",")[4:]
+            for r in path.read_text().splitlines() if r[0].isdigit()}
+    for i, j in unresolved:
+        assert rows[i, j] == ["unresolved", f"{grid.lyap[i, j]:.17g}"]
+    pgm = [l for l in (tmp_path / "grid.pgm").read_text().splitlines() if not l.startswith("#")]
+    gray = np.array([l.split() for l in pgm[3:]], dtype=int).T  # rows run j-outer
+    assert np.array_equal(gray == 248, grid.kind == 4)
 
 
 def test_import_rejects_unknown_outcome(tmp_path):
     path = _exported(tmp_path)
     _edit_row(path, 5, lambda f: f[:4] + ["periodic", "1"])
     _assert_rejected(path, "unknown outcome 'periodic'")
+    # an outcome longer than the field is cut short, and matches no name
+    _edit_row(path, 5, lambda f: f[:4] + ["unresolvedxy", "-0.5"])
+    _assert_rejected(path, "unknown outcome 'unresolvedx'")
 
 
 def test_import_rejects_duplicated_cell(tmp_path):

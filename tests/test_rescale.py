@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from shrimplab.errors import ConvergenceError, EscapeError
 from shrimplab.global_map import focus_global, saddle_global
 from shrimplab.local import SOLVED, LocalNormalForm
-from shrimplab.returnmap import K_GE_M, ReturnMapConfig
+from shrimplab.returnmap import ReturnMapConfig
 from shrimplab.rescale import (
     _pipeline,
     limit_map_deviation,
@@ -330,7 +330,7 @@ TANGENT_CONFIGS = {
 @lru_cache(maxsize=None)
 def _tangent_case(name):
     cfg = TANGENT_CONFIGS[name]
-    return (cfg if cfg.ordering == K_GE_M else cfg.swapped()), rescale_frame(cfg)
+    return (cfg if cfg.k >= cfg.m else cfg.swapped()), rescale_frame(cfg)
 
 
 @settings(max_examples=80, deadline=None)

@@ -14,13 +14,13 @@ from shrimplab.errors import EscapeError
 from shrimplab.global_map import GlobalMapTaylor, apply_global, focus_global, saddle_global
 from shrimplab.local import SADDLE_FOCUS, LocalNormalForm, cross_form_solve, local_iterate
 from shrimplab.rescale import rescale_frame, rescaled_return
-from shrimplab.returnmap import K_GE_M, K_LT_M, ReturnMapConfig
+from shrimplab.returnmap import ReturnMapConfig
 
 ESCAPE_RADIUS = 1.0e6
 
 
 def _stages(cfg: ReturnMapConfig):
-    if cfg.ordering == K_GE_M:
+    if cfg.k >= cfg.m:
         return (
             ("local^k", cfg.k, None),
             ("T1", None, cfg.t1),
@@ -92,14 +92,6 @@ def test_config_validation():
         benchmark_cfg(0, 3)
     with pytest.raises(ValueError):
         benchmark_cfg(3, 0)
-    with pytest.raises(ValueError):
-        ReturnMapConfig(
-            benchmark_local(), saddle_global(), saddle_global(), 3, 5, ordering=K_GE_M
-        )
-    assert benchmark_cfg(5, 3).ordering == K_GE_M
-    assert ReturnMapConfig(
-        benchmark_local(), saddle_global(), saddle_global(), 3, 5
-    ).ordering == K_LT_M
 
 
 def test_stage_oracle_k6_m6():
@@ -148,7 +140,6 @@ def test_ordering_k_lt_m_composition():
     t1 = saddle_global(mu=0.01)
     t2 = saddle_global(mu=0.02)
     cfg = ReturnMapConfig(local, t1, t2, 3, 7)
-    assert cfg.ordering == K_LT_M
     x, y = 0.9, 2.0**-7
     # manual mirror composition: local^m, T2, local^k, T1
     xm, ym = 0.4**7 * x, 2.0**7 * y
@@ -213,7 +204,7 @@ def test_rescaled_return_matches_first_return(name):
     # and the cross form's y at time 0, take one first return, run the next
     # k local steps, and chart back (X from the return, Y k steps later).
     cfg = ORACLE_CONFIGS[name]
-    oc = cfg if cfg.ordering == K_GE_M else cfg.swapped()
+    oc = cfg if cfg.k >= cfg.m else cfg.swapped()
     frame = rescale_frame(cfg)
     focus = cfg.local.kind == SADDLE_FOCUS
     rng = np.random.default_rng(8)
@@ -224,7 +215,7 @@ def test_rescaled_return_matches_first_return(name):
         xbar, ybar = rescaled_return(cfg, X, Y, M=M, frame=frame)
 
         mu1, mu2 = frame.mus_for(*M)
-        run = cfg.with_mus(mu1, mu2) if cfg.ordering == K_GE_M else cfg.with_mus(mu2, mu1)
+        run = cfg.with_mus(mu1, mu2) if cfg.k >= cfg.m else cfg.with_mus(mu2, mu1)
         x02, y11 = frame.chart_x(X, oc.t2.b), frame.chart_y(Y)
         # The reference shoots forward from y02, which multiplies its error by
         # gamma^(k+m) before the chart divides by beta2: solve it to 1e-15.

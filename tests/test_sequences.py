@@ -11,11 +11,12 @@ from shrimplab.sequences import (
 
 
 def test_modulus_interval_example():
-    # theta0 = ln2.5/ln2, gamma = 2, m = 50, k = 66, s = 10:
+    # theta0 = ln2.5/ln2, gamma = 2, m = 50, k = round(66.096) = 66, s = 10:
     # half width ln10/(50 ln2) = 0.066439, endpoints 66/50 -+ half
     theta0 = math.log(2.5) / math.log(2.0)
-    plan = plan_modulus_sequence(theta0, 2.0, [10.0], m_values=[50], ratio_rule=lambda t, m: 66)
+    plan = plan_modulus_sequence(theta0, 2.0, [10.0], m_values=[50])
     (e,) = plan.entries
+    assert e.k == 66
     half = math.log(10.0) / (50.0 * math.log(2.0))
     assert math.isclose(half, 0.066439, rel_tol=1e-4)
     assert math.isclose(min(66 / 50 - half, theta0), e.lo, rel_tol=1e-12)

@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shrimplab.bifurcation import FamilyYMap, find_periodic_orbit
+from shrimplab.config import build_sweep_spec, load_config
 from shrimplab.errors import ShrimplabError
 from shrimplab.families import ModelMap, eval_jet, eval_map, param_index
 from shrimplab.local import LocalNormalForm
@@ -82,7 +84,7 @@ def test_reparked_cell_is_nudged_once(monkeypatch):
     """A nudged cell that parks again (after 4 transient steps its orbit is
     still within 1e-3 of the repelling fixed point -2) is not nudged a
     second time: it goes to the Lyapunov stage from the last state of its
-    nudged window, with that window's relaxed period."""
+    nudged window."""
     spec = par_spec(1.9, 2.0, nx=2, transient=4, samples=64, max_period=1, period_tol=1.0e-3)
     heads = []
     head = sweep._Scan.head
@@ -102,6 +104,53 @@ def test_reparked_cell_is_nudged_once(monkeypatch):
     assert not esc.any() and np.all(lam > 0.0)
     assert np.array_equal(grid.kind[1], np.full(2, sweep._CODE["chaotic"]))
     assert np.array_equal(_bits(grid.lyap[1]), _bits(lam))
+
+
+WINDOW_CFG = Path(__file__).resolve().parents[1] / "configs" / "shrimp_window.cfg"
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        # lambda = -0.064 and no attracting cycle of period <= 16
+        (-0.595890410958904, 1.1595890410958902),
+        # a period-2 recurrence at 1e-3, but none at the 1e-6 tolerance
+        (-0.6, 0.8657534246575342),
+    ],
+)
+def test_unconfirmed_cell_is_unresolved(point):
+    spec = build_sweep_spec(load_config(str(WINDOW_CFG)))
+    out = attractor_scan(spec.target, point, spec)
+    assert out.kind == "unresolved" and out.period == 0
+    assert out.lyap < 0.0
+
+
+def test_labels_mean_what_they_say():
+    """No chaotic cell has lambda <= 0, and the cycle of every period cell,
+    refined from its window start by the scalar orbit solver, is attracting
+    and has that minimal period."""
+    spec = SweepSpec(
+        target=FamilyPlaneTarget(DP, "M1", "M2"),
+        plane=PlaneSpec("M1", -0.6, 1.5, "M2", -0.55, 1.4),
+        nx=24, ny=24, transient=512, samples=512,
+    )
+    grid = plane_sweep(spec)
+    assert set(np.unique(grid.kind).tolist()) == {1, 2, 3, 4}
+    chaotic = grid.kind == sweep._CODE["chaotic"]
+    assert np.all(grid.lyap[chaotic] > 0.0)
+    unresolved = grid.kind == sweep._CODE["unresolved"]
+    assert np.all(grid.lyap[unresolved] <= 0.0) and np.all(grid.period[unresolved] == 0)
+    i, j = np.nonzero(grid.kind == sweep._CODE["period"])
+    p1, p2 = spec.plane.x_values(spec.nx)[i], spec.plane.y_values(spec.ny)[j]
+    # no cell of this grid parks on a repelling cycle, so none is nudged and
+    # the window start is the sweep's own
+    S, _, _ = sweep._orbit_window(
+        spec.target, p1, p2, np.zeros(i.size), spec.escape_radius, spec.transient, 1
+    )
+    ymap = FamilyYMap("double_parabola")
+    for a, b, y, period in zip(p1.tolist(), p2.tolist(), S[0].tolist(), grid.period[i, j].tolist()):
+        orbit = find_periodic_orbit(ymap, period, y, (a, b))
+        assert abs(orbit.multiplier) < 1.0, (a, b, period)
 
 
 def test_spec_validation():
