@@ -10,10 +10,10 @@ Five families are supported:
 
 Each family's formulas are written once, in the FAMILIES table, as nested
 (inner parabola first) functions of (params, y) that work on floats and on
-ndarrays alike.  eval_map, eval_jet and iterate_n call them with a parameter
-tuple; the parameter-plane sweep (sweep.FamilyPlaneTarget) calls the same
-value and slope with one array or float per parameter, so both get the same
-bits.
+ndarrays alike.  bifurcation.FamilyYMap, the one scalar view of a family,
+calls them with a parameter tuple; the parameter-plane sweep
+(sweep.FamilyPlaneTarget) calls the same value and slope with one array or
+float per parameter, so both get the same bits.
 
 Each family also has `partials(params, y)`: for each of its parameters p, in
 order, the pair (df/dp, df_y/dp) of the first parameter derivatives of the
@@ -35,8 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EscapeError
-
 PARABOLA = "parabola"
 CUBIC_PLUS = "cubic_plus"
 CUBIC_MINUS = "cubic_minus"
@@ -46,9 +44,8 @@ SHRIMP3 = "shrimp3"
 # The formulas of one family: value, slope (dYbar/dY), higher (the
 # derivatives of orders 2..4) and partials (per parameter, the derivatives of
 # value and slope in it) take (params, y); step is the in-place value and
-# slope of ndarrays (module docstring); coefficients gives the polynomial's
-# coefficients [c0, c1, ...] in Y from params.
-Family = namedtuple("Family", "arity value slope step higher partials coefficients")
+# slope of ndarrays (module docstring).
+Family = namedtuple("Family", "arity value slope step higher partials")
 
 
 def _double_parabola(p, y):
@@ -103,30 +100,23 @@ _shrimp3 = (
 FAMILIES = {
     PARABOLA: Family(
         1, *_parabola, _unfused(*_parabola),
-        lambda p, y: (-2.0, 0.0, 0.0), lambda p, y: ((1.0, 0.0),),
-        lambda p: [p[0], 0.0, -1.0]),
+        lambda p, y: (-2.0, 0.0, 0.0), lambda p, y: ((1.0, 0.0),)),
     CUBIC_PLUS: Family(
         2, *_cubic_plus, _unfused(*_cubic_plus),
-        lambda p, y: (6.0 * y, 6.0, 0.0), lambda p, y: ((1.0, 0.0), (y, 1.0)),
-        lambda p: [p[0], p[1], 0.0, 1.0]),
+        lambda p, y: (6.0 * y, 6.0, 0.0), lambda p, y: ((1.0, 0.0), (y, 1.0))),
     CUBIC_MINUS: Family(
         2, *_cubic_minus, _unfused(*_cubic_minus),
-        lambda p, y: (-6.0 * y, -6.0, 0.0), lambda p, y: ((1.0, 0.0), (y, 1.0)),
-        lambda p: [p[0], p[1], 0.0, -1.0]),
+        lambda p, y: (-6.0 * y, -6.0, 0.0), lambda p, y: ((1.0, 0.0), (y, 1.0))),
     # the slope has no "+ 0.0" for the absent M3, which would turn a -0.0 slope into +0.0
     DOUBLE_PARABOLA: Family(
         2, _double_parabola, lambda p, y: 4.0 * (p[0] - y * y) * y, _double_parabola_step,
-        _quartic_higher, _double_parabola_partials,
-        lambda p: [p[1] - p[0] * p[0], 0.0, 2.0 * p[0], 0.0, -1.0]),
+        _quartic_higher, _double_parabola_partials),
     SHRIMP3: Family(
         3, *_shrimp3, _unfused(*_shrimp3),
-        _quartic_higher, lambda p, y: _double_parabola_partials(p, y) + ((y, 1.0),),
-        lambda p: [p[1] - p[0] * p[0], p[2], 2.0 * p[0], 0.0, -1.0]),
+        _quartic_higher, lambda p, y: _double_parabola_partials(p, y) + ((y, 1.0),)),
 }
 
 FAMILY_ARITY = {name: family.arity for name, family in FAMILIES.items()}
-
-DEFAULT_ESCAPE_RADIUS = 1.0e6
 
 
 @dataclass(frozen=True)
@@ -153,14 +143,6 @@ def family_params(family: str, params) -> tuple:
     return params
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Value and Y-derivatives of orders 1..len(derivs) at a point."""
-
-    value: float
-    derivs: tuple
-
-
 def param_index(family: str, name: str) -> int:
     """Position of parameter `name` (M1, M2, M3) in the family's vector, or
     -1 for 'dummy', an axis no parameter reads; ValueError if there is none."""
@@ -170,53 +152,3 @@ def param_index(family: str, name: str) -> int:
     if name not in names:
         raise ValueError(f"{family} has no parameter {name}")
     return names.index(name)
-
-
-def eval_map(m: ModelMap, y: float) -> float:
-    """Evaluate the family polynomial at y (nested form)."""
-    if not math.isfinite(y):
-        raise ValueError("state must be finite")
-    return FAMILIES[m.family].value(m.params, y)
-
-
-def eval_jet(m: ModelMap, y: float, order: int = 4) -> Jet:
-    """Exact Y-derivatives of orders 1..order (order must be in 1..4)."""
-    if not 1 <= order <= 4:
-        raise ValueError("jet order must be in 1..4")
-    family = FAMILIES[m.family]
-    derivs = (family.slope(m.params, y),)
-    if order > 1:
-        derivs += family.higher(m.params, y)[: order - 1]
-    return Jet(eval_map(m, y), derivs)
-
-
-def iterate_n(
-    m: ModelMap,
-    y0: float,
-    n: int,
-    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
-):
-    """n-fold composition and the chain-rule product of first derivatives.
-
-    The product is the orbit multiplier whenever the orbit is periodic.
-    Raises EscapeError if the orbit leaves the escape radius.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    slope = FAMILIES[m.family].slope
-    y = float(y0)
-    prod = 1.0
-    for step in range(n):
-        prod *= slope(m.params, y)
-        y = eval_map(m, y)
-        if not math.isfinite(y) or abs(y) > escape_radius:
-            raise EscapeError("orbit left the escape radius", step=step + 1, value=y)
-    return y, prod
-
-
-def poly_coefficients(m: ModelMap) -> list:
-    """Coefficients [c0, c1, ...] of the family polynomial in Y.
-
-    Exact for the integer/dyadic parameter values used in degeneracy checks.
-    """
-    return FAMILIES[m.family].coefficients(m.params)

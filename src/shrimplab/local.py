@@ -35,6 +35,8 @@ SADDLE_FOCUS = "saddle_focus"
 LINEAR = "linear"
 TEST_CUBIC = "test_cubic"
 
+DEFAULT_ESCAPE_RADIUS = 1.0e6
+
 
 @dataclass(frozen=True)
 class LocalNormalForm:
@@ -152,7 +154,7 @@ def iterate_points(
     x,
     y,
     n: int,
-    escape_radius: float = 1.0e6,
+    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
     tangent=None,
 ):
     """n-fold forward application to arrays of points: (xn, yn, escape_step).
@@ -213,7 +215,7 @@ def local_iterate(
     x,
     y,
     n: int,
-    escape_radius: float = 1.0e6,
+    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
 ):
     """n-fold forward application; exact powers in the linear case."""
     if n < 0:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError, EscapeError, NumericalError
 from .local import (
+    DEFAULT_ESCAPE_RADIUS,
     SADDLE,
     SADDLE_FOCUS,
     SOLVED,
@@ -44,8 +45,6 @@ from .local import (
 )
 from .global_map import apply_global
 from .returnmap import ReturnMapConfig
-
-DEFAULT_ESCAPE_RADIUS = 1.0e6
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,7 @@ with the bits of the family's value and slope.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -75,6 +76,7 @@ import numpy as np
 
 from .errors import FieldError
 from .families import FAMILIES, ModelMap, param_index
+from .local import DEFAULT_ESCAPE_RADIUS
 from .rescale import _oriented, _stages, rescale_frame
 from .returnmap import ReturnMapConfig
 
@@ -236,7 +238,7 @@ class SweepSpec:
     transient: int = 1024
     max_period: int = 20
     samples: int = 4096
-    escape_radius: float = 1.0e6
+    escape_radius: float = DEFAULT_ESCAPE_RADIUS
     seed_rule: str = "critical"
     seed_value: float = 0.0
     period_tol: float = 1.0e-6
@@ -624,8 +626,10 @@ def _sweep_cells(spec: SweepSpec, lo: int, hi: int):
 
 
 def plane_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
-    """Rasterize the plane; output is identical for any worker count."""
+    """Rasterize the plane; output is identical for any worker count, and no
+    more worker processes are started than there are CPUs."""
     n = spec.nx * spec.ny
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         kind, period, lyap = _sweep_cells(spec, 0, n)
     else:

@@ -19,10 +19,11 @@ from shrimplab.bifurcation import (
     FamilyYMap,
     continue_both_ways,
     find_periodic_orbit,
+    orbit_pass,
     solve_codim1,
 )
 from shrimplab.cli import main as cli_main
-from shrimplab.families import ModelMap, eval_jet, eval_map, poly_coefficients
+from shrimplab.families import ModelMap
 from shrimplab.global_map import focus_global, saddle_global
 from shrimplab.local import LocalNormalForm, expansion_gain, in_ratio_window, theta_modulus
 from shrimplab.returnmap import ReturnMapConfig
@@ -67,41 +68,18 @@ def test_criterion_1_closed_form_bifurcations():
     assert elapsed < 1.0
 
 
-def _poly_mul(a, b):
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_compose(p, q):
-    out = [0.0]
-    power = [1.0]
-    for coeff in p:
-        n = max(len(out), len(power))
-        out = [
-            (out[i] if i < len(out) else 0.0)
-            + coeff * (power[i] if i < len(power) else 0.0)
-            for i in range(n)
-        ]
-        power = _poly_mul(power, q)
-    return out
-
-
 def test_criterion_2_codim3_endpoints():
-    flip = ModelMap("shrimp3", (0.0, 0.0, -1.0))
-    assert eval_map(flip, 0.0) == 0.0
-    assert eval_jet(flip, 0.0, 1).derivs[0] == -1.0
-    c = poly_coefficients(flip)
-    second = _poly_compose(c, c)
-    assert second[2] == 0.0 and second[3] == 0.0
+    # the flip endpoint: T(0) = 0 with multiplier -1, and T∘T has no
+    # quadratic and no cubic term at 0
+    s3 = FamilyYMap("shrimp3")
+    flip = (0.0, 0.0, -1.0)
+    assert s3.jet(0.0, flip, 1)[:2] == (0.0, -1.0)
+    assert orbit_pass(s3, 0.0, flip, 2, order=3)[:4] == (0.0, 1.0, 0.0, 0.0)
 
-    fold = ModelMap("shrimp3", (0.0, 0.0, 1.0))
-    assert eval_jet(fold, 0.0, 1).derivs[0] == 1.0
-    cf = poly_coefficients(fold)
-    assert cf == [0.0, 1.0, 0.0, 0.0, -1.0]  # exactly Y - Y^4
-    assert cf[2] == 0.0 and cf[3] == 0.0
+    # the fold endpoint Y - Y^4: multiplier +1, no quadratic or cubic term
+    fold = (0.0, 0.0, 1.0)
+    assert s3.jet(0.0, fold, 1)[:2] == (0.0, 1.0)
+    assert orbit_pass(s3, 0.0, fold, 1, order=3)[:4] == (0.0, 1.0, 0.0, 0.0)
     report(2, True, "multipliers exactly -1/+1 with exact quartic degeneracy")
 
 

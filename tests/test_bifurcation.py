@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shrimplab import bifurcation
@@ -25,11 +25,11 @@ from shrimplab.bifurcation import (
     solve_codim1,
 )
 from shrimplab.errors import ConvergenceError, NumericalError, ShrimplabError
-from shrimplab.families import ModelMap, eval_map, poly_coefficients
 
 DP = FamilyYMap("double_parabola")
 PAR = FamilyYMap("parabola")
 CM = FamilyYMap("cubic_minus")
+S3 = FamilyYMap("shrimp3")
 
 
 def test_find_orbit_examples():
@@ -42,10 +42,9 @@ def test_find_orbit_examples():
 
 def test_find_two_cycle_parabola():
     o = find_periodic_orbit(PAR, 2, 1.05, (1.0,))
-    m = ModelMap("parabola", (1.0,))
-    y2 = eval_map(m, eval_map(m, o.y))
-    assert abs(y2 - o.y) <= 1e-10
-    assert abs(eval_map(m, o.y) - o.y) > 1e-3
+    y1 = PAR.value(o.y, (1.0,))
+    assert abs(PAR.value(y1, (1.0,)) - o.y) <= 1e-10
+    assert abs(y1 - o.y) > 1e-3
     assert abs(o.multiplier - 4.0 * (1.0 - 1.0)) < 1e-8
 
 
@@ -216,6 +215,8 @@ def test_continuation_retraceable():
     zero_col=st.integers(0, 2),
     nan_at=st.integers(0, 8),
 )
+# a subnormal right-hand side whose exact solution, 2.5e-324, is not a float
+@example(n=2, entries=[0.0, 1.0, 2.0, 0.0] + [0.0] * 6 + [5e-324, 0.0], zero_col=0, nan_at=0)
 def test_solve_matches_numpy(n, entries, zero_col, nan_at):
     a = np.array(entries[: n * n]).reshape(n, n)
     b = np.array(entries[9 : 9 + n])
@@ -224,7 +225,12 @@ def test_solve_matches_numpy(n, entries, zero_col, nan_at):
         x = np.array(_solve(rows, list(b), "singular"))
         ref = np.linalg.solve(a, b)
         scale = np.max(np.abs(a)) * np.max(np.abs(x)) + np.max(np.abs(b))
-        assert np.max(np.abs(a @ x - b)) <= 1.0e-12 * scale
+        # below the normal range every operation rounds to a multiple of the
+        # smallest subnormal, so the residual has that granularity however
+        # small the relative bound becomes; 64 steps bound the few roundings
+        # of a pivoted 3x3 elimination with |a| <= 4
+        floor = 64.0 * math.ulp(0.0)
+        assert np.max(np.abs(a @ x - b)) <= 1.0e-12 * scale + floor
         assert np.max(np.abs(x - ref)) <= 1.0e-12 * (1.0 + np.max(np.abs(ref)))
     # an exact zero pivot and a NaN end in ConvergenceError, never in a
     # ZeroDivisionError
@@ -342,52 +348,19 @@ def test_overflowing_orbit_derivatives_raise_convergence_error():
 
 
 def test_shrimp3_codim3_flip_endpoint():
-    # (0, 0, -1): fixed point 0, multiplier exactly -1, second-iterate
-    # quadratic and cubic coefficients exactly zero
-    m = ModelMap("shrimp3", (0.0, 0.0, -1.0))
-    assert eval_map(m, 0.0) == 0.0
-    from shrimplab.families import eval_jet
-
-    assert eval_jet(m, 0.0, 1).derivs[0] == -1.0
-    c = poly_coefficients(m)
-    # polynomial self-composition, exact in small integers
-    comp = _poly_compose(c, c)
-    assert comp[2] == 0.0
-    assert comp[3] == 0.0
+    # (0, 0, -1): fixed point 0, multiplier exactly -1, and the second iterate
+    # has exactly zero second and third derivatives there
+    p = (0.0, 0.0, -1.0)
+    assert S3.jet(0.0, p, 1)[:2] == (0.0, -1.0)
+    assert orbit_pass(S3, 0.0, p, 2, order=3)[:4] == (0.0, 1.0, 0.0, 0.0)
 
 
 def test_shrimp3_codim3_fold_endpoint():
-    m = ModelMap("shrimp3", (0.0, 0.0, 1.0))
-    c = poly_coefficients(m)
-    assert c == [0.0, 1.0, 0.0, 0.0, -1.0]  # the map Y - Y^4
-    from shrimplab.families import eval_jet
-
-    assert eval_jet(m, 0.0, 1).derivs[0] == 1.0
-    # T - id has no quadratic or cubic terms
-    assert c[2] == 0.0 and c[3] == 0.0
-
-
-def _poly_compose(p, q):
-    """Coefficients of p(q(x)) by exact convolution arithmetic."""
-    out = [0.0]
-    power = [1.0]
-    for coeff in p:
-        out = _poly_add(out, [coeff * v for v in power])
-        power = _poly_mul(power, q)
-    return out
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0.0) + (b[i] if i < len(b) else 0.0) for i in range(n)]
-
-
-def _poly_mul(a, b):
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+    # (0, 0, 1): the map Y - Y^4, multiplier exactly +1 and no quadratic or
+    # cubic term
+    p = (0.0, 0.0, 1.0)
+    assert S3.jet(0.0, p, 1)[:2] == (0.0, 1.0)
+    assert orbit_pass(S3, 0.0, p, 1, order=3)[:4] == (0.0, 1.0, 0.0, 0.0)
 
 
 def test_curve_csv_columns(tmp_path):

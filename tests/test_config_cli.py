@@ -1,7 +1,10 @@
 import contextlib
+import importlib.util
 import io
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -383,3 +386,23 @@ def test_cli_shrimp_predict(tmp_path):
     rows = [l for l in (out / "predict.csv").read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == 3
     assert rows[0].startswith("k,m,mu1_predicted")
+
+
+def test_perfbench_tracer_finds_every_traced_name():
+    """perfbench/spans.py patches the package by attribute name, so a renamed
+    or deleted function breaks only the traced benchmark run; install it once
+    here to catch that."""
+    import shrimplab.cli  # noqa: F401  (install patches what the CLI imports)
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        for module, attr, _ in spans.TRACED_FUNCTIONS:
+            assert hasattr(getattr(sys.modules[module], attr), "__wrapped__"), attr
+    finally:
+        tracer.uninstall()
+    assert not hasattr(sys.modules["shrimplab.sweep"].plane_sweep, "__wrapped__")

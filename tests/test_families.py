@@ -5,31 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shrimplab.bifurcation import FamilyYMap, orbit_pass
 from shrimplab.errors import EscapeError
-from shrimplab.families import (
-    FAMILIES as FAMILY_TABLE,
-    FAMILY_ARITY,
-    Jet,
-    ModelMap,
-    eval_jet,
-    eval_map,
-    iterate_n,
-    poly_coefficients,
-)
+from shrimplab.families import FAMILIES as FAMILY_TABLE, FAMILY_ARITY, ModelMap
 
 FAMILIES = list(FAMILY_ARITY)
+DP = FamilyYMap("double_parabola")
+S3 = FamilyYMap("shrimp3")
+PAR = FamilyYMap("parabola")
 
 
-def random_map(rng, family):
-    return ModelMap(family, tuple(rng.uniform(-1.5, 1.5, FAMILY_ARITY[family])))
+def random_params(rng, family):
+    return tuple(rng.uniform(-1.5, 1.5, FAMILY_ARITY[family]))
 
 
 def test_eval_examples():
-    assert eval_map(ModelMap("double_parabola", (0.0, 0.0)), -1.0) == -1.0
-    m = ModelMap("shrimp3", (0.0, 0.0, 1.0))
+    assert DP.value(-1.0, (0.0, 0.0)) == -1.0
     for y in (-1.3, -0.2, 0.0, 0.4, 1.7):
-        assert eval_map(m, y) == y - y**4
-    assert eval_map(ModelMap("parabola", (0.0,)), 0.0) == 0.0
+        assert S3.value(y, (0.0, 0.0, 1.0)) == y - y**4
+    assert PAR.value(0.0, (0.0,)) == 0.0
 
 
 def test_arity_and_validation():
@@ -41,46 +35,38 @@ def test_arity_and_validation():
         ModelMap("nope", (0.0,))
     with pytest.raises(ValueError):
         ModelMap("parabola", (float("nan"),))
-    with pytest.raises(ValueError):
-        eval_map(ModelMap("parabola", (0.0,)), float("inf"))
+    with pytest.raises(EscapeError):
+        PAR.value(float("inf"), (0.0,))
 
 
 def test_jet_examples():
-    j = eval_jet(ModelMap("double_parabola", (0.0, 0.0)), -1.0, 1)
-    assert j.derivs[0] == 4.0
-    j = eval_jet(ModelMap("shrimp3", (0.0, 0.0, -1.0)), 0.0, 3)
-    assert j.derivs == (-1.0, 0.0, 0.0)
-    j = eval_jet(ModelMap("parabola", (0.7,)), 0.0, 2)
-    assert j.derivs[0] == 0.0
-    with pytest.raises(ValueError):
-        eval_jet(ModelMap("parabola", (0.7,)), 0.0, 5)
-    with pytest.raises(ValueError):
-        eval_jet(ModelMap("parabola", (0.7,)), 0.0, 0)
+    assert DP.jet(-1.0, (0.0, 0.0), 1)[1] == 4.0
+    assert S3.jet(0.0, (0.0, 0.0, -1.0), 3)[1:] == (-1.0, 0.0, 0.0)
+    assert PAR.jet(0.0, (0.7,), 2)[1] == 0.0
 
 
 def test_iterate_examples():
-    y, prod = iterate_n(ModelMap("double_parabola", (0.0, 0.0)), 0.0, 5)
-    assert y == 0.0 and prod == 0.0
-    y, prod = iterate_n(ModelMap("parabola", (-0.25,)), -0.5, 1)
-    assert y == -0.5 and prod == 1.0
-    y, prod = iterate_n(ModelMap("cubic_minus", (0.0, 0.5)), 0.0, 3)
-    assert y == 0.0 and prod == 0.125
+    assert orbit_pass(DP, 0.0, (0.0, 0.0), 5)[:2] == (0.0, 0.0)
+    assert orbit_pass(PAR, -0.5, (-0.25,), 1)[:2] == (-0.5, 1.0)
+    assert orbit_pass(FamilyYMap("cubic_minus"), 0.0, (0.0, 0.5), 3)[:2] == (0.0, 0.125)
 
 
 def test_iterate_escape():
+    # the orbit of 2.1 - Y^2 from 0 overflows to -inf, and the next step raises
     with pytest.raises(EscapeError):
-        iterate_n(ModelMap("parabola", (2.1,)), 0.0, 60)
+        orbit_pass(PAR, 0.0, (2.1,), 60)
 
 
 def test_jets_match_finite_differences():
     rng = np.random.default_rng(7)
     h = 1.0e-6
     for family in FAMILIES:
+        ymap = FamilyYMap(family)
         for _ in range(100):
-            m = random_map(rng, family)
+            p = random_params(rng, family)
             y = rng.uniform(-1.2, 1.2)
-            d_fd = (eval_map(m, y + h) - eval_map(m, y - h)) / (2 * h)
-            d1 = eval_jet(m, y, 1).derivs[0]
+            d_fd = (ymap.value(y + h, p) - ymap.value(y - h, p)) / (2 * h)
+            d1 = ymap.jet(y, p, 1)[1]
             assert abs(d1 - d_fd) <= 1.0e-6 * max(1.0, abs(d1))
 
 
@@ -91,9 +77,7 @@ def test_jets_match_finite_differences():
     y=st.floats(-3, 3, allow_nan=False),
 )
 def test_shrimp3_degenerates_to_double_parabola(m1, m2, y):
-    a = eval_map(ModelMap("shrimp3", (m1, m2, 0.0)), y)
-    b = eval_map(ModelMap("double_parabola", (m1, m2)), y)
-    assert a == b
+    assert S3.value(y, (m1, m2, 0.0)) == DP.value(y, (m1, m2))
 
 
 def test_shrimp3_double_parabola_dense_sampling():
@@ -101,9 +85,7 @@ def test_shrimp3_double_parabola_dense_sampling():
     for _ in range(1000):
         m1, m2 = rng.uniform(-2, 2, 2)
         y = rng.uniform(-2.5, 2.5)
-        assert eval_map(ModelMap("shrimp3", (m1, m2, 0.0)), y) == eval_map(
-            ModelMap("double_parabola", (m1, m2)), y
-        )
+        assert S3.value(y, (m1, m2, 0.0)) == DP.value(y, (m1, m2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,25 +94,23 @@ def test_shrimp3_double_parabola_dense_sampling():
     y=st.floats(-3, 3, allow_nan=False),
 )
 def test_cubic_minus_odd_at_m1_zero(m2, y):
-    m = ModelMap("cubic_minus", (0.0, m2))
-    assert eval_map(m, -y) == -eval_map(m, y)
+    cm = FamilyYMap("cubic_minus")
+    assert cm.value(-y, (0.0, m2)) == -cm.value(y, (0.0, m2))
 
 
 def test_multiplier_matches_composition_derivative():
     rng = np.random.default_rng(11)
     h = 1.0e-7
     for family in FAMILIES:
+        ymap = FamilyYMap(family)
         checked = 0
         while checked < 40:
-            m = random_map(rng, family)
+            p = random_params(rng, family)
             y0 = rng.uniform(-0.9, 0.9)
             n = int(rng.integers(1, 6))
-            try:
-                _, prod = iterate_n(m, y0, n)
-                yp, _ = iterate_n(m, y0 + h, n)
-                ym, _ = iterate_n(m, y0 - h, n)
-            except EscapeError:
-                continue
+            _, prod = orbit_pass(ymap, y0, p, n)[:2]
+            yp = orbit_pass(ymap, y0 + h, p, n)[0]
+            ym = orbit_pass(ymap, y0 - h, p, n)[0]
             if abs(prod) < 1.0e-3 or abs(prod) > 1.0e3:
                 continue
             fd = (yp - ym) / (2 * h)
@@ -138,23 +118,21 @@ def test_multiplier_matches_composition_derivative():
             checked += 1
 
 
+def _coefficients(ymap, params):
+    """Coefficients [c0, ..., c4] in Y, read off the jet at 0 as jet[i] / i!."""
+    return [d / math.factorial(i) for i, d in enumerate(ymap.jet(0.0, params, 4))]
+
+
 def test_poly_coefficients_exact():
-    m = ModelMap("shrimp3", (0.0, 0.0, -1.0))
-    assert poly_coefficients(m) == [0.0, -1.0, 0.0, 0.0, -1.0]
-    m = ModelMap("double_parabola", (0.5, 0.25))
-    coeffs = poly_coefficients(m)
+    assert _coefficients(S3, (0.0, 0.0, -1.0)) == [0.0, -1.0, 0.0, 0.0, -1.0]
+    params = (0.5, 0.25)
+    coeffs = _coefficients(DP, params)
     rng = np.random.default_rng(1)
     for y in rng.uniform(-2, 2, 20):
         assert math.isclose(
-            sum(c * y**i for i, c in enumerate(coeffs)), eval_map(m, y), rel_tol=1e-14, abs_tol=1e-14
+            sum(c * y**i for i, c in enumerate(coeffs)), DP.value(y, params),
+            rel_tol=1e-14, abs_tol=1e-14,
         )
-
-
-def test_jet_type_shape():
-    j = eval_jet(ModelMap("cubic_plus", (0.1, 0.2)), 0.3, 4)
-    assert isinstance(j, Jet)
-    assert len(j.derivs) == 4
-    assert all(math.isfinite(v) for v in j.derivs)
 
 
 def _bits(a):

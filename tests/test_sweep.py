@@ -7,7 +7,7 @@ import pytest
 from shrimplab.bifurcation import FamilyYMap, find_periodic_orbit
 from shrimplab.config import build_sweep_spec, load_config
 from shrimplab.errors import ShrimplabError
-from shrimplab.families import ModelMap, eval_jet, eval_map, param_index
+from shrimplab.families import ModelMap, param_index
 from shrimplab.local import LocalNormalForm
 from shrimplab.global_map import focus_global, saddle_global
 from shrimplab.returnmap import ReturnMapConfig
@@ -196,21 +196,21 @@ ORACLE_AXES = {"M1": 0, "M2": 1, "M3": 2}
     ],
 )
 def test_family_maps_match_scalar_evaluators_bitwise(family, params, axes):
-    """The sweep's vector maps and eval_map/eval_jet share one formula table."""
+    """The sweep's vector maps and FamilyYMap.value/jet share one formula table."""
     rng = np.random.default_rng(17)
     p1, p2, y = rng.uniform(-1.5, 1.5, (3, 400))
     y[::7] = 0.0
     p1[::5] = 0.0
     f, df = FamilyPlaneTarget(ModelMap(family, params), *axes).maps(p1, p2)
+    ymap = FamilyYMap(family)
     want_f, want_df = [], []
     for a, b, yy in zip(p1, p2, y):
         q = list(params)
         for name, value in zip(axes, (a, b)):
             if name != "dummy":
                 q[ORACLE_AXES[name]] = value
-        m = ModelMap(family, tuple(q))
-        want_f.append(eval_map(m, float(yy)))
-        want_df.append(eval_jet(m, float(yy), 1).derivs[0])
+        want_f.append(ymap.value(float(yy), q))
+        want_df.append(ymap.jet(float(yy), q, 1)[1])
     got_f, got_df = f(y), df(y)
     assert np.array_equal(got_f, want_f) and np.array_equal(got_df, want_df)
     # and bit for bit, signed zeros included
@@ -309,6 +309,31 @@ def test_workers_bit_identical(monkeypatch):
                 grid = plane_sweep(spec, workers=workers)
                 assert grid.same_cells(reference), (spec.target.meta(), block, workers)
         monkeypatch.undo()
+
+
+def test_pool_never_exceeds_cpu_count(monkeypatch):
+    """A huge worker count asks for no more processes than there are CPUs."""
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    spec = dp_spec(nx=16, ny=16, transient=64, samples=64, max_period=4)
+    grid = plane_sweep(spec, workers=10**5)
+    assert asked and max(asked) <= 2
+    assert grid.same_cells(plane_sweep(spec))
 
 
 def test_lyapunov_cells_pooled_across_blocks(monkeypatch):
@@ -645,13 +670,9 @@ def test_period_labels_reverify():
     picks = labeled[rng.choice(len(labeled), size=50, replace=False)]
     for i, j in picks:
         p = int(grid.period[i, j])
-        seed = 0.0
-        m = ModelMap("double_parabola", (xs[i], ys[j]))
-        from shrimplab.families import eval_map
-
-        y = seed
+        y = 0.0
         for _ in range(4096):
-            y = eval_map(m, y)
+            y = ymap.value(y, (xs[i], ys[j]))
         orbit = find_periodic_orbit(ymap, p, y, (xs[i], ys[j]))
         assert orbit.period == p
         assert abs(orbit.multiplier) < 1.0
