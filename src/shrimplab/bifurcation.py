@@ -7,9 +7,12 @@ one chain-rule loop: it propagates the Y-derivatives of the n-fold
 composition to second order, or to third where the first Lyapunov value
 needs it, and, given a parameter plane, the parameter derivatives of T^n and (T^n)'
 along the same orbit, so one pass per Newton step gives the residual and the
-exact bordered Jacobian of the fold/flip defining system.  The Newton loops
-run on Python floats, and each step's 2x2 or 3x3 system goes through one
-small pivoted elimination, _solve.
+exact bordered Jacobian of the fold/flip defining system (on a period-1
+curve also the codim-2 test value).  The Newton loops run on Python floats,
+and each step's 2x2 or 3x3 system goes through one small pivoted
+elimination, _solve.  solve_codim1 and the continuation corrector stop when
+the residual is within NEWTON_TOL or, where round-off keeps it above, when
+the Newton step no longer moves the point.
 
 Codimension-2 points (cusps on fold curves, degenerate flips on flip curves)
 are zeros of a test value along a continued curve: each sign change between
@@ -155,6 +158,11 @@ class BifCurve:
     multipliers: list = field(default_factory=list)
     test_values: list = field(default_factory=list)
     codim2_hits: list = field(default_factory=list)
+    # why each continuation that built the curve stopped: "bounds" (the next
+    # point left them), "min_step" (failed corrections halved the step below
+    # it) or "max_points"; (reason,) from continue_codim1, (backward,
+    # forward) from continue_both_ways; kept out of the CSV
+    stop_reasons: tuple = ()
 
 
 def find_periodic_orbit(
@@ -195,6 +203,12 @@ def _multiplier_target(kind):
     return 1.0 if kind == SN else -1.0
 
 
+def _stopped_moving(step, x):
+    """True when the Newton step is round-off for x: every component within
+    1e-15 (1 + max|x|), so taking it would not move x."""
+    return max(map(abs, step)) <= 1.0e-15 * (1.0 + max(map(abs, x)))
+
+
 def solve_codim1(
     ymap,
     period: int,
@@ -205,7 +219,10 @@ def solve_codim1(
     tol: float = 1.0e-12,
     max_iter: int = NEWTON_MAX_ITER,
 ) -> BifPoint:
-    """Solve {T^n(y) - y = 0, (T^n)'(y) -+ 1 = 0} in (y, params[free_index])."""
+    """Solve {T^n(y) - y = 0, (T^n)'(y) -+ 1 = 0} in (y, params[free_index]).
+
+    Newton stops when the residual is within tol or, where round-off keeps
+    it above tol, when the step no longer moves (y, p)."""
     if kind not in (SN, PD):
         raise ValueError("kind must be SN or PD")
     y, p = float(guess[0]), float(guess[1])
@@ -220,6 +237,8 @@ def solve_codim1(
         if abs(r[0]) <= tol and abs(r[1]) <= tol:
             break
         step = _solve(((d1 - 1.0, vp), (d2, dp)), r, "singular bordered system")
+        if _stopped_moving(step, (y, p)):
+            break
         y, p = y - step[0], p - step[1]
         if not (math.isfinite(y) and math.isfinite(p)):
             raise ConvergenceError("codim-1 Newton diverged")
@@ -255,10 +274,17 @@ def _plane_params(u, plane, params):
 
 def _extended_system(ymap, period, kind, u, plane, params):
     """At u = (y, p_i, p_j): the residual (T^n(y) - y, (T^n)'(y) -+ 1), its
-    exact 2x3 Jacobian in u and the multiplier (T^n)'(y), from one orbit pass."""
-    v, d1, d2, _, dv, dd = orbit_pass(ymap, u[0], _plane_params(u, plane, params), period, plane)
+    exact 2x3 Jacobian in u, the multiplier (T^n)'(y) and, on a period-1
+    curve, the codim-2 test value at u (None for longer periods), from one
+    orbit pass.  For period 1, y is the whole cycle and so its canonical
+    representative, and the pass's d2 (and d3, formed for flips only) give
+    the test value that _test_value would."""
+    order = 3 if period == 1 and kind == PD else 2
+    v, d1, d2, d3, dv, dd = orbit_pass(
+        ymap, u[0], _plane_params(u, plane, params), period, plane, order)
     r = (v - u[0], d1 - _multiplier_target(kind))
-    return r, ((d1 - 1.0, dv[0], dv[1]), (d2, dd[0], dd[1])), d1
+    test = _codim2_test(kind, d2, d3) if period == 1 else None
+    return r, ((d1 - 1.0, dv[0], dv[1]), (d2, dd[0], dd[1])), d1, test
 
 
 def _solve(rows, rhs, singular):
@@ -291,16 +317,20 @@ def _solve(rows, rhs, singular):
 
 def _corrector(ymap, period, kind, u, plane, params, tangent, anchor, ds, tol=NEWTON_TOL):
     """Newton on the extended system plus the arclength equation; returns the
-    converged u with the Jacobian and multiplier of its last orbit pass."""
+    converged u with the Jacobian, multiplier and test value of its last
+    orbit pass.  Converged means all three residuals within tol or, where
+    round-off keeps one above tol, a Newton step that no longer moves u."""
     t0, t1, t2 = tangent
     for _ in range(25):
-        r, jac, mult = _extended_system(ymap, period, kind, u, plane, params)
+        r, jac, mult, test = _extended_system(ymap, period, kind, u, plane, params)
         y, pi, pj = u
         arc = t0 * (y - anchor[0]) + t1 * (pi - anchor[1]) + t2 * (pj - anchor[2]) - ds
         if abs(r[0]) <= tol and abs(r[1]) <= tol and abs(arc) <= tol:
-            return u, jac, mult
-        sy, si, sj = _solve((*jac, tangent), (*r, arc), "continuation corrector singular")
-        u = (y - sy, pi - si, pj - sj)
+            return u, jac, mult, test
+        step = _solve((*jac, tangent), (*r, arc), "continuation corrector singular")
+        if _stopped_moving(step, u):
+            return u, jac, mult, test
+        u = (y - step[0], pi - step[1], pj - step[2])
         if not all(map(math.isfinite, u)):
             raise ConvergenceError("continuation corrector diverged")
     raise ConvergenceError("continuation corrector did not converge")
@@ -335,21 +365,32 @@ def _canonical_rep(ymap, y, params, period):
     return best
 
 
-def _test_value(ymap, period, kind, y, params):
-    rep = _canonical_rep(ymap, y, params, period)
-    _, _, d2, d3, _, _ = orbit_pass(ymap, rep, params, period, order=2 if kind == SN else 3)
-    if kind == SN:
-        return d2
-    return _first_lyapunov(d2, d3)
+def _codim2_test(kind, d2, d3):
+    """The codim-2 test value from the orbit derivatives: d2 on a fold, the
+    first Lyapunov value on a flip."""
+    return d2 if kind == SN else _first_lyapunov(d2, d3)
 
 
-def _record_point(curve, ymap, u, multiplier, plane, params):
-    """Append the curve point u = (y, p_i, p_j) with its multiplier and test value."""
+def _test_value(ymap, period, kind, u, plane, params, test):
+    """The codim-2 test value at the curve point u = (y, p_i, p_j): test, the
+    one the orbit pass at u gave, when it is not None (period 1); else from
+    one pass at the cycle's canonical representative."""
+    if test is not None:
+        return test
+    pfull = _plane_params(u, plane, params)
+    rep = _canonical_rep(ymap, u[0], pfull, period)
+    _, _, d2, d3, _, _ = orbit_pass(ymap, rep, pfull, period, order=2 if kind == SN else 3)
+    return _codim2_test(kind, d2, d3)
+
+
+def _record_point(curve, ymap, u, multiplier, test, params):
+    """Append the curve point u = (y, p_i, p_j) with its multiplier and test
+    value (test as _extended_system gave it)."""
     curve.points.append((u[1], u[2]))
     curve.y_values.append(u[0])
     curve.multipliers.append(multiplier)
-    pfull = _plane_params(u, plane, params)
-    curve.test_values.append(_test_value(ymap, curve.period, curve.kind, u[0], pfull))
+    curve.test_values.append(
+        _test_value(ymap, curve.period, curve.kind, u, curve.plane, params, test))
 
 
 def continue_codim1(
@@ -371,7 +412,7 @@ def continue_codim1(
     second orbit derivative; flip: first Lyapunov value) are recorded per
     point and their sign changes refined by detect_codim2.  Steps start at
     min(step, max_step), halve on a failed correction and grow by 1.3 up to
-    max_step on a success.
+    max_step on a success.  The curve's stop_reasons says what ended it.
 
     direction=+1 starts along grad r0 x grad r1, the cross product of the
     gradients of the two defining equations at the start, -1 against it.
@@ -381,26 +422,31 @@ def continue_codim1(
     orbit = start.orbit
     u = (float(orbit.y), float(orbit.params[plane[0]]), float(orbit.params[plane[1]]))
     curve = BifCurve(kind=kind, period=period, plane=tuple(plane))
-    _, jac, mult = _extended_system(ymap, period, kind, u, plane, params)
+    _, jac, mult, test = _extended_system(ymap, period, kind, u, plane, params)
     t = tuple(x * direction for x in _tangent(jac))
     ds = min(step, max_step)
-    _record_point(curve, ymap, u, mult, plane, params)
+    _record_point(curve, ymap, u, mult, test, params)
 
+    stop = "max_points"
     while len(curve.points) < max_points:
         predictor = tuple(x + ds * dx for x, dx in zip(u, t))
         try:
-            u_new, jac, mult = _corrector(ymap, period, kind, predictor, plane, params, t, u, ds)
+            u_new, jac, mult, test = _corrector(
+                ymap, period, kind, predictor, plane, params, t, u, ds)
         except ConvergenceError:
             ds *= 0.5
             if ds < min_step:
+                stop = "min_step"
                 break
             continue
         if max(abs(u_new[1]), abs(u_new[2])) > bounds:
+            stop = "bounds"
             break
         t = _tangent(jac, prev=t)
         u = u_new
         ds = min(ds * 1.3, max_step)
-        _record_point(curve, ymap, u, mult, plane, params)
+        _record_point(curve, ymap, u, mult, test, params)
+    curve.stop_reasons = (stop,)
     curve.codim2_hits = detect_codim2(curve, ymap, params)
     return curve
 
@@ -408,11 +454,13 @@ def continue_codim1(
 def continue_both_ways(ymap, start: BifPoint, plane, params, **options) -> BifCurve:
     """continue_codim1 forward and backward from start, joined into one curve:
     the backward points reversed, then the forward ones (start is in both),
-    and the backward codim-2 hits first.  options go to both continuations."""
+    and the backward codim-2 hits and stop reason first.  options go to both
+    continuations."""
     fwd = continue_codim1(ymap, start, plane, params, **options)
     back = continue_codim1(ymap, start, plane, params, direction=-1.0, **options)
     joined = BifCurve(fwd.kind, fwd.period, fwd.plane)
     joined.codim2_hits = back.codim2_hits + fwd.codim2_hits
+    joined.stop_reasons = back.stop_reasons + fwd.stop_reasons
     for name in ("points", "y_values", "multipliers", "test_values"):
         setattr(joined, name, getattr(back, name)[::-1] + getattr(fwd, name))
     return joined
@@ -433,10 +481,10 @@ def _refine_codim2(ymap, curve, i, params):
     for _ in range(NEWTON_MAX_ITER):
         trial = tuple((fb * a - fa * b) / (fb - fa) for a, b in zip(ua, ub))
         t = _tangent(_extended_system(ymap, period, kind, trial, plane, params)[1])
-        prev, (u, _, _) = u, _corrector(ymap, period, kind, trial, plane, params, t, trial, 0.0)
-        f = _test_value(ymap, period, kind, u[0], _plane_params(u, plane, params))
-        moved = max(abs(x - x0) for x, x0 in zip(u, prev))
-        if f == 0.0 or moved <= 1.0e-15 * (1.0 + max(map(abs, u))):
+        prev, (u, _, _, test) = u, _corrector(
+            ymap, period, kind, trial, plane, params, t, trial, 0.0)
+        f = _test_value(ymap, period, kind, u, plane, params, test)
+        if f == 0.0 or _stopped_moving([x - x0 for x, x0 in zip(u, prev)], u):
             return u
         if (f < 0.0) == (fa < 0.0):
             ua, fa = u, f

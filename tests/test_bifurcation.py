@@ -134,7 +134,7 @@ def test_bordered_jacobian_matches_central_difference(family, plane_pick, period
         orbit.append(ymap.value(orbit[-1], params))
     assume(max(abs(v) for v in orbit) < 3.0)  # keep the difference quotients in range
     u = np.array([y, params[plane[0]], params[plane[1]]])
-    _, jac, _ = _extended_system(ymap, period, kind, u, plane, params)
+    _, jac, _, _ = _extended_system(ymap, period, kind, u, plane, params)
     jac = np.array(jac)
     diff = np.empty((2, 3))
     for j in range(3):
@@ -167,8 +167,9 @@ def test_first_tangent_follows_gradient_cross_product(direction):
 
 
 def test_continuation_map_steps_per_point(monkeypatch):
-    # one orbit pass per Newton step: about 5 map steps per point on this
-    # period-1 fold, where finite-difference Jacobians took 27
+    # one orbit pass per Newton step, and on a period-1 curve the last one
+    # also gives the test value: under 4 map steps per point on this fold,
+    # where finite-difference Jacobians took 27
     calls = []
     jet = FamilyYMap.jet
     monkeypatch.setattr(FamilyYMap, "jet", lambda self, *a, **k: calls.append(1) or jet(self, *a, **k))
@@ -176,7 +177,69 @@ def test_continuation_map_steps_per_point(monkeypatch):
     calls.clear()
     curve = continue_codim1(DP, sn, (0, 1), sn.orbit.params, step=0.02, max_points=40, bounds=4.0)
     assert len(curve.points) == 40
-    assert len(calls) <= 10 * len(curve.points)
+    assert len(calls) <= 4 * len(curve.points)
+
+
+# The seven fold and flip curves of the double parabola continued by the
+# benchmark: (period, kind, guess (Y, M2), params (M1, M2)).
+DP_CURVES = {
+    "sn_pos": (1, SN, (0.9, 1.0), (0.9, 0.0)),
+    "sn_neg": (1, SN, (-0.5, -0.25), (0.0, 0.0)),
+    "pd_pos": (1, PD, (1.0, 1.06), (0.75, 0.0)),
+    "pd_neg": (1, PD, (-0.31, 0.34), (0.9, 0.0)),
+    "sn2": (2, SN, (-1.21, 0.377), (1.4, 0.0)),
+    "pd3": (3, PD, (0.0631, 0.775), (1.400787401574803, 0.0)),
+    "pd4": (4, PD, (-0.0414, 0.521), (1.1692913385826773, 0.0)),
+}
+DP_CONTINUE = dict(step=0.015, max_step=0.02, max_points=900, bounds=5.0)
+
+
+@pytest.mark.parametrize("name", ["pd3", "pd4"])
+def test_flip_continuation_reaches_bounds_at_round_off_floor(monkeypatch, name):
+    # backward along these flips round-off keeps (T^n)'(y) + 1 at 1e-12 to
+    # 1e-10, above NEWTON_TOL; a corrector that waited for it failed, halved
+    # the step and stopped below min_step in the middle of the plane
+    failed = []
+    corrector = bifurcation._corrector
+
+    def counted(*args, **kwargs):
+        try:
+            return corrector(*args, **kwargs)
+        except ConvergenceError:
+            failed.append(args[3])
+            raise
+
+    monkeypatch.setattr(bifurcation, "_corrector", counted)
+    period, kind, guess, params = DP_CURVES[name]
+    start = solve_codim1(DP, period, kind, 1, guess, params)
+    curve = continue_codim1(DP, start, (0, 1), start.orbit.params, direction=-1.0, **DP_CONTINUE)
+    assert failed == []
+    assert curve.stop_reasons == ("bounds",)
+    assert max(map(abs, curve.points[-1])) > 4.9
+    # a residual left above NEWTON_TOL is round-off: to first order every
+    # point is within 1e-12 (1 + max|u|) of the curve
+    for (m1, m2), y in zip(curve.points, curve.y_values):
+        u = (y, m1, m2)
+        r, jac, _, _ = _extended_system(DP, period, kind, u, (0, 1), (m1, m2))
+        for rk, grad in zip(r, jac):
+            assert abs(rk) <= 1.0e-12 * math.hypot(*grad) * (1.0 + max(map(abs, u)))
+
+
+def test_continuations_record_why_they_stopped():
+    reasons = set()
+    for period, kind, guess, params in DP_CURVES.values():
+        start = solve_codim1(DP, period, kind, 1, guess, params)
+        curve = continue_both_ways(DP, start, (0, 1), start.orbit.params, **DP_CONTINUE)
+        assert len(curve.stop_reasons) == 2
+        reasons.update(curve.stop_reasons)
+    assert reasons == {"bounds"}
+    # the point cap and a step halved below min_step are the other two
+    sn = solve_codim1(DP, 1, SN, 1, (0.9, 1.0), (0.9, 0.0))
+    assert continue_codim1(DP, sn, (0, 1), sn.orbit.params, max_points=5).stop_reasons == (
+        "max_points",)
+    stuck = continue_codim1(DP, sn, (0, 1), sn.orbit.params, step=0.5, max_step=0.5,
+                            min_step=0.4)
+    assert stuck.stop_reasons == ("min_step",) and len(stuck.points) == 1
 
 
 def test_lyapunov_requires_flip():
@@ -247,33 +310,35 @@ def _numpy_corrector(ymap, period, kind, u, plane, params, tangent, anchor, ds, 
     for the one on Python floats."""
     u, tangent, anchor = np.array(u, dtype=float), np.array(tangent), np.array(anchor)
     for _ in range(25):
-        r, jac, mult = _extended_system(ymap, period, kind, u, plane, params)
+        r, jac, mult, test = _extended_system(ymap, period, kind, u, plane, params)
         arc = float(tangent @ (u - anchor)) - ds
         full = np.array([r[0], r[1], arc])
         if np.max(np.abs(full)) <= tol:
-            return u, jac, mult
+            return u, jac, mult, test
         try:
-            u = u - np.linalg.solve(np.array([*jac, tangent]), full)
+            step = np.linalg.solve(np.array([*jac, tangent]), full)
         except np.linalg.LinAlgError as err:
             raise ConvergenceError("continuation corrector singular") from err
+        if np.max(np.abs(step)) <= 1.0e-15 * (1.0 + np.max(np.abs(u))):
+            return u, jac, mult, test  # the step no longer moves u
+        u = u - step
         if not np.all(np.isfinite(u)):
             raise ConvergenceError("continuation corrector diverged")
     raise ConvergenceError("continuation corrector did not converge")
 
 
-@pytest.mark.parametrize("kind, guess, params", [
-    (SN, (0.9, 1.0), (0.9, 0.0)),  # the fold through the cusp at (0.75, 0.75)
-    (PD, (1.0, 1.06), (0.75, 0.0)),
-])
-def test_corrector_matches_numpy_reference(monkeypatch, kind, guess, params):
-    start = solve_codim1(DP, 1, kind, 1, guess, params)
-    options = dict(step=0.015, max_step=0.02, max_points=900, bounds=5.0)
+# sn_pos is the fold through the cusp at (0.75, 0.75); backward along pd3 the
+# flip residual has a round-off floor above NEWTON_TOL
+@pytest.mark.parametrize("curve", ["sn_pos", "pd_pos", "pd3"])
+def test_corrector_matches_numpy_reference(monkeypatch, curve):
+    period, kind, guess, params = DP_CURVES[curve]
+    start = solve_codim1(DP, period, kind, 1, guess, params)
     curves = {}
     for name in ("floats", "numpy"):
         if name == "numpy":
             monkeypatch.setattr(bifurcation, "_corrector", _numpy_corrector)
         curves[name] = [continue_codim1(DP, start, (0, 1), start.orbit.params, direction=d,
-                                        **options) for d in (1.0, -1.0)]
+                                        **DP_CONTINUE) for d in (1.0, -1.0)]
     for got, ref in zip(curves["floats"], curves["numpy"]):
         assert len(got.points) == len(ref.points) > 100
         for field in ("points", "y_values", "multipliers", "test_values"):

@@ -246,6 +246,22 @@ def test_cli_continue_and_codim2(tmp_path):
     assert "cusp" in body
 
 
+def test_cli_continue_from_point_at_round_off_floor(tmp_path):
+    # a point of the period-3 flip where (T^3)'(y) + 1 cannot get below
+    # NEWTON_TOL; the start solve stops once its step no longer moves (y, M2)
+    out = tmp_path / "pd3"
+    assert run_cli([
+        "continue", "--out", str(out),
+        "--set", "model.params=4.056987129193277,1.8497855076117726",
+        "--set", "continue.kind=PD", "--set", "continue.period=3",
+        "--set", "continue.y_guess=1.4461785689880144",
+        "--set", "continue.param_guess=1.8497855076117726",
+    ]) == 0
+    rows = [l for l in (out / "curve.csv").read_text().splitlines()
+            if l.startswith("PD,3,")]
+    assert len(rows) > 100
+
+
 def test_cli_rescale_verify(tmp_path):
     out = tmp_path / "rv"
     args = [
