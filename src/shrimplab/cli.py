@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"shrimplab: config error: {err}", file=sys.stderr)
         return 1
-    except (ConvergenceError, EscapeError, NumericalError, ArithmeticError) as err:
+    except (ConvergenceError, EscapeError, NumericalError, ArithmeticError, MemoryError) as err:
         print(f"shrimplab: numerical failure: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -274,19 +274,24 @@ def plane_param_index(cfg, family: str, key: str) -> int:
         raise ConfigError(str(err), key=key) from err
 
 
-def build_sweep_spec(cfg) -> SweepSpec:
-    plane = build_plane(cfg)
+def _sweep_target(cfg, plane):
+    """The plane target that `sweep.target` names."""
     if cfg["sweep.target"] == "family":
         model = build_model(cfg)
         for key in ("plane.x_name", "plane.y_name"):  # a bad name is a ConfigError on its key
             plane_param_index(cfg, model.family, key)
-        target = FamilyPlaneTarget(model, plane.x_name, plane.y_name)
-    elif cfg["sweep.target"] == "rescaled_return":
-        target = RescaledPlaneTarget(build_return_config(cfg))
-    else:
-        raise ConfigError(
-            f"unknown sweep target '{cfg['sweep.target']}'", key="sweep.target"
-        )
+        return FamilyPlaneTarget(model, plane.x_name, plane.y_name)
+    if cfg["sweep.target"] == "rescaled_return":
+        return RescaledPlaneTarget(build_return_config(cfg))
+    raise ConfigError(f"unknown sweep target '{cfg['sweep.target']}'", key="sweep.target")
+
+
+def build_sweep_spec(cfg, target=None) -> SweepSpec:
+    """The sweep spec of cfg, over target if given, else over the one that
+    `sweep.target` names."""
+    plane = build_plane(cfg)
+    if target is None:
+        target = _sweep_target(cfg, plane)
     try:
         return SweepSpec(
             target=target,

@@ -19,15 +19,14 @@ import warnings
 
 import numpy as np
 
+from .config import build_sweep_spec
 from .errors import ConfigError
 from .sweep import (
     KIND_CHAOTIC,
     KIND_ESCAPED,
     KIND_PERIOD,
     KIND_UNRESOLVED,
-    PlaneSpec,
     SweepGrid,
-    SweepSpec,
     _CODE,
     _KIND,
 )
@@ -167,40 +166,16 @@ def import_grid_csv(path) -> SweepGrid:
         if header.rstrip("\r\n").split(",")[:2] != ["i", "j"]:
             raise ConfigError("unexpected CSV header", key=str(path))
         try:
-            spec = _imported_spec(meta)
+            spec = build_sweep_spec(meta, target=_ImportedTarget(meta))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a file with no cell rows
                 rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 4, 5), dtype=_ROW, ndmin=1)
             kind, period, lyap = _cells(rows, spec.nx, spec.ny)
         except KeyError as err:
             raise ConfigError(f"missing metadata {err}", key=str(path)) from err
-        except ValueError as err:
+        except (ConfigError, ValueError) as err:
             raise ConfigError(str(err), key=str(path)) from err
     return SweepGrid(spec=spec, kind=kind, period=period, lyap=lyap)
-
-
-def _imported_spec(meta) -> SweepSpec:
-    plane = PlaneSpec(
-        x_name=meta["plane.x_name"],
-        x_lo=float(meta["plane.x_lo"]),
-        x_hi=float(meta["plane.x_hi"]),
-        y_name=meta["plane.y_name"],
-        y_lo=float(meta["plane.y_lo"]),
-        y_hi=float(meta["plane.y_hi"]),
-    )
-    return SweepSpec(
-        target=_ImportedTarget(dict(meta)),
-        plane=plane,
-        nx=int(meta["sweep.nx"]),
-        ny=int(meta["sweep.ny"]),
-        transient=int(meta["sweep.transient"]),
-        max_period=int(meta["sweep.max_period"]),
-        samples=int(meta["sweep.samples"]),
-        escape_radius=float(meta["sweep.escape_radius"]),
-        seed_rule=meta["sweep.seed_rule"],
-        seed_value=float(meta["sweep.seed_value"]),
-        period_tol=float(meta["sweep.period_tol"]),
-    )
 
 
 def _cells(rows, nx, ny):

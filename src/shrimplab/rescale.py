@@ -207,26 +207,34 @@ def _center_residual(cfg: ReturnMapConfig, u):
     return np.column_stack([dy12, y12 - cfg.t2.y_minus, xb - xi, yb11 - eta])
 
 
-def _polish_centers(cfg: ReturnMapConfig, u, tol=1.0e-12):
-    """Newton-polish the chart origins u = (eta, xi, mu1, mu2) of a
-    test-cubic saddle through the concrete composition.
+def _newton(residual, u, what, tol=1.0e-12):
+    """Newton's method for residual(rows) = 0 from u, where residual maps a
+    batch of unknown rows to one row of residuals each.
 
-    The residual is exact; the Newton Jacobian is a central difference of
-    it, whose 2n probes run as one batch.
+    The Jacobian is a central difference, whose 2n probes run as one batch.
+    The loop stops when max|r| <= tol, or at the round-off floor: when a step
+    below 1e-11 (1 + max|u|) does not lower max|r|, the better of the two
+    points is returned.
     """
     n = u.size
-    for _ in range(30):
-        r = _center_residual(cfg, u[None, :])[0]
+    r = residual(u[None, :])[0]
+    for _ in range(60):
         if np.max(np.abs(r)) <= tol:
             return u
         step = 1.0e-7 * (1.0 + np.abs(u))
-        probes = _center_residual(cfg, np.concatenate([u + np.diag(step), u - np.diag(step)]))
+        probes = residual(np.concatenate([u + np.diag(step), u - np.diag(step)]))
         jac = ((probes[:n] - probes[n:]) / (2.0 * step)[:, None]).T
         try:
-            u = u - np.linalg.solve(jac, r)
+            delta = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as err:
-            raise ConvergenceError("center polish hit a singular system") from err
-    raise ConvergenceError("center polish did not converge")
+            raise ConvergenceError(f"{what} hit a singular system") from err
+        u_next = u - delta
+        r_next = residual(u_next[None, :])[0]
+        floor = np.max(np.abs(delta)) < 1.0e-11 * (1.0 + np.max(np.abs(u_next)))
+        if floor and not np.max(np.abs(r_next)) < np.max(np.abs(r)):
+            return u
+        u, r = u_next, r_next
+    raise ConvergenceError(f"{what} did not converge")
 
 
 def _parameter_scales(oc: ReturnMapConfig):
@@ -254,7 +262,9 @@ def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
 
     eta, xi, mu1c, mu2c = _linear_centers(oc)
     if local.nonlinearity == TEST_CUBIC:
-        eta, xi, mu1c, mu2c = _polish_centers(oc, np.array([eta, xi, mu1c, mu2c]))
+        eta, xi, mu1c, mu2c = _newton(
+            lambda u: _center_residual(oc, u), np.array([eta, xi, mu1c, mu2c]), "center polish"
+        )
 
     m3_coeff, nu = _y_linear_coefficient(local, t1, t2, m, k)
 
@@ -469,35 +479,17 @@ def locate_fold(cfg: ReturnMapConfig, m_event, tol: float = 1.0e-12):
 
     m1e, m2e = m_event
     ystar = _fold_seed(m1e, m2e)
-    # the point twice, with the tangents along X and along Y: both columns of J
-    columns = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
-    def residual(u):
-        x, y, tt = u
-        mu = mu_pred + tt * direction
-        xb, yb, _, _, jac = _pipeline(
-            oc, frame, np.full(2, x), np.full(2, y), mu[0], mu[1], tangent=columns
-        )
-        return np.array([xb[0] - x, yb[0] - y, np.linalg.det(np.array(jac) - np.eye(2))])
+    def residual(rows):
+        # each row twice, with the tangents along X and along Y: both columns of J
+        x, y, tt = np.repeat(rows, 2, axis=0).T
+        mu = mu_pred + tt[:, None] * direction
+        columns = np.tile(np.eye(2), len(rows))
+        xb, yb, _, _, (dxb, dyb) = _pipeline(oc, frame, x, y, mu[:, 0], mu[:, 1], tangent=columns)
+        jac = np.stack([dxb.reshape(-1, 2), dyb.reshape(-1, 2)], axis=1)
+        return np.column_stack([(xb - x)[::2], (yb - y)[::2], np.linalg.det(jac - np.eye(2))])
 
-    u = np.array([m1e - ystar**2, ystar, 0.0])
-    r = residual(u)
-    for _ in range(60):
-        if np.max(np.abs(r)) <= tol:
-            break
-        step = 1.0e-7 * (1.0 + np.abs(u))
-        jac = np.column_stack([(residual(u + e) - residual(u - e)) / (2.0 * h)
-                               for e, h in zip(np.diag(step), step)])
-        try:
-            delta = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError as err:
-            raise ConvergenceError("fold solve hit a singular system") from err
-        u = u - delta
-        r = residual(u)
-        if np.max(np.abs(delta)) < 1.0e-14 * (1.0 + np.max(np.abs(u))):
-            break
-    if not np.max(np.abs(r)) <= 10.0 * tol:
-        raise ConvergenceError("fold solve did not converge")
+    u = _newton(residual, np.array([m1e - ystar**2, ystar, 0.0]), "fold solve", tol)
     mu = mu_pred + u[2] * direction
     return mu, mu_pred, float(abs(u[2]) / np.linalg.norm(mu_pred))
 

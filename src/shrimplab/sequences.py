@@ -24,6 +24,7 @@ class PlanEntry:
     s: float
     lo: float
     hi: float
+    ends: tuple  # the two solved endpoints, before widening to the nominal value
     n: int | None = None
 
     @property
@@ -81,7 +82,7 @@ def plan_modulus_sequence(
         t2 = k / m + half
         lo = min(t1, theta0)
         hi = max(t2, theta0)
-        entries.append(PlanEntry(j=j, k=k, m=m, s=float(s), lo=lo, hi=hi))
+        entries.append(PlanEntry(j=j, k=k, m=m, s=float(s), lo=lo, hi=hi, ends=(t1, t2)))
     return SequencePlan(
         kind="saddle", nominal=theta0, entries=tuple(entries), skipped=tuple(skipped)
     )
@@ -92,12 +93,8 @@ def modulus_endpoint_gains(entry: PlanEntry, gamma: float):
 
     By construction these are {s, 1/s} as a set.
     """
-    lg = math.log(abs(gamma))
-    half = math.log(entry.s) / (entry.m * lg)
-    t1 = entry.k / entry.m - half
-    t2 = entry.k / entry.m + half
     g = lambda t: abs(gamma) ** (entry.k - entry.m * t)
-    return g(t1), g(t2)
+    return g(entry.ends[0]), g(entry.ends[1])
 
 
 def plan_rotation_sequence(
@@ -159,7 +156,9 @@ def plan_rotation_sequence(
         phi2 = (math.pi - acos + nu + 2.0 * math.pi * n) / m
         lo = min(phi1, phi2, phi0)
         hi = max(phi1, phi2, phi0)
-        entries.append(PlanEntry(j=j, k=k, m=m, s=float(s), lo=lo, hi=hi, n=n))
+        entries.append(
+            PlanEntry(j=j, k=k, m=m, s=float(s), lo=lo, hi=hi, ends=(phi1, phi2), n=n)
+        )
     return SequencePlan(
         kind="saddle_focus", nominal=phi0, entries=tuple(entries), skipped=tuple(skipped)
     )
@@ -173,13 +172,9 @@ def rotation_endpoint_coefficients(
     nu: float = 0.0,
 ):
     """Back-substituted coefficient amplitude*cos(m*phi - nu)*lam^m*gamma^k at
-    the two solved phi endpoints; by construction these are +s and -s."""
-    m, k, s = entry.m, entry.k, entry.s
+    the two solved phi endpoints, by construction +s and -s, and the arccos
+    argument s/(amplitude*lam^m*gamma^k) they were solved from."""
+    m, k = entry.m, entry.k
     gain = amplitude * lam**m * gamma**k
-    arg = s / gain
-    acos = math.acos(arg)
-    n = entry.n or 0
-    phi1 = (acos + nu + 2.0 * math.pi * n) / m
-    phi2 = (math.pi - acos + nu + 2.0 * math.pi * n) / m
     c = lambda phi: amplitude * math.cos(m * phi - nu) * lam**m * gamma**k
-    return c(phi1), c(phi2), arg
+    return c(entry.ends[0]), c(entry.ends[1]), entry.s / gain

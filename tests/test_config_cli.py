@@ -349,13 +349,18 @@ def test_cli_continue_overflowing_step_is_halved(tmp_path, capsys):
         # Newton solve cannot converge (its cube once overflowed a Python
         # float here): exit 2, no traceback
         ("continue", "continue.period=400"),
+        # arrays beyond the address space, refused at once: were a MemoryError
+        # traceback and exit 1 (a 56.8 PiB sweep window, a 6.94 EiB lattice)
+        ("sweep", "sweep.max_period=1000000000000000"),
+        ("rescale-verify", "rescale.grid=1000000"),
     ],
 )
 def test_cli_floating_point_overflow_is_numerical_failure(tmp_path, capsys, command, setting):
     parabola = ["model.family=parabola", "model.params=2", "plane.y_name=dummy",
                 "continue.kind=PD", "continue.free_param=0", "continue.y_guess=0.3",
                 "continue.param_guess=2"]
-    sets = ["rescale.ks=6", "rescale.grid=3", "predict.ks=8", *parabola, setting]
+    sets = ["rescale.ks=6", "rescale.grid=3", "predict.ks=8", "sweep.nx=2", "sweep.ny=2",
+            *parabola, setting]
     code = run_cli([command, "--out", str(tmp_path / "x"), *(a for s in sets for a in ("--set", s))])
     assert code == 2
     message = capsys.readouterr().err

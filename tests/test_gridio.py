@@ -175,3 +175,10 @@ def test_import_rejects_missing_rows_and_metadata(tmp_path):
     _assert_rejected(path, "missing metadata 'sweep.transient'")
     path.write_text("".join(l for l in text.splitlines(True) if l.startswith("#")) + "i,j\n")
     _assert_rejected(path, "expected 120 cells, found 0")
+
+
+def test_import_rejects_malformed_metadata_value(tmp_path):
+    path = _exported(tmp_path)
+    text = path.read_text()
+    path.write_text(text.replace("# sweep.nx = 12\n", "# sweep.nx = abc\n"))
+    _assert_rejected(path, "key 'sweep.nx': not an integer: 'abc'")

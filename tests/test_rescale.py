@@ -238,6 +238,53 @@ def test_fold_location_convergence():
     assert rels[0] > rels[1] > rels[2]
 
 
+def test_test_cubic_frames_verify_to_k20():
+    # Was "center polish did not converge" from k = 16 on (k = 14 with
+    # feedback): the vertex residual dy12/dY has a round-off floor that grows
+    # about 4x per two passes and passed 1e-12 there.
+    local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0, nonlinearity="test_cubic")
+    feedback = ReturnMapConfig(local, saddle_global(a=0.2), saddle_global(a=-0.1), 14, 14)
+    assert rescale_frame(feedback).k == 14
+    errs = []
+    for k in (14, 16, 18, 20):
+        cfg = ReturnMapConfig(local, saddle_global(), saddle_global(), k, k)
+        fr = rescale_frame(cfg)
+        errs.append(limit_map_deviation(cfg, 2.0, 13, frame=fr).err_three_param)
+        if k >= 16:
+            assert abs(measured_y_linear_coeff(cfg, frame=fr) - fr.m3_coeff) <= 1e-3 * fr.m3_coeff
+    assert all(b < a for a, b in zip(errs, errs[1:])), errs
+
+
+def _fold_passes(monkeypatch, m_event, ks):
+    """locate_fold's relative offsets and Newton passes (linear solves) per k."""
+    solve, passes = np.linalg.solve, []
+
+    def counted(a, b):
+        passes[-1] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    rels = []
+    for k in ks:
+        passes.append(0)
+        rels.append(locate_fold(saddle_cfg(k, k), m_event)[2])
+    return rels, passes
+
+
+def test_fold_solve_stops_at_round_off_floor(monkeypatch):
+    # At (0.3, -0.2) the det residual stalls near 1e-12: the fold solve spun
+    # all 60 passes at k = 12, 13, 15 and 16 and failed from k = 17 on.
+    rels, passes = _fold_passes(monkeypatch, (0.3, -0.2), range(12, 21))
+    assert max(passes) <= 12, passes
+    ratios = [b / a for a, b in zip(rels, rels[1:])]
+    assert all(0.49 <= q <= 0.52 for q in ratios), ratios
+
+
+def test_fold_solve_passes_at_default_event(monkeypatch):
+    _, passes = _fold_passes(monkeypatch, (0.0, 0.0), (8, 10, 12))
+    assert passes == [5, 4, 6]
+
+
 def test_rescaled_return_mirror_ordering_equivalence():
     local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0)
     t1 = saddle_global(b=1.5, c=0.7, d=1.2)
