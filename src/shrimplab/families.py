@@ -26,6 +26,10 @@ slope(params, y) of the old y into dy.  It runs the exact operations of value
 and slope, in the same order, so its bits are theirs; it writes nothing but y
 and dy, and never reads dy.  Only double_parabola, the family of the
 acceptance window, has a hand-fused step; the others call value and slope.
+
+trap_radius gives, per parameter point, the radius outside which one step at
+least doubles |y|, read off the family's own value, slope and higher at 0;
+the sweep uses it to learn where leaving the escape radius is absorbing.
 """
 from __future__ import annotations
 
@@ -117,6 +121,32 @@ FAMILIES = {
 }
 
 FAMILY_ARITY = {name: family.arity for name, family in FAMILIES.items()}
+
+
+def trap_radius(family: Family, params):
+    """Per parameter point, the family's trap radius R*: outside it one step
+    at least doubles |y|, so an orbit that has left R* never comes back.
+
+    With f = sum c_i y^i of degree n >= 2 (every family has n <= 4; c_i =
+    f^(i)(0) / i! from the family's value, slope and higher at 0) and
+    S = sum_{i<n} |c_i|, R* = max(1, 2 (1 + S) / |c_n|): for |y| >= R*,
+    |f(y)| >= |y|^(n-1) (|c_n| |y| - S) >= |y|^(n-1) (2 + S) >= 2 |y|.  The
+    factor 2 leaves room for round-off, and f maps +-inf to +-inf or NaN.
+    R* is inf at a point where f has degree below 2, and inf or NaN where
+    a coefficient overflows.
+    """
+    jet = (family.value(params, 0.0), family.slope(params, 0.0), *family.higher(params, 0.0))
+    below = lead = 0.0
+    degree = 0
+    for i, value in enumerate(jet):
+        c = np.abs(value) / math.factorial(i)
+        nonzero = c != 0.0
+        below = np.where(nonzero, below + lead, below)  # S of the degree so far
+        lead = np.where(nonzero, c, lead)
+        degree = np.where(nonzero, i, degree)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        radius = np.maximum(1.0, 2.0 * (1.0 + below) / lead)
+    return np.where(degree >= 2, radius, np.inf)
 
 
 @dataclass(frozen=True)

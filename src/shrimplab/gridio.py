@@ -28,7 +28,6 @@ from .sweep import (
     KIND_UNRESOLVED,
     SweepGrid,
     _CODE,
-    _KIND,
 )
 
 
@@ -77,31 +76,34 @@ def grid_metadata(grid: SweepGrid) -> dict:
 
 def export_grid_csv(grid: SweepGrid, path, extra_meta=()):
     spec = grid.spec
-    xs = [f"{x:.17g}" for x in spec.plane.x_values(spec.nx).tolist()]
-    ys = [f"{y:.17g}" for y in spec.plane.y_values(spec.ny).tolist()]
-    period_code, escaped_code = _CODE[KIND_PERIOD], _CODE[KIND_ESCAPED]
+    # no data field ever needs quoting, so rows are joined by hand in
+    # csv.writer's format, one grid column (fixed j) per join of the pieces
+    # i, ",j,", x, ",y," and "outcome,value\r\n" of its rows; the last
+    # comes from a table per period, or from one .17g format per chaotic or
+    # unresolved cell
+    table = np.array(
+        [f"{KIND_PERIOD},{p}\r\n" for p in range(int(np.max(grid.period, initial=0)) + 1)],
+        dtype=object,
+    )
+    ys = spec.plane.y_values(spec.ny).tolist()
+    row = [None] * (5 * spec.nx)
+    row[0::5] = [str(i) for i in range(spec.nx)]
+    row[2::5] = [f"{x:.17g}" for x in spec.plane.x_values(spec.nx).tolist()]
     with open(path, "w", newline="") as fh:
         _write_meta(fh, grid, extra_meta)
         csv.writer(fh).writerow(
             ["i", "j", spec.plane.x_name, spec.plane.y_name, "outcome", "value"]
         )
-        # no data field ever needs quoting, so rows are joined by hand in
-        # csv.writer's format, one grid column (fixed j) per write
         for j in range(spec.ny):
-            head = f",{j},"
-            tail = f",{ys[j]},"
-            rows = []
-            for i, (code, p, lam) in enumerate(
-                zip(grid.kind[:, j].tolist(), grid.period[:, j].tolist(), grid.lyap[:, j].tolist())
-            ):
-                if code == period_code:
-                    value = f"{KIND_PERIOD},{p}"
-                elif code == escaped_code:
-                    value = f"{KIND_ESCAPED},"
-                else:
-                    value = f"{_KIND[code]},{lam:.17g}"
-                rows.append(f"{i}{head}{xs[i]}{tail}{value}\r\n")
-            fh.write("".join(rows))
+            codes, value = grid.kind[:, j], table[grid.period[:, j]]
+            value[codes == _CODE[KIND_ESCAPED]] = f"{KIND_ESCAPED},\r\n"
+            for kind in (KIND_CHAOTIC, KIND_UNRESOLVED):
+                cells = codes == _CODE[kind]
+                value[cells] = [f"{kind},{lam:.17g}\r\n" for lam in grid.lyap[cells, j].tolist()]
+            row[1::5] = [f",{j},"] * spec.nx
+            row[3::5] = [f",{ys[j]:.17g},"] * spec.nx
+            row[4::5] = value.tolist()
+            fh.write("".join(row))
     return path
 
 

@@ -8,22 +8,25 @@ Cells start in blocks of _BLOCK cells taken in flat (raveled, x-major)
 order.  The head of a block runs its orbits to the first retirement
 checkpoint (below; the step-64 drop when no checkpoint fits in the
 transient), and the cells that are done by then, escaped or retired, are
-labelled from the window read off the ring.  The long tail is pooled across
-blocks in two queues of at most _BLOCK cells, each run as one batch when it
-is full and at the end: the tail queue holds the cells still running, all
-at the same step, with their state and running maximum, and runs the rest
-of the transient and the window; the Lyapunov queue (_Scan.unlabelled)
-holds the cells left unlabelled after period detection, with their last
-state.  So every stage works on full batches (on the 512^2 acceptance
-window a block has 1,000 to 8,000 cells left after the first checkpoint),
-and a sweep's memory is bounded by one head block and the two queues
-rather than by nx * ny; the cells' parameters are looked up per batch.
-Within a batch each stage runs only on the cells that still need it:
-Newton refinement on the cells still waiting for a label, the nudge re-run
-on the parked cells.  Each cell keeps its own steps and checkpoint
-schedule, and no stage lets one cell affect another, so the outcome of a
-cell depends neither on the block size or the batching nor on how the grid
-is split across workers; parallel sweeps are byte-identical to serial ones.
+settled from their window: escapes are labelled, and the recurrence test
+runs on these cells only.  The long tail is pooled across blocks in three
+queues of at most _BLOCK cells, each run as one batch when it is full and
+at the end: the tail queue holds the cells still running, all at the same
+step, with their state and running maximum, and runs the rest of the
+transient and the window; the candidate queue holds the cells with a
+recurrence, with their first and last window state, and runs the Newton
+refinement once per divisor; the Lyapunov queue (_Scan.unlabelled) holds
+the cells left unlabelled, with their last state.  So every stage works on
+full batches (on the 512^2 acceptance window a block has 1,000 to 8,000
+cells left after the first checkpoint), and a sweep's memory is bounded by
+one head block and the three queues rather than by nx * ny; the cells'
+parameters are looked up per batch.  Within a batch each stage runs only
+on the cells that still need it: Newton refinement on the cells still
+waiting for a label, the nudge re-run on the parked cells.  Each cell
+keeps its own steps and checkpoint schedule, and no stage lets one cell
+affect another, so the outcome of a cell depends neither on the block size
+or the batching nor on how the grid is split across workers; parallel
+sweeps are byte-identical to serial ones.
 
 Classification per cell, along one path: discard a transient, look for a
 recurrence of minimal period p <= max_period (confirmed twice at tolerance
@@ -39,25 +42,31 @@ re-classified; only those cells run the transient and window again, as a
 head of their own whose survivors join the tail queue.
 
 A cell has escaped when its state left escape_radius at some step, NaN and
-inf included.  The orbit stages keep a running maximum of |y| (np.maximum,
-which propagates NaN) instead of testing each step, and test it only where
-the escape set is needed; escape is sticky, so this flags exactly the cells
-a per-step test flags, and it never alters an orbit that stays inside.
-After the first 64 transient steps (_DROP_STEP) the cells that have already
-escaped are dropped from the block, and the escaped cells' recorded states
-are set to 0.
+inf included.  The orbit stages do not test each step.  When the radius is
+at least the trap radius of every cell of a batch (families.trap_radius:
+outside it one step at least doubles |y|), leaving the radius is absorbing,
+and so is NaN: the stages read |y| only at the drop, at the checkpoints and
+at the end (_absorbing).  Otherwise (a radius below some cell's trap
+radius, or a target whose step claims none, such as the rescaled map) they
+keep a running maximum of |y| (np.maximum, which propagates NaN) and test
+it only where the escape set is needed.  Either way escape is sticky, so
+this flags exactly the cells a per-step test flags, and it never alters an
+orbit that stays inside.  After the first 64 transient steps (_DROP_STEP)
+the cells that have already escaped are dropped from the block, and the
+escaped cells' recorded states are set to 0.
 
 The map is a pure function of the state, so once a state repeats bit for bit
 the orbit repeats forever.  After the drop, every _CHECK = 128 transient
 steps the last _RING = 32 states are kept in a ring, and a cell whose newest
 state t has the bits of the state t - q, for some q < 32, is retired: its
-recorded states and last state are read out of the ring (the state at step
-s >= t - q is that of step t - q + (s - t) mod q), and it has escaped exactly
-when it had by step t, since its later states all lie in the ring.  Comparing
-bits rather than floats keeps +0 and -0 apart and needs no rule for NaN; an
-orbit stuck at +-inf repeats too and stays escaped.  Retirement changes no
-output bit; on the 512^2 acceptance window it retires 191,101 of 262,144
-cells and cuts the map steps per cell from 2,001 to 670.
+state at step `transient` is read out of the ring (the state at step
+s >= t - q is that of step t - q + (s - t) mod q), and its other window
+states are stepped from that one at the end of the run; it has escaped
+exactly when it had by step t, since its later states all lie in the ring.
+Comparing bits rather than floats keeps +0 and -0 apart and needs no rule
+for NaN; an orbit stuck at +-inf repeats too and stays escaped.  Retirement
+changes no output bit; on the 512^2 acceptance window it retires 191,101
+of 262,144 cells and cuts the map steps per cell from 2,001 to about 680.
 
 The stages step through target.stepper, the family's in-place step
 (families.FAMILIES; fused for the double parabola) that overwrites a state
@@ -75,7 +84,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import FieldError
-from .families import FAMILIES, ModelMap, param_index
+from .families import FAMILIES, ModelMap, param_index, trap_radius
 from .local import DEFAULT_ESCAPE_RADIUS
 from .rescale import _oriented, _stages, rescale_frame
 from .returnmap import ReturnMapConfig
@@ -129,6 +138,22 @@ class PlaneSpec:
         return np.linspace(self.y_lo, self.y_hi, ny)
 
 
+class _FamilyStep(partial):
+    """A family's in-place step with its parameters bound, step(y, dy=None),
+    and `trap`, the largest trap radius of its cells (families.trap_radius;
+    NaN where one is NaN), worked out on first use: a step without a `trap`
+    claims none (_absorbing)."""
+
+    def __new__(cls, family, params):
+        self = super().__new__(cls, family.step, params)
+        self.family = family
+        return self
+
+    @cached_property
+    def trap(self):
+        return float(np.max(trap_radius(self.family, self.args[0]), initial=0.0))
+
+
 class FamilyPlaneTarget:
     """Sweep target: a polynomial family with two of its parameters swept.
 
@@ -157,8 +182,8 @@ class FamilyPlaneTarget:
 
     def stepper(self, p1, p2):
         """The family's in-place step(y, dy=None) (families.FAMILIES), one parameter
-        point per cell."""
-        return partial(FAMILIES[self.template.family].step, self._params(p1, p2))
+        point per cell, with its trap radius (_FamilyStep)."""
+        return _FamilyStep(FAMILIES[self.template.family], self._params(p1, p2))
 
     def meta(self):
         return {
@@ -280,27 +305,36 @@ class SweepGrid:
         )
 
 
-def _advance(step, y, top, mag, steps):
-    """Step y in place `steps` times, keeping top as the running maximum of |y|.
+def _absorbing(step, radius):
+    """Whether leaving `radius` is absorbing for every cell of `step`: the
+    radius is at least the step's trap radius (families.trap_radius), so a
+    state outside it stays outside, and NaN stays NaN.  A step without a
+    `trap` (the rescaled map's), or with a NaN one, claims nothing."""
+    return radius >= getattr(step, "trap", math.nan)
 
-    np.maximum propagates NaN, so a cell has left the radius at some step
-    exactly when ~(top <= radius) at the end; NaN and inf count as escape.
-    `mag` is scratch of y's size.
-    """
+
+def _fold(top, y, mag):
+    """top = max(top, |y|), which propagates NaN; `mag` is scratch of y's size."""
+    np.abs(y, out=mag)
+    np.maximum(top, mag, out=top)
+
+
+def _advance(step, y, top, mag, steps, track):
+    """Step y in place `steps` times.  Tracked, top keeps the running maximum
+    of |y| over the steps; untracked (leaving is absorbing, _absorbing), top
+    is left alone and the caller folds |y| in where it reads the escape set."""
     for _ in range(steps):
         step(y)
-        np.abs(y, out=mag)
-        np.maximum(top, mag, out=top)
+        if track:
+            _fold(top, y, mag)
 
 
 def _cycle_lags(ring):
     """Per cell, the smallest lag q in 1.._RING-1 with ring[-1] == ring[-1-q]
     bit for bit, or 0 when there is none."""
     bits = ring.view(np.uint64)
-    lag = np.zeros(ring.shape[1], dtype=np.int64)
-    for q in range(_RING - 1, 0, -1):
-        lag[bits[-1] == bits[-1 - q]] = q
-    return lag
+    same = bits[-2::-1] == bits[-1]  # row q - 1 compares lag q
+    return np.where(same.any(axis=0), same.argmax(axis=0) + 1, 0)
 
 
 def _handoff(transient):
@@ -321,8 +355,10 @@ def _orbit_window(target, p1, p2, y, radius, transient, length, top=None, t=0, s
     there.  A resumed run takes the states y at a step t past that, with
     `top`, the running maximum of |y| up to t, and drops the cells that have
     already escaped.  Cells whose orbit repeats bit for bit are retired at
-    the checkpoints (module docstring), and the step is rebuilt on the cells
-    left each time.
+    the checkpoints (module docstring): they record their state at step
+    `transient`, and their other window states are stepped from it, next to
+    the cells still running, once those reach that step.  The step is
+    rebuilt on the cells left each time.
 
     Returns (S, esc, rest).  Given a step `stop` of the schedule, the drop
     or a checkpoint no later than the last one (_handoff(transient) is), the
@@ -337,11 +373,14 @@ def _orbit_window(target, p1, p2, y, radius, transient, length, top=None, t=0, s
     top = np.zeros(n) if top is None else top.copy()
     mag = np.empty(n)
     step = target.stepper(p1, p2)
+    track = not _absorbing(step, radius)
     drop = min(transient, _DROP_STEP)
-    _advance(step, y, top, mag, drop - t)
+    _advance(step, y, top, mag, drop - t, track)
     t = max(t, drop)
+    _fold(top, y, mag)
     S = np.zeros((length, n))
     esc = np.ones(n, dtype=bool)
+    retired = np.zeros(n, dtype=bool)
     live = np.arange(n)
     keep = top <= radius
     ring = None
@@ -355,31 +394,46 @@ def _orbit_window(target, p1, p2, y, radius, transient, length, top=None, t=0, s
         if ring is None:
             ring = np.empty((_RING, live.size))
         R = ring[:, : live.size]
-        _advance(step, y, top, mag, _CHECK - _RING)
+        _advance(step, y, top, mag, _CHECK - _RING, track)
         for r in R:
-            _advance(step, y, top, mag, 1)
+            _advance(step, y, top, mag, 1, track)
             r[:] = y
         t += _CHECK
-        # the state at step s >= t - q of a cell with lag q is the ring row of
-        # step t - q + (s - t) mod q
+        _fold(top, y, mag)
         lag = _cycle_lags(R)
         keep = lag == 0
         out = np.flatnonzero(~keep)
         if out.size:
+            # the state at step s >= t - q of a cell with lag q is the ring
+            # row of step t - q + (s - t) mod q
             q, cells = lag[out], live[out]
-            for w in range(length):  # row by row: no (length, cells) temporaries
-                S[w, cells] = R[_RING - 1 - q + (transient + w - t) % q, out]
+            S[0, cells] = R[_RING - 1 - q + (transient - t) % q, out]
             esc[cells] = ~(top[out] <= radius)
+            retired[cells] = True
     rest = None
     if stop is not None:
         esc[live] = False
         rest = (live, y, top)
+        live, y, top = live[:0], y[:0], top[:0]
     elif live.size:
-        _advance(step, y, top, mag, transient - t)
+        _advance(step, y, top, mag, transient - t, track)
+    # at step `transient` the retired cells that have not escaped join the
+    # cells still running, and their window states are stepped from there
+    # (the map is a pure function); they cycle inside the radius, so their
+    # escape flags stay False
+    cells = np.flatnonzero(retired & ~esc)
+    if cells.size:
+        live = np.concatenate([live, cells])
+        y = np.concatenate([y, S[0, cells]])
+        top = np.concatenate([top, np.zeros(cells.size)])
+        mag = np.empty(live.size)
+        step = target.stepper(p1[live], p2[live])
+    if live.size:
         S[0, live] = y
         for w in range(1, length):
-            _advance(step, y, top, mag, 1)
+            _advance(step, y, top, mag, 1, track)
             S[w, live] = y
+        _fold(top, y, mag)
         esc[live] = ~(top <= radius)
     S[:, esc] = 0.0
     return S, esc, rest
@@ -422,42 +476,23 @@ def _newton_orbit(target, p1, p2, y0, d, iterations=12):
     return y, resid, mult
 
 
-def _detect_periods(S, target, p1, p2, open_mask, tol, max_period):
-    """Classify cells by minimal period.
-
-    A confirmed recurrence of period p only nominates a candidate; the label
-    is the smallest divisor d of p whose Newton-refined d-cycle through the
-    orbit is attracting.  This keeps slowly converging orbits near flips from
-    masquerading as double-period cycles (their alternating tails recur at
-    period 2 long before they settle).  Newton runs, for each d, only on the
-    cells still waiting for a label.
-    """
-    n = S.shape[1]
-    candidate = np.zeros(n, dtype=np.int32)
+def _recurrences(S, cols, tol, max_period):
+    """For the columns `cols` of the window S, the smallest p <= max_period
+    with |S[p] - S[0]| < tol and |S[2p] - S[p]| < tol, or 0.  Each p tests
+    only the columns with no recurrence yet."""
+    period = np.zeros(cols.size, dtype=np.int32)
+    left = np.arange(cols.size)
+    start = S[0, cols]
     for p in range(1, max_period + 1):
-        rec = (
-            (np.abs(S[p] - S[0]) < tol)
-            & (np.abs(S[2 * p] - S[p]) < tol)
-            & open_mask
-            & (candidate == 0)
-        )
-        candidate[rec] = p
-    period = np.zeros(n, dtype=np.int32)
-    for d in range(1, max_period + 1):
-        idx = np.flatnonzero((candidate > 0) & (candidate % d == 0) & (period == 0))
-        if not idx.size:
-            continue
-        seed = S[0, idx]
-        root, resid, mult = _newton_orbit(target, p1[idx], p2[idx], seed, d)
-        spread = np.abs(S[d, idx] - seed)
-        good = (
-            (resid < 1.0e-10 * (1.0 + np.abs(root)))
-            & (np.abs(mult) < 1.0)
-            & (np.abs(root - seed) < 0.5 + 2.0 * spread)
-        )
-        period[idx[good]] = d
-    parked = (candidate > 0) & (period == 0)
-    return period, parked
+        if not left.size:
+            break
+        at = S[p, cols]
+        rec = (np.abs(at - start) < tol) & (np.abs(S[2 * p, cols] - at) < tol)
+        if rec.any():
+            period[left[rec]] = p
+            rec = ~rec
+            left, cols, start = left[rec], cols[rec], start[rec]
+    return period
 
 
 def _lyapunov(step, y, radius, samples):
@@ -466,6 +501,7 @@ def _lyapunov(step, y, radius, samples):
     y is stepped in place.  Escape is tracked as in _advance; escaped cells'
     exponents are not meaningful.
     """
+    track = not _absorbing(step, radius)
     acc = np.zeros(y.size)
     top, mag, d = np.zeros(y.size), np.empty(y.size), np.empty(y.size)
     for _ in range(samples):
@@ -473,8 +509,9 @@ def _lyapunov(step, y, radius, samples):
         np.abs(d, out=d)
         np.maximum(d, 1.0e-15, out=d)
         acc += np.log(d, out=d)
-        np.abs(y, out=mag)
-        np.maximum(top, mag, out=top)
+        if track:
+            _fold(top, y, mag)
+    _fold(top, y, mag)
     return acc / samples, ~(top <= radius)
 
 
@@ -510,8 +547,8 @@ class _Queue:
 
 class _Scan:
     """The outcome arrays of n cells, whose parameters are params(cells) for
-    an array of cell indices, and the two queues that pool their long tail
-    across blocks (module docstring)."""
+    an array of cell indices, and the three queues that pool their long
+    tail across blocks (module docstring)."""
 
     def __init__(self, spec: SweepSpec, n, params):
         self.spec, self.params = spec, params
@@ -521,6 +558,8 @@ class _Scan:
         self.handoff = _handoff(spec.transient)
         # cell, state, running maximum of |y|, nudged
         self.tail = _Queue(np.intp, float, float, bool)
+        # cell, recurrence period, nudged, first and last window state
+        self.candidates = _Queue(np.intp, np.int32, bool, float, float)
         # cell, last window state
         self.unlabelled = _Queue(np.intp, float)
 
@@ -532,47 +571,83 @@ class _Scan:
         )
 
     def head(self, cells, y, nudged):
-        """Run the cells from y to the first checkpoint; label those that are
-        done and queue the rest at step self.handoff."""
-        p = self.params(cells)
-        S, esc, (live, y, top) = self._window(p, y, stop=self.handoff)
+        """Run the cells from y to the first checkpoint; settle those that
+        are done and queue the rest at step self.handoff."""
+        S, esc, (live, y, top) = self._window(self.params(cells), y, stop=self.handoff)
         done = np.ones(cells.size, dtype=bool)
         done[live] = False
-        nudged = np.full(cells.size, nudged)
-        parked = self._settle(cells, p, S, esc, done, nudged)
-        del S  # before the push, which may run a tail batch
-        self.tail.push(self._tail, cells[live], y, top, nudged[live])
-        if parked is not None:
-            self.head(*parked, True)
+        queued = self._settle(cells, S, esc, done, np.full(cells.size, nudged))
+        del S  # before the pushes, which may run other batches
+        self._queue(*queued)
+        self.tail.push(self._tail, cells[live], y, top, np.full(live.size, nudged))
 
     def _tail(self, cells, y, top, nudged):
-        p = self.params(cells)
-        S, esc, _ = self._window(p, y, top=top, t=self.handoff)
-        parked = self._settle(cells, p, S, esc, np.ones(cells.size, dtype=bool), nudged)
+        S, esc, _ = self._window(self.params(cells), y, top=top, t=self.handoff)
+        queued = self._settle(cells, S, esc, np.ones(cells.size, dtype=bool), nudged)
         del S
-        if parked is not None:
-            self.head(*parked, True)
+        self._queue(*queued)
 
-    def _settle(self, cells, p, S, esc, done, nudged):
-        """Label the done cells, with parameters p, from their window S:
-        detected periods and escapes; queue the unlabelled ones for the
-        Lyapunov stage.  Returns the parked cells that have not been nudged
-        yet with their start states nudged off the repelling cycle, or None:
-        the caller runs them once it has let go of S."""
+    def _settle(self, cells, S, esc, done, nudged):
+        """Label the done cells that escaped, and find the recurrences of the
+        others in their window S.  Returns, as copies, the columns to queue:
+        (cell, period, nudged, first and last state) of the cells with a
+        recurrence, for refinement, and (cell, last state) of those without
+        one, for the Lyapunov stage."""
         spec = self.spec
-        per, parked = _detect_periods(
-            S, spec.target, *p, done & ~esc, spec.period_tol, spec.max_period
-        )
-        found = per > 0
-        self.kind[cells[found]] = _CODE[KIND_PERIOD]
-        self.period[cells[found]] = per[found]
         self.kind[cells[done & esc]] = _CODE[KIND_ESCAPED]
-        nudge = parked & ~nudged
-        idx = np.flatnonzero(done & ~esc & ~found & ~nudge)
-        if idx.size:
-            self.unlabelled.push(self._lyapunov, cells[idx], S[-1, idx])
-        idx = np.flatnonzero(nudge)
-        return (cells[idx], S[0, idx] + 1.0e-9) if idx.size else None
+        cols = np.flatnonzero(done & ~esc)
+        rec = _recurrences(S, cols, spec.period_tol, spec.max_period)
+        cand, none = cols[rec > 0], cols[rec == 0]
+        return (
+            (cells[cand], rec[rec > 0], nudged[cand], S[0, cand], S[-1, cand]),
+            (cells[none], S[-1, none]),
+        )
+
+    def _queue(self, candidates, unlabelled):
+        self.candidates.push(self._refine, *candidates)
+        self.unlabelled.push(self._lyapunov, *unlabelled)
+
+    def _refine(self, cells, rec, nudged, y0, last):
+        """Label each candidate with the smallest divisor d of its recurrence
+        period whose Newton-refined d-cycle through its window start y0 is
+        attracting and near its orbit: within 0.5 + 2 |f^d(y0) - y0| of y0,
+        where f^d(y0), its window state d, is stepped again from y0 (the map
+        is a pure function, so the queue keeps no window rows).  This keeps
+        slowly converging orbits near flips from masquerading as
+        double-period cycles (their alternating tails recur at period 2 long
+        before they settle).  Newton runs, for each d, once on the cells
+        still waiting for a label.  A cell with no such divisor is parked on
+        a repelling cycle: it is run again nudged by 1e-9, once, or else
+        queued for the Lyapunov stage with its last state."""
+        spec = self.spec
+        p1, p2 = self.params(cells)
+        period = np.zeros(cells.size, dtype=np.int32)
+        for d in range(1, spec.max_period + 1):
+            idx = np.flatnonzero((rec % d == 0) & (period == 0))
+            if not idx.size:
+                continue
+            seed = y0[idx]
+            root, resid, mult = _newton_orbit(spec.target, p1[idx], p2[idx], seed, d)
+            y, step = seed.copy(), spec.target.stepper(p1[idx], p2[idx])
+            for _ in range(d):
+                step(y)
+            spread = np.abs(y - seed)
+            good = (
+                (resid < 1.0e-10 * (1.0 + np.abs(root)))
+                & (np.abs(mult) < 1.0)
+                & (np.abs(root - seed) < 0.5 + 2.0 * spread)
+            )
+            period[idx[good]] = d
+        found = period > 0
+        self.kind[cells[found]] = _CODE[KIND_PERIOD]
+        self.period[cells[found]] = period[found]
+        # copies, taken before any push can reuse the batch's columns
+        idx = np.flatnonzero(~found & ~nudged)
+        nudge = cells[idx], y0[idx] + 1.0e-9
+        idx = np.flatnonzero(~found & nudged)
+        self.unlabelled.push(self._lyapunov, cells[idx], last[idx])
+        if nudge[0].size:
+            self.head(*nudge, True)
 
     def _lyapunov(self, cells, y):
         """Escaped, chaotic when the exponent is positive, and unresolved
@@ -589,8 +664,8 @@ class _Scan:
 
 def _scan_cells(spec: SweepSpec, n: int, params):
     """Classify the cells 0..n-1 with parameters params(cells): a head per
-    block of _BLOCK cells, the tails and the Lyapunov stage in pooled batches
-    of up to _BLOCK."""
+    block of _BLOCK cells, the tails, the Newton refinement and the
+    Lyapunov stage in pooled batches of up to _BLOCK."""
     scan = _Scan(spec, n, params)
     # a fault in one cell's arithmetic must not abort the sweep: the cell's
     # inf or NaN is classified like any other value
@@ -598,8 +673,10 @@ def _scan_cells(spec: SweepSpec, n: int, params):
         for lo in range(0, n, _BLOCK):
             cells = np.arange(lo, min(lo + _BLOCK, n))
             scan.head(cells, np.full(cells.size, spec.seed()), False)
-        while scan.tail.size:  # a tail batch may queue nudged cells again
+        # a tail batch queues candidates, and a refinement queues nudged cells
+        while scan.tail.size or scan.candidates.size:
             scan.tail.flush(scan._tail)
+            scan.candidates.flush(scan._refine)
         scan.unlabelled.flush(scan._lyapunov)
     return scan.kind, scan.period, scan.lyap
 

@@ -362,6 +362,23 @@ def test_dp_cusp_detection():
     assert abs(cusps[0].test_values["second_derivative"]) < 1e-6
 
 
+@pytest.mark.parametrize("m3", [0.0, 0.5, 0.95])
+def test_shrimp3_fold_cusp_matches_closed_form(m3):
+    # On the fixed-point fold of M2 - (M1 - Y^2)^2 + M3 Y the cusp lies at
+    # Y^3 = (1 - M3) / 8, M1 = 3 Y^2, M2 = Y + (M1 - Y^2)^2 - M3 Y
+    sn = solve_codim1(S3, 1, SN, 1, (0.9, 1.0), (0.9, 0.0, m3))
+    curve = continue_both_ways(S3, sn, (0, 1), sn.orbit.params)
+    y = ((1.0 - m3) / 8.0) ** (1.0 / 3.0)
+    m1 = 3.0 * y * y
+    m2 = y + (m1 - y * y) ** 2 - m3 * y
+    cusps = [h for h in curve.codim2_hits if h.kind == "cusp"]
+    assert len(cusps) == 1
+    hit = cusps[0].orbit
+    assert abs(hit.y - y) <= 1e-10
+    assert abs(hit.params[0] - m1) <= 1e-10 and abs(hit.params[1] - m2) <= 1e-10
+    assert hit.params[2] == m3
+
+
 def test_cubic_minus_pitchfork_cusp():
     sn = solve_codim1(CM, 1, SN, 1, (0.3, 1.2), (0.05, 1.0))
     curve = continue_codim1(

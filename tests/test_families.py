@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from shrimplab.bifurcation import FamilyYMap, orbit_pass
 from shrimplab.errors import EscapeError
-from shrimplab.families import FAMILIES as FAMILY_TABLE, FAMILY_ARITY, ModelMap
+from shrimplab.families import FAMILIES as FAMILY_TABLE, FAMILY_ARITY, ModelMap, trap_radius
 
 FAMILIES = list(FAMILY_ARITY)
 DP = FamilyYMap("double_parabola")
@@ -174,3 +174,36 @@ def test_step_matches_value_and_slope_bitwise(family):
             assert np.array_equal(_bits(buf[1:-1]), _bits(want_y))
             # the parameters are never written
             assert all(np.array_equal(_bits(np.asarray(v)), b) for v, b in zip(params, p_bits))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_trap_radius_is_absorbing(family):
+    """From |y| >= R* (trap_radius) one step never lowers |y|, so an orbit
+    outside R*, or outside any larger radius, stays there; +-inf and NaN go
+    to +-inf or NaN.  Parameters up to 1e3 in size, zeros included."""
+    formulas = FAMILY_TABLE[family]
+    rng = np.random.default_rng(11)
+    n = 3000
+    params = [rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-4.0, 3.0, n)
+              for _ in range(formulas.arity)]
+    for p in params:
+        p[rng.integers(0, n, 100)] = 0.0
+    R = trap_radius(formulas, params)
+    assert np.all(np.isfinite(R)) and np.all(R >= 1.0)
+    eps = np.finfo(float).eps
+    starts = [R * (1.0 + k * eps) for k in (0, 1, 2, 3, 64)]
+    starts += [np.full(n, 1.0e150), np.full(n, np.inf)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in [sign * y for sign in (1.0, -1.0) for y in starts] + [np.full(n, np.nan)]:
+            fy = formulas.value(params, y)
+            assert np.all(np.isnan(fy) | (np.abs(fy) >= np.abs(y)))
+            assert np.all(np.isnan(fy) | (np.abs(fy) >= R))
+
+
+def test_trap_radius_of_known_polynomials():
+    # M2 - (M1 - y^2)^2 = (M2 - M1^2) + 2 M1 y^2 - y^4: R* = 2 (1 + |M2 - M1^2| + 2 |M1|)
+    dp = FAMILY_TABLE["double_parabola"]
+    assert trap_radius(dp, (3.0, -5.0)) == 2.0 * (1.0 + 14.0 + 6.0)
+    assert trap_radius(FAMILY_TABLE["parabola"], (0.0,)) == 2.0
+    # scalar parameters broadcast against array ones
+    assert trap_radius(dp, (np.array([0.0, 1.0]), 0.0)).tolist() == [2.0, 8.0]

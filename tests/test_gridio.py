@@ -1,9 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
 
 from shrimplab.errors import ConfigError
 from shrimplab.families import ModelMap
-from shrimplab.gridio import export_grid, gray_for, import_grid_csv
+from shrimplab.gridio import (
+    export_grid, export_grid_csv, gray_for, grid_metadata, import_grid_csv,
+)
 from shrimplab.sweep import (
     FamilyPlaneTarget, PlaneSpec, SweepGrid, SweepSpec, attractor_scan, plane_sweep,
 )
@@ -49,6 +53,51 @@ def test_round_trip_exact(tmp_path):
     assert back.spec.nx == grid.spec.nx
     assert back.spec.plane == grid.spec.plane
     assert back.spec.target.meta() == grid.spec.target.meta()
+
+
+def _reference_csv(grid, path, extra_meta):
+    """The CSV export written row by row through csv.writer."""
+    spec = grid.spec
+    xs, ys = spec.plane.x_values(spec.nx), spec.plane.y_values(spec.ny)
+    names = {1: "period", 2: "chaotic", 3: "escaped", 4: "unresolved"}
+    meta = grid_metadata(grid)
+    with open(path, "w", newline="") as fh:
+        for key, value in extra_meta:
+            fh.write(f"# {key} = {value}\n")
+        for key in sorted(meta):
+            fh.write(f"# {key} = {meta[key]}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j", spec.plane.x_name, spec.plane.y_name, "outcome", "value"])
+        for j in range(spec.ny):
+            for i in range(spec.nx):
+                code = int(grid.kind[i, j])
+                value = {1: int(grid.period[i, j]), 3: ""}.get(code, f"{grid.lyap[i, j]:.17g}")
+                writer.writerow([i, j, f"{xs[i]:.17g}", f"{ys[j]:.17g}", names[code], value])
+
+
+def test_export_bytes_match_csv_writer_reference(tmp_path):
+    """Every outcome, periods of two and three digits, exponents of -0.0,
+    subnormal, negative and large, on a grid with nx != ny."""
+    target = FamilyPlaneTarget(ModelMap("double_parabola", (0.0, 0.0)), "M1", "M2")
+    plane = PlaneSpec("M1", -0.6, 1.5, "M2", -0.55, 1.4)
+    spec = SweepSpec(target=target, plane=plane, nx=7, ny=5, max_period=123)
+    rng = np.random.default_rng(2)
+    kind = rng.integers(1, 5, (7, 5)).astype(np.uint8)
+    kind[:4, 0] = [1, 2, 3, 4]
+    kind[1:4, 1:3] = [[4, 4], [4, 2], [4, 4]]
+    period = np.where(kind == 1, rng.choice([1, 2, 10, 16, 123], (7, 5)), 0).astype(np.int32)
+    lyap = np.where((kind == 2) | (kind == 4), rng.normal(0.0, 1.0, (7, 5)), 0.0)
+    lyap[1:4, 1] = [-0.0, 5.0e-324, -2.5e-310]
+    lyap[1:4, 2] = [0.1, -1.0 / 3.0, 1.0e300]
+    grid = SweepGrid(spec=spec, kind=kind, period=period, lyap=lyap)
+    assert set(period[kind == 1].tolist()) >= {10, 123}
+    extra = [("command", "sweep")]
+    export_grid_csv(grid, tmp_path / "grid.csv", extra)
+    _reference_csv(grid, tmp_path / "reference.csv", extra)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    back = import_grid_csv(tmp_path / "grid.csv")
+    assert back.same_cells(grid)
+    assert np.array_equal(back.lyap.view(np.uint64), grid.lyap.view(np.uint64))
 
 
 def test_imported_grid_cannot_be_reswept(tmp_path):

@@ -497,6 +497,49 @@ def test_escape_tracking_matches_per_step_reference(target, monkeypatch):
         assert nan_seen
 
 
+def test_trap_radius_decides_escape_tracking(monkeypatch):
+    """A batch reads |y| only at the drop, the checkpoints and the end when
+    the radius is at least the trap radius of every one of its cells; one
+    cell with a larger trap radius keeps per-step tracking for the whole
+    batch.  Both paths give the per-step rule's bits, and the rescaled map
+    never claims absorption."""
+    folds = []
+    fold = sweep._fold
+    monkeypatch.setattr(sweep, "_fold", lambda *a: folds.append(1) or fold(*a))
+    target = FamilyPlaneTarget(DP, "M1", "M2")
+    rng = np.random.default_rng(13)
+    cells = rng.uniform(-0.6, 1.5, 500), rng.uniform(-0.55, 1.4, 500), rng.uniform(-1.5, 1.5, 500)
+    # R* = 2 (1 + |M2 - M1^2| + 2 |M1|) is at most 14 on these cells; the
+    # cell (M1, M2) = (3, -5) has R* = 42
+    one_more = tuple(np.append(a, b) for a, b in zip(cells, (3.0, -5.0, 0.1)))
+    radius, transient, samples = 40.0, 600, 50
+    for (p1, p2, y0), tracked in ((cells, False), (one_more, True)):
+        step = target.stepper(p1, p2)
+        assert sweep._absorbing(step, radius) is not tracked
+        folds.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            S, esc, _ = sweep._orbit_window(target, p1, p2, y0, radius, transient, 9)
+            f, df = target.maps(p1, p2)
+            S_ref, _, esc_ref = _reference_window(f, y0, radius, transient, 9)
+            S_ref[:, esc_ref] = 0.0
+            assert (len(folds) > transient) is tracked
+            assert np.array_equal(esc, esc_ref) and esc.any()
+            assert np.array_equal(_bits(S), _bits(S_ref))
+            folds.clear()
+            lam, esc = sweep._lyapunov(step, y0.copy(), radius, samples)
+            assert len(folds) == (samples + 1 if tracked else 1)
+            lam_ref, esc_ref = _reference_lyapunov(f, df, y0, radius, samples)
+            assert np.array_equal(esc, esc_ref)
+            assert np.array_equal(_bits(lam[~esc]), _bits(lam_ref[~esc]))
+    rescaled = RescaledPlaneTarget(ESCAPE_TARGETS[-1].cfg)
+    step = rescaled.stepper(np.array([0.5, 1.0]), np.array([0.2, -0.3]))
+    for radius in (1.0e6, 1.0e300, np.inf):
+        assert not sweep._absorbing(step, radius)
+        folds.clear()
+        sweep._lyapunov(step, np.zeros(2), radius, 4)
+        assert len(folds) == 5
+
+
 @pytest.mark.parametrize(
     "target", ESCAPE_TARGETS, ids=lambda t: t.meta().get("family", t.meta()["target"])
 )
