@@ -114,12 +114,13 @@ def _first_lyapunov(d2, d3):
     return 0.25 * d2 * d2 + d3 / 6.0
 
 
-def _reject_divisor_period(ymap, y, params, period, tol, what):
-    """Raise NumericalError when y recurs at a proper divisor of period."""
+def _reject_divisor_period(ymap, y, params, period, what):
+    """Raise NumericalError when y recurs within 1e-6 at a proper divisor of
+    period."""
     for div in range(1, period):
         if period % div == 0:
             vd = orbit_pass(ymap, y, params, div)[0]
-            if abs(vd - y) <= tol:
+            if abs(vd - y) <= 1.0e-6:
                 raise NumericalError(f"{what} has period {div}, not minimal period {period}")
 
 
@@ -170,19 +171,16 @@ def find_periodic_orbit(
     period: int,
     y_guess: float,
     params,
-    tol: float = 1.0e-12,
-    max_iter: int = NEWTON_MAX_ITER,
-    distinct_tol: float = 1.0e-6,
 ) -> PeriodicOrbit:
     """Newton solve of T^n(y) = y; rejects orbits of a proper divisor period."""
     if period < 1:
         raise ValueError("period must be >= 1")
     params = tuple(float(p) for p in params)
     y = float(y_guess)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         v, d1 = orbit_pass(ymap, y, params, period)[:2]
         f = v - y
-        if abs(f) <= tol:
+        if abs(f) <= NEWTON_TOL:
             break
         fp = d1 - 1.0
         if fp == 0.0:
@@ -191,8 +189,8 @@ def find_periodic_orbit(
         if not math.isfinite(y):
             raise ConvergenceError("orbit Newton diverged")
     else:
-        raise ConvergenceError(f"orbit Newton did not converge in {max_iter} steps")
-    _reject_divisor_period(ymap, y, params, period, distinct_tol, "solution")
+        raise ConvergenceError(f"orbit Newton did not converge in {NEWTON_MAX_ITER} steps")
+    _reject_divisor_period(ymap, y, params, period, "solution")
     v, mult = orbit_pass(ymap, y, params, period)[:2]
     if abs(v - y) > 1.0e-10:
         raise ConvergenceError("orbit residual above verification tolerance")
@@ -216,25 +214,23 @@ def solve_codim1(
     free_index: int,
     guess,
     params,
-    tol: float = 1.0e-12,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> BifPoint:
     """Solve {T^n(y) - y = 0, (T^n)'(y) -+ 1 = 0} in (y, params[free_index]).
 
-    Newton stops when the residual is within tol or, where round-off keeps
-    it above tol, when the step no longer moves (y, p)."""
+    Newton stops when the residual is within NEWTON_TOL or, where round-off
+    keeps it above, when the step no longer moves (y, p)."""
     if kind not in (SN, PD):
         raise ValueError("kind must be SN or PD")
     y, p = float(guess[0]), float(guess[1])
     params = list(float(q) for q in params)
     target = _multiplier_target(kind)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         params[free_index] = p
         # orbit_pass wants two parameters; the free one twice gives its column
         v, d1, d2, _, (vp, _), (dp, _) = orbit_pass(
             ymap, y, params, period, (free_index, free_index))
         r = (v - y, d1 - target)
-        if abs(r[0]) <= tol and abs(r[1]) <= tol:
+        if abs(r[0]) <= NEWTON_TOL and abs(r[1]) <= NEWTON_TOL:
             break
         step = _solve(((d1 - 1.0, vp), (d2, dp)), r, "singular bordered system")
         if _stopped_moving(step, (y, p)):
@@ -243,9 +239,9 @@ def solve_codim1(
         if not (math.isfinite(y) and math.isfinite(p)):
             raise ConvergenceError("codim-1 Newton diverged")
     else:
-        raise ConvergenceError(f"codim-1 Newton did not converge in {max_iter} steps")
+        raise ConvergenceError(f"codim-1 Newton did not converge in {NEWTON_MAX_ITER} steps")
     params[free_index] = p
-    _reject_divisor_period(ymap, y, params, period, 1.0e-6, "codim-1 solution")
+    _reject_divisor_period(ymap, y, params, period, "codim-1 solution")
     point = _bif_point(ymap, kind, period, y, params)
     offset = point.orbit.multiplier - target
     point.test_values["multiplier_offset"] = abs(offset)
@@ -315,17 +311,17 @@ def _solve(rows, rhs, singular):
     return x
 
 
-def _corrector(ymap, period, kind, u, plane, params, tangent, anchor, ds, tol=NEWTON_TOL):
+def _corrector(ymap, period, kind, u, plane, params, tangent, anchor, ds):
     """Newton on the extended system plus the arclength equation; returns the
     converged u with the Jacobian, multiplier and test value of its last
-    orbit pass.  Converged means all three residuals within tol or, where
-    round-off keeps one above tol, a Newton step that no longer moves u."""
+    orbit pass.  Converged means all three residuals within NEWTON_TOL or,
+    where round-off keeps one above it, a Newton step that no longer moves u."""
     t0, t1, t2 = tangent
     for _ in range(25):
         r, jac, mult, test = _extended_system(ymap, period, kind, u, plane, params)
         y, pi, pj = u
         arc = t0 * (y - anchor[0]) + t1 * (pi - anchor[1]) + t2 * (pj - anchor[2]) - ds
-        if abs(r[0]) <= tol and abs(r[1]) <= tol and abs(arc) <= tol:
+        if abs(r[0]) <= NEWTON_TOL and abs(r[1]) <= NEWTON_TOL and abs(arc) <= NEWTON_TOL:
             return u, jac, mult, test
         step = _solve((*jac, tangent), (*r, arc), "continuation corrector singular")
         if _stopped_moving(step, u):
@@ -454,12 +450,13 @@ def continue_codim1(
 def continue_both_ways(ymap, start: BifPoint, plane, params, **options) -> BifCurve:
     """continue_codim1 forward and backward from start, joined into one curve:
     the backward points reversed, then the forward ones (start is in both),
-    and the backward codim-2 hits and stop reason first.  options go to both
-    continuations."""
+    and the backward codim-2 hits and stop reason first.  A hit at start,
+    whose test value is zero, is the first of both lists and is kept once.
+    options go to both continuations."""
     fwd = continue_codim1(ymap, start, plane, params, **options)
     back = continue_codim1(ymap, start, plane, params, direction=-1.0, **options)
     joined = BifCurve(fwd.kind, fwd.period, fwd.plane)
-    joined.codim2_hits = back.codim2_hits + fwd.codim2_hits
+    joined.codim2_hits = back.codim2_hits[back.test_values[0] == 0.0 :] + fwd.codim2_hits
     joined.stop_reasons = back.stop_reasons + fwd.stop_reasons
     for name in ("points", "y_values", "multipliers", "test_values"):
         setattr(joined, name, getattr(back, name)[::-1] + getattr(fwd, name))
@@ -496,23 +493,28 @@ def _refine_codim2(ymap, curve, i, params):
 
 
 def detect_codim2(curve: BifCurve, ymap, params):
-    """Locate the sign changes of the recorded test value along a curve.
+    """Locate the zeros of the recorded test value along a curve, in curve
+    order.
 
     Fold curves yield cusp points (second orbit derivative crossing zero);
     flip curves yield degenerate flips (first Lyapunov value crossing zero).
-    Each bracket of consecutive points with opposite test values is refined
-    by regula falsi to a zero of the test value on the curve
-    (_refine_codim2); a bracket whose refinement fails gives no hit.
+    A curve point whose test value is exactly zero is a hit as it stands.
+    Each bracket of consecutive points with nonzero test values of opposite
+    signs is refined by regula falsi to a zero of the test value on the
+    curve (_refine_codim2); a bracket whose refinement fails gives no hit.
     """
     hits = []
     kind = CUSP if curve.kind == SN else DEGENERATE_FLIP
-    for i in range(len(curve.points) - 1):
-        a, b = curve.test_values[i], curve.test_values[i + 1]
-        if a == 0.0 or not (a < 0.0) != (b < 0.0):
-            continue
-        try:
-            u = _refine_codim2(ymap, curve, i, params)
-        except ConvergenceError:
+    tests = curve.test_values
+    for i, a in enumerate(tests):
+        if a == 0.0:
+            u = (curve.y_values[i], *curve.points[i])
+        elif i + 1 < len(tests) and tests[i + 1] != 0.0 and (a < 0.0) != (tests[i + 1] < 0.0):
+            try:
+                u = _refine_codim2(ymap, curve, i, params)
+            except ConvergenceError:
+                continue
+        else:
             continue
         hits.append(_bif_point(ymap, kind, curve.period, u[0], _plane_params(u, curve.plane, params)))
     return hits

@@ -86,6 +86,18 @@ BENCHMARK_DEFAULTS = {
     "predict.m2": "0.0",
 }
 
+# The plane.* and sweep.* settings of a sweep spec, (key, type): the part of
+# each key after the dot names its PlaneSpec or SweepSpec field.
+# build_plane and build_sweep_spec read them, and gridio.grid_metadata writes
+# them back, so an exported grid re-imports to the same spec.
+SPEC_SETTINGS = (
+    ("plane.x_name", str), ("plane.x_lo", float), ("plane.x_hi", float),
+    ("plane.y_name", str), ("plane.y_lo", float), ("plane.y_hi", float),
+    ("sweep.nx", int), ("sweep.ny", int), ("sweep.transient", int), ("sweep.max_period", int),
+    ("sweep.samples", int), ("sweep.escape_radius", float), ("sweep.seed_rule", str),
+    ("sweep.seed_value", float), ("sweep.period_tol", float),
+)
+
 _SADDLE_FOCUS_VECTOR_DEFAULTS = {
     "t1.x_plus": "1.0,0.5",
     "t1.a": "0,0;0,0",
@@ -252,16 +264,20 @@ def build_model(cfg) -> ModelMap:
         raise ConfigError(str(err), key="model.params") from err
 
 
+def _spec_fields(cfg, section):
+    """The SPEC_SETTINGS of section (plane or sweep) read from cfg, by field
+    name."""
+    read = {str: lambda cfg, key: cfg[key], int: _get_int, float: _get_float}
+    return {
+        key.partition(".")[2]: read[kind](cfg, key)
+        for key, kind in SPEC_SETTINGS
+        if key.startswith(section + ".")
+    }
+
+
 def build_plane(cfg) -> PlaneSpec:
     try:
-        return PlaneSpec(
-            x_name=cfg["plane.x_name"],
-            x_lo=_get_float(cfg, "plane.x_lo"),
-            x_hi=_get_float(cfg, "plane.x_hi"),
-            y_name=cfg["plane.y_name"],
-            y_lo=_get_float(cfg, "plane.y_lo"),
-            y_hi=_get_float(cfg, "plane.y_hi"),
-        )
+        return PlaneSpec(**_spec_fields(cfg, "plane"))
     except FieldError as err:
         raise ConfigError(str(err), key=f"plane.{err.field}") from err
 
@@ -293,19 +309,7 @@ def build_sweep_spec(cfg, target=None) -> SweepSpec:
     if target is None:
         target = _sweep_target(cfg, plane)
     try:
-        return SweepSpec(
-            target=target,
-            plane=plane,
-            nx=_get_int(cfg, "sweep.nx"),
-            ny=_get_int(cfg, "sweep.ny"),
-            transient=_get_int(cfg, "sweep.transient"),
-            max_period=_get_int(cfg, "sweep.max_period"),
-            samples=_get_int(cfg, "sweep.samples"),
-            escape_radius=_get_float(cfg, "sweep.escape_radius"),
-            seed_rule=cfg["sweep.seed_rule"],
-            seed_value=_get_float(cfg, "sweep.seed_value"),
-            period_tol=_get_float(cfg, "sweep.period_tol"),
-        )
+        return SweepSpec(target=target, plane=plane, **_spec_fields(cfg, "sweep"))
     except FieldError as err:
         raise ConfigError(str(err), key=f"sweep.{err.field}") from err
 

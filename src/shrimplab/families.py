@@ -57,6 +57,10 @@ def _double_parabola(p, y):
     return p[1] - t * t
 
 
+def _double_parabola_slope(p, y):
+    return 4.0 * (p[0] - y * y) * y
+
+
 def _quartic_higher(p, y):
     return (4.0 * (p[0] - y * y) - 8.0 * y * y, -24.0 * y, -24.0)
 
@@ -98,7 +102,7 @@ _cubic_plus = (lambda p, y: p[0] + p[1] * y + y * y * y, lambda p, y: p[1] + 3.0
 _cubic_minus = (lambda p, y: p[0] + p[1] * y - y * y * y, lambda p, y: p[1] - 3.0 * y * y)
 _shrimp3 = (
     lambda p, y: _double_parabola(p, y) + p[2] * y,
-    lambda p, y: 4.0 * (p[0] - y * y) * y + p[2],
+    lambda p, y: _double_parabola_slope(p, y) + p[2],
 )
 
 FAMILIES = {
@@ -113,7 +117,7 @@ FAMILIES = {
         lambda p, y: (-6.0 * y, -6.0, 0.0), lambda p, y: ((1.0, 0.0), (y, 1.0))),
     # the slope has no "+ 0.0" for the absent M3, which would turn a -0.0 slope into +0.0
     DOUBLE_PARABOLA: Family(
-        2, _double_parabola, lambda p, y: 4.0 * (p[0] - y * y) * y, _double_parabola_step,
+        2, _double_parabola, _double_parabola_slope, _double_parabola_step,
         _quartic_higher, _double_parabola_partials),
     SHRIMP3: Family(
         3, *_shrimp3, _unfused(*_shrimp3),

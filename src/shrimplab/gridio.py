@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .config import build_sweep_spec
+from .config import SPEC_SETTINGS, build_sweep_spec
 from .errors import ConfigError
 from .sweep import (
     KIND_CHAOTIC,
@@ -52,24 +52,14 @@ def gray_for(outcome_kind: str, period: int, max_period: int) -> int:
 
 
 def grid_metadata(grid: SweepGrid) -> dict:
+    """The spec's settings (config.SPEC_SETTINGS, floats as .17g so they
+    read back to the same bits) and its target's target.* metadata."""
     spec = grid.spec
-    meta = {
-        "plane.x_name": spec.plane.x_name,
-        "plane.x_lo": f"{spec.plane.x_lo:.17g}",
-        "plane.x_hi": f"{spec.plane.x_hi:.17g}",
-        "plane.y_name": spec.plane.y_name,
-        "plane.y_lo": f"{spec.plane.y_lo:.17g}",
-        "plane.y_hi": f"{spec.plane.y_hi:.17g}",
-        "sweep.nx": str(spec.nx),
-        "sweep.ny": str(spec.ny),
-        "sweep.transient": str(spec.transient),
-        "sweep.max_period": str(spec.max_period),
-        "sweep.samples": str(spec.samples),
-        "sweep.escape_radius": f"{spec.escape_radius:.17g}",
-        "sweep.seed_rule": spec.seed_rule,
-        "sweep.seed_value": f"{spec.seed_value:.17g}",
-        "sweep.period_tol": f"{spec.period_tol:.17g}",
-    }
+    meta = {}
+    for key, kind in SPEC_SETTINGS:
+        section, _, name = key.partition(".")
+        value = getattr(spec.plane if section == "plane" else spec, name)
+        meta[key] = f"{value:.17g}" if kind is float else str(value)
     meta.update({f"target.{k}": v for k, v in spec.target.meta().items()})
     return meta
 

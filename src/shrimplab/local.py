@@ -71,13 +71,6 @@ class LocalNormalForm:
     def x_dim(self) -> int:
         return 1 if self.kind == SADDLE else 2
 
-    def leading_multiplier(self):
-        """Signed lam (saddle) or lam*R(phi) (saddle-focus)."""
-        if self.kind == SADDLE:
-            return self.sign_lambda * self.lam
-        c, s = math.cos(self.phi), math.sin(self.phi)
-        return self.lam * np.array([[c, -s], [s, c]])
-
     def leading_power(self, n: int):
         """n-th power of the leading stable block."""
         if self.kind == SADDLE:
@@ -135,7 +128,7 @@ def _leading_apply(local: LocalNormalForm, a, x):
 
 def local_apply(local: LocalNormalForm, x, y):
     """One application of the local map, to one point or to arrays of points."""
-    a = local.leading_multiplier()
+    a = local.leading_power(1)
     if local.kind == SADDLE_FOCUS:
         return apply_matrix(a, x), local.gamma * y
     if local.nonlinearity == LINEAR:

@@ -26,11 +26,12 @@ _pipeline wraps it in the frame's charts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, EscapeError, NumericalError
+from .families import DOUBLE_PARABOLA, FAMILIES, SHRIMP3
 from .local import (
     DEFAULT_ESCAPE_RADIUS,
     SADDLE,
@@ -207,19 +208,19 @@ def _center_residual(cfg: ReturnMapConfig, u):
     return np.column_stack([dy12, y12 - cfg.t2.y_minus, xb - xi, yb11 - eta])
 
 
-def _newton(residual, u, what, tol=1.0e-12):
+def _newton(residual, u, what):
     """Newton's method for residual(rows) = 0 from u, where residual maps a
     batch of unknown rows to one row of residuals each.
 
     The Jacobian is a central difference, whose 2n probes run as one batch.
-    The loop stops when max|r| <= tol, or at the round-off floor: when a step
-    below 1e-11 (1 + max|u|) does not lower max|r|, the better of the two
-    points is returned.
+    The loop stops when max|r| <= 1e-12, or at the round-off floor: when a
+    step below 1e-11 (1 + max|u|) does not lower max|r|, the better of the
+    two points is returned.
     """
     n = u.size
     r = residual(u[None, :])[0]
     for _ in range(60):
-        if np.max(np.abs(r)) <= tol:
+        if np.max(np.abs(r)) <= 1.0e-12:
             return u
         step = 1.0e-7 * (1.0 + np.abs(u))
         probes = residual(np.concatenate([u + np.diag(step), u - np.diag(step)]))
@@ -384,20 +385,19 @@ def limit_map_deviation(
     cfg: ReturnMapConfig,
     radius: float,
     grid: int,
-    x_value: float = 0.0,
     frame: RescaleFrame | None = None,
 ) -> DeviationReport:
     """Worst deviation of Ybar from the limit families over a lattice.
 
     The lattice runs over (Y, M_first, M_second) in [-radius, radius]^3 with
-    ``grid`` points per axis; the leading rescaled state is held at x_value
-    (default 0, the center of the covered ball).  err_two_param compares
-    against M2 - (M1 - Y^2)^2, err_three_param additionally keeps the linear
-    term coeff*Y carried by the frame.  The whole lattice goes through one
-    composition, for every model.  One rule skips lattice points, and counts
-    them: a point is skipped when a local stage leaves the escape radius,
-    when its cross-form solve does not converge, or when its image is not
-    finite or lies beyond the escape radius.
+    ``grid`` points per axis; the leading rescaled state is held at 0, the
+    center of the covered ball.  err_two_param compares against the
+    double_parabola family M2 - (M1 - Y^2)^2, err_three_param against
+    shrimp3 with M3 the linear coefficient carried by the frame.  The whole
+    lattice goes through one composition, for every model.  One rule skips
+    lattice points, and counts them: a point is skipped when a local stage
+    leaves the escape radius, when its cross-form solve does not converge,
+    or when its image is not finite or lies beyond the escape radius.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
@@ -410,11 +410,11 @@ def limit_map_deviation(
     yv, m1v, m2v = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
     mu1, mu2 = frame.mus_for(m1v, m2v)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, ybar, status, inside, _ = _pipeline(oc, frame, x_value, yv, mu1, mu2)
+        _, ybar, status, inside, _ = _pipeline(oc, frame, 0.0, yv, mu1, mu2)
     ok = (status == SOLVED) & inside
 
-    lim2 = m2v - (m1v - yv**2) ** 2
-    lim3 = lim2 + frame.m3_coeff * yv
+    lim2 = FAMILIES[DOUBLE_PARABOLA].value((m1v, m2v), yv)
+    lim3 = FAMILIES[SHRIMP3].value((m1v, m2v, frame.m3_coeff), yv)
     skipped = int(yv.size - ok.sum())
     if not ok.any():
         raise NumericalError("every lattice point escaped")
@@ -438,35 +438,34 @@ def measured_y_linear_coeff(cfg: ReturnMapConfig, frame: RescaleFrame | None = N
 def predict_shrimp_location(cfg: ReturnMapConfig, m_event) -> tuple:
     """Splitting parameters at which the rescaled parameters hit m_event.
 
-    Uses the analytic leading terms (geometric y-minus terms plus the two
-    lam-power corrections from the landing offsets); feedback through the a
-    coefficients is dropped.  Returns (mu1, mu2) in the original labeling.
+    Uses the analytic leading terms: the closed-form chart origins of the
+    linear local map with the feedback through the a coefficients dropped,
+    and the frame's parameter scales.  Returns (mu1, mu2) in the original
+    labeling.
     """
     oc, swapped = _oriented(cfg)
-    local, t1, t2, k, m = oc.local, oc.t1, oc.t2, oc.k, oc.m
-    gamma = local.gamma
     m_first, m_second = (m_event[1], m_event[0]) if swapped else (m_event[0], m_event[1])
-
-    alpha1 = _leading_apply(local, t1.c, _leading_apply(local, local.leading_power(k), t2.x_plus))
-    alpha2 = _leading_apply(local, t2.c, _leading_apply(local, local.leading_power(m), t1.x_plus))
+    t1, t2 = (replace(t, a=np.zeros_like(t.a, dtype=float)) for t in (oc.t1, oc.t2))
+    _, _, mu1c, mu2c = _linear_centers(replace(oc, t1=t1, t2=t2))
     s1, s2 = _parameter_scales(oc)
-    mu1 = t2.y_minus / gamma**m - alpha1 + m_first / s1
-    mu2 = t1.y_minus / gamma**k - alpha2 + m_second / s2
+    mu1 = mu1c + m_first / s1
+    mu2 = mu2c + m_second / s2
     if swapped:
         return float(mu2), float(mu1)
     return float(mu1), float(mu2)
 
 
-def locate_fold(cfg: ReturnMapConfig, m_event, tol: float = 1.0e-12):
+def locate_fold(cfg: ReturnMapConfig, m_event):
     """Find the fold (multiplier +1) of the actual return map nearest the
     predicted location of m_event, probing along the radial direction in the
     splitting-parameter plane.
 
     The defining system is the fixed point of the two-dimensional rescaled
     map plus det(J - I) = 0, with J the exact Jacobian carried by the
-    composition's tangent: the residual has no truncation error, so tol sits
-    near round-off.  Only the Newton Jacobian of that system is a central
-    difference, which sets the convergence rate and not the answer.
+    composition's tangent: the residual has no truncation error, so the
+    Newton tolerance sits near round-off.  Only the Newton Jacobian of that
+    system is a central difference, which sets the convergence rate and not
+    the answer.
 
     Returns (mu_measured, mu_predicted, relative_offset).
     """
@@ -489,7 +488,7 @@ def locate_fold(cfg: ReturnMapConfig, m_event, tol: float = 1.0e-12):
         jac = np.stack([dxb.reshape(-1, 2), dyb.reshape(-1, 2)], axis=1)
         return np.column_stack([(xb - x)[::2], (yb - y)[::2], np.linalg.det(jac - np.eye(2))])
 
-    u = _newton(residual, np.array([m1e - ystar**2, ystar, 0.0]), "fold solve", tol)
+    u = _newton(residual, np.array([m1e - ystar**2, ystar, 0.0]), "fold solve")
     mu = mu_pred + u[2] * direction
     return mu, mu_pred, float(abs(u[2]) / np.linalg.norm(mu_pred))
 

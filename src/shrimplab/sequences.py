@@ -39,9 +39,6 @@ class SequencePlan:
     entries: tuple = field(default_factory=tuple)
     skipped: tuple = field(default_factory=tuple)
 
-    def diams(self):
-        return [e.diam for e in self.entries]
-
 
 def _require_expanding(gamma: float):
     if not (math.isfinite(gamma) and abs(gamma) > 1.0):
@@ -106,14 +103,13 @@ def plan_rotation_sequence(
     amplitude: float = 1.0,
     nu: float = 0.0,
     growth: float = 2.0,
-    max_k_boost: int = 200,
 ) -> SequencePlan:
     """Saddle-focus planner: intervals of phi over which the coefficient
     amplitude*cos(m*phi - nu)*lam^m*gamma^k sweeps [-s_j, s_j].
 
     For each entry, k_j >= m_j is raised until the arccos argument
-    s_j/(amplitude*lam^m*gamma^k) drops below 1/growth; entries where no
-    such k exists within the boost budget are skipped.  Raises
+    s_j/(amplitude*lam^m*gamma^k) drops below 1/(growth*j); entries where
+    no such k exists within 200 raises are skipped.  Raises
     NumericalError when the gain overflows a double before that.
     """
     if not 0.0 < phi0 < math.pi:
@@ -133,7 +129,7 @@ def plan_rotation_sequence(
         target = 1.0 / (growth * max(j, 1))
         k = None
         arg = None
-        for boost in range(max_k_boost):
+        for boost in range(200):
             cand = max(m, last_k + 1) + boost
             try:
                 gain = amplitude * lam**m * gamma**cand

@@ -439,28 +439,31 @@ def _orbit_window(target, p1, p2, y, radius, transient, length, top=None, t=0, s
     return S, esc, rest
 
 
-def _newton_orbit(target, p1, p2, y0, d, iterations=12):
-    """Vectorized Newton on the d-fold fixed-point equation of target's cells
-    (p1, p2) from seeds y0.
+def _newton_orbit(target, p1, p2, y0, d):
+    """Vectorized Newton, 12 steps at most, on the d-fold fixed-point
+    equation of target's cells (p1, p2) from seeds y0.
 
-    Returns (root, residual, multiplier); non-converging entries keep their
-    last iterate and a large residual.  A cell whose iterate repeats bit for
-    bit would repeat every later step too, so it leaves the loop with the
-    residual and multiplier of that step.
+    Returns (root, residual, multiplier, image): non-converging entries keep
+    their last iterate and a large residual, and image is f^d(y0), from the
+    first pass (a step writes the same y with or without a slope).  A cell
+    whose iterate repeats bit for bit would repeat every later step too, so
+    it leaves the loop with the residual and multiplier of that step.
     """
     y = y0.copy()
     resid, mult = np.empty_like(y), np.empty_like(y)
     live = np.arange(y.size)
     step = target.stepper(p1, p2)
-    for it in range(iterations + 1):
+    for it in range(13):
         yl = y[live]
         v, dv, dp = yl.copy(), np.empty_like(yl), np.ones_like(yl)
         for _ in range(d):
             step(v, dv)
             dp *= dv
+        if it == 0:
+            image = v
         g = v - yl
         resid[live], mult[live] = np.abs(g), dp
-        if it == iterations:
+        if it == 12:
             break
         gp = dp - 1.0
         safe = np.abs(gp) > 1.0e-14
@@ -473,7 +476,7 @@ def _newton_orbit(target, p1, p2, y0, d, iterations=12):
             if not live.size:
                 break
             step = target.stepper(p1[live], p2[live])
-    return y, resid, mult
+    return y, resid, mult, image
 
 
 def _recurrences(S, cols, tol, max_period):
@@ -611,14 +614,14 @@ class _Scan:
         """Label each candidate with the smallest divisor d of its recurrence
         period whose Newton-refined d-cycle through its window start y0 is
         attracting and near its orbit: within 0.5 + 2 |f^d(y0) - y0| of y0,
-        where f^d(y0), its window state d, is stepped again from y0 (the map
-        is a pure function, so the queue keeps no window rows).  This keeps
-        slowly converging orbits near flips from masquerading as
-        double-period cycles (their alternating tails recur at period 2 long
-        before they settle).  Newton runs, for each d, once on the cells
-        still waiting for a label.  A cell with no such divisor is parked on
-        a repelling cycle: it is run again nudged by 1e-9, once, or else
-        queued for the Lyapunov stage with its last state."""
+        where f^d(y0), its window state d, is the image of Newton's first
+        pass (the map is a pure function, so the queue keeps no window
+        rows).  This keeps slowly converging orbits near flips from
+        masquerading as double-period cycles (their alternating tails recur
+        at period 2 long before they settle).  Newton runs, for each d, once
+        on the cells still waiting for a label.  A cell with no such divisor
+        is parked on a repelling cycle: it is run again nudged by 1e-9, once,
+        or else queued for the Lyapunov stage with its last state."""
         spec = self.spec
         p1, p2 = self.params(cells)
         period = np.zeros(cells.size, dtype=np.int32)
@@ -627,11 +630,8 @@ class _Scan:
             if not idx.size:
                 continue
             seed = y0[idx]
-            root, resid, mult = _newton_orbit(spec.target, p1[idx], p2[idx], seed, d)
-            y, step = seed.copy(), spec.target.stepper(p1[idx], p2[idx])
-            for _ in range(d):
-                step(y)
-            spread = np.abs(y - seed)
+            root, resid, mult, image = _newton_orbit(spec.target, p1[idx], p2[idx], seed, d)
+            spread = np.abs(image - seed)
             good = (
                 (resid < 1.0e-10 * (1.0 + np.abs(root)))
                 & (np.abs(mult) < 1.0)

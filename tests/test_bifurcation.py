@@ -362,21 +362,72 @@ def test_dp_cusp_detection():
     assert abs(cusps[0].test_values["second_derivative"]) < 1e-6
 
 
-@pytest.mark.parametrize("m3", [0.0, 0.5, 0.95])
-def test_shrimp3_fold_cusp_matches_closed_form(m3):
-    # On the fixed-point fold of M2 - (M1 - Y^2)^2 + M3 Y the cusp lies at
-    # Y^3 = (1 - M3) / 8, M1 = 3 Y^2, M2 = Y + (M1 - Y^2)^2 - M3 Y
-    sn = solve_codim1(S3, 1, SN, 1, (0.9, 1.0), (0.9, 0.0, m3))
-    curve = continue_both_ways(S3, sn, (0, 1), sn.orbit.params)
-    y = ((1.0 - m3) / 8.0) ** (1.0 / 3.0)
-    m1 = 3.0 * y * y
-    m2 = y + (m1 - y * y) ** 2 - m3 * y
-    cusps = [h for h in curve.codim2_hits if h.kind == "cusp"]
-    assert len(cusps) == 1
-    hit = cusps[0].orbit
-    assert abs(hit.y - y) <= 1e-10
-    assert abs(hit.params[0] - m1) <= 1e-10 and abs(hit.params[1] - m2) <= 1e-10
-    assert hit.params[2] == m3
+def _shrimp3_codim2_closed_form(kind, m3):
+    """The codim-2 points (Y, M1, M2) of M2 - (M1 - Y^2)^2 + M3 Y at m3 on its
+    fixed-point fold (SN) or flip (PD), in closed form."""
+    if kind == SN:
+        # the cusp: Y^3 = (1 - M3) / 8, M1 = 3 Y^2
+        c = (1.0 - m3) / 8.0
+        y = math.copysign(abs(c) ** (1.0 / 3.0), c)
+        points = [(y, 3.0 * y * y)]
+    else:
+        # the degenerate flips: (M1 - 3 Y^2)^2 = Y, M3 = -1 - 4 Y (M1 - Y^2),
+        # Y >= 0; with M1 = 3 Y^2 + sign sqrt(Y) and w = Y^(3/2) >= 0 they read
+        # 8 w^2 + 4 sign w + 1 + M3 = 0 (m3 <= -1/2 here, so w is real)
+        points = []
+        root = math.sqrt(16.0 - 32.0 * (1.0 + m3))
+        for sign in (1.0, -1.0):
+            for w in ((-4.0 * sign + root) / 16.0, (-4.0 * sign - root) / 16.0):
+                if w >= 0.0:
+                    s = w ** (1.0 / 3.0)
+                    points.append((s * s, 3.0 * s**4 + sign * s))
+    return [(y, m1, y + (m1 - y * y) ** 2 - m3 * y) for y, m1 in points]
+
+
+def _distance(orbit, point):
+    return max(abs(a - b) for a, b in zip((orbit.y, *orbit.params[:2]), point))
+
+
+# A slice of the codim-2 census of shrimp3 through its codim-3 points at
+# M3 = +1 (cusp) and -1 (degenerate flip): the fold cusp for 0 <= M3 < 1
+# and at 1 +- 1e-4, where it crowds the origin, and the two degenerate flips
+# of each slice below -1 from both flip starts and above it from pd_pos
+@pytest.mark.parametrize("start, m3", [
+    ("sn_pos", 0.0), ("sn_pos", 0.5), ("sn_pos", 0.95),
+    ("sn_neg", 1.0 - 1e-4), ("sn_neg", 1.0 + 1e-4),
+    ("pd_pos", -1.2), ("pd_pos", -1.05), ("pd_pos", -0.95),
+    ("pd_neg", -1.2), ("pd_neg", -1.05),
+])
+def test_shrimp3_codim2_points_match_closed_form(start, m3):
+    # each closed-form point is found once, within 1e-10, from a double
+    # parabola start with M3 appended
+    period, kind, guess, params = DP_CURVES[start]
+    bif = solve_codim1(S3, period, kind, 1, guess, (*params, m3))
+    curve = continue_both_ways(S3, bif, (0, 1), bif.orbit.params)
+    points = _shrimp3_codim2_closed_form(kind, m3)
+    hits = [h.orbit for h in curve.codim2_hits]
+    assert len(hits) == len(points)
+    for point in points:
+        assert min(_distance(hit, point) for hit in hits) <= 1e-10
+    assert all(hit.params[2] == m3 for hit in hits)
+
+
+def test_codim2_point_at_the_start_is_reported_once():
+    # a zero of the test value at a curve point is a hit, and the start of a
+    # two-way continuation is a point of both halves.  The double parabola's
+    # cusp (Y, M1, M2) = (0.5, 0.75, 0.75) solves in exact arithmetic, with a
+    # second derivative of exactly 0
+    sn = solve_codim1(DP, 1, SN, 1, (0.5, 0.75), (0.75, 0.0))
+    assert sn.test_values["second_derivative"] == 0.0
+    curve = continue_both_ways(DP, sn, (0, 1), sn.orbit.params)
+    assert [h.orbit for h in curve.codim2_hits] == [sn.orbit]
+    # shrimp3's flip at M3 = -1.0001 solved at its closed-form degenerate
+    # flip near Y = 0.63 has a first Lyapunov value of exactly 0
+    point = _shrimp3_codim2_closed_form(PD, -1.0001)[1]
+    pd = solve_codim1(S3, 1, PD, 1, (point[0], point[2]), (point[1], 0.0, -1.0001))
+    curve = continue_both_ways(S3, pd, (0, 1), pd.orbit.params)
+    assert len(curve.codim2_hits) == 1
+    assert _distance(curve.codim2_hits[0].orbit, point) <= 1e-10
 
 
 def test_cubic_minus_pitchfork_cusp():

@@ -748,7 +748,8 @@ def _newton_orbit_reference(step, y0, d, iterations=12):
 @pytest.mark.parametrize("seed", range(4))
 def test_newton_orbit_matches_full_iteration_reference(seed):
     # cells leave the Newton loop once their iterate repeats; root, residual
-    # and multiplier stay bit-identical to running every cell to the end
+    # and multiplier stay bit-identical to running every cell to the end, and
+    # the image f^d(y0) of the first pass to y0 stepped d times without a slope
     rng = np.random.default_rng(seed)
     n = 600
     target = FamilyPlaneTarget(DP, "M1", "M2")
@@ -759,9 +760,13 @@ def test_newton_orbit_matches_full_iteration_reference(seed):
     for d in (1, 2, 3, int(rng.integers(4, 9))):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as plane_sweep
             ref = _newton_orbit_reference(target.stepper(p1, p2), y0, d)
-            got = sweep._newton_orbit(target, p1, p2, y0, d)
+            *got, image = sweep._newton_orbit(target, p1, p2, y0, d)
+            y, step = y0.copy(), target.stepper(p1, p2)
+            for _ in range(d):
+                step(y)
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()
+        assert image.tobytes() == y.tobytes()
 
 
 def test_monotone_refinement_sampled():
