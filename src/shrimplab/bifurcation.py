@@ -10,9 +10,10 @@ along the same orbit, so one pass per Newton step gives the residual and the
 exact bordered Jacobian of the fold/flip defining system (on a period-1
 curve also the codim-2 test value).  The Newton loops run on Python floats,
 and each step's 2x2 or 3x3 system goes through one small pivoted
-elimination, _solve.  solve_codim1 and the continuation corrector stop when
-the residual is within NEWTON_TOL or, where round-off keeps it above, when
-the Newton step no longer moves the point.
+elimination, _solve.  find_periodic_orbit, solve_codim1 and the
+continuation corrector stop when the residual is within NEWTON_TOL or, where
+round-off keeps it above, when the Newton step no longer moves the point.
+A BifPoint's test_values hold both codim-2 test values of its cycle.
 
 Codimension-2 points (cusps on fold curves, degenerate flips on flip curves)
 are zeros of a test value along a continued curve: each sign change between
@@ -110,7 +111,8 @@ def orbit_pass(ymap, y, params, period, plane=None, order=2):
 
 
 def _first_lyapunov(d2, d3):
-    """First Lyapunov value at a flip of g from its 2nd and 3rd derivatives."""
+    """First Lyapunov value (1/4) g''^2 + (1/6) g''' at a flip of g = T^n;
+    positive means supercritical (a stable double-period orbit branches off)."""
     return 0.25 * d2 * d2 + d3 / 6.0
 
 
@@ -172,7 +174,8 @@ def find_periodic_orbit(
     y_guess: float,
     params,
 ) -> PeriodicOrbit:
-    """Newton solve of T^n(y) = y; rejects orbits of a proper divisor period."""
+    """Newton solve of T^n(y) = y, stopping as solve_codim1 does, with the
+    multiplier of its last pass; rejects orbits of a proper divisor period."""
     if period < 1:
         raise ValueError("period must be >= 1")
     params = tuple(float(p) for p in params)
@@ -185,16 +188,18 @@ def find_periodic_orbit(
         fp = d1 - 1.0
         if fp == 0.0:
             raise NumericalError("singular Newton step: multiplier exactly 1 off-root")
-        y = y - f / fp
+        step = f / fp
+        if _stopped_moving((step,), (y,)):
+            break
+        y = y - step
         if not math.isfinite(y):
             raise ConvergenceError("orbit Newton diverged")
     else:
         raise ConvergenceError(f"orbit Newton did not converge in {NEWTON_MAX_ITER} steps")
-    _reject_divisor_period(ymap, y, params, period, "solution")
-    v, mult = orbit_pass(ymap, y, params, period)[:2]
-    if abs(v - y) > 1.0e-10:
+    if abs(f) > 1.0e-10:
         raise ConvergenceError("orbit residual above verification tolerance")
-    return PeriodicOrbit(period=period, y=float(y), multiplier=float(mult), params=params)
+    _reject_divisor_period(ymap, y, params, period, "solution")
+    return PeriodicOrbit(period=period, y=float(y), multiplier=float(d1), params=params)
 
 
 def _multiplier_target(kind):
@@ -242,23 +247,7 @@ def solve_codim1(
         raise ConvergenceError(f"codim-1 Newton did not converge in {NEWTON_MAX_ITER} steps")
     params[free_index] = p
     _reject_divisor_period(ymap, y, params, period, "codim-1 solution")
-    point = _bif_point(ymap, kind, period, y, params)
-    offset = point.orbit.multiplier - target
-    point.test_values["multiplier_offset"] = abs(offset)
-    return point
-
-
-def lyapunov_value_1(ymap, pd_point: BifPoint) -> float:
-    """First Lyapunov value at a flip: (1/4) g''^2 + (1/6) g''' for g = T^n.
-
-    Positive means the flip is supercritical (a stable double-period orbit
-    branches off).
-    """
-    orbit = pd_point.orbit
-    if abs(orbit.multiplier + 1.0) > 1.0e-6:
-        raise NumericalError("first Lyapunov value needs a multiplier at -1")
-    _, _, d2, d3, _, _ = orbit_pass(ymap, orbit.y, orbit.params, orbit.period, order=3)
-    return float(_first_lyapunov(d2, d3))
+    return _bif_point(ymap, kind, period, y, params)
 
 
 def _plane_params(u, plane, params):

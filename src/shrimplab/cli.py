@@ -159,8 +159,8 @@ def _cmd_codim2(cfg, outdir, force, workers):
             _fmt(hit.orbit.params[1]),
             _fmt(hit.orbit.y),
             _fmt(hit.orbit.multiplier),
-            _fmt(hit.test_values.get("second_derivative", 0.0)),
-            _fmt(hit.test_values.get("lyapunov_1", 0.0)),
+            _fmt(hit.test_values["second_derivative"]),
+            _fmt(hit.test_values["lyapunov_1"]),
         )
         for hit in curve.codim2_hits
     ]

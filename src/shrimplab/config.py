@@ -215,26 +215,11 @@ def build_local(cfg) -> LocalNormalForm:
 
 
 def build_global(cfg, section: str, kind: str) -> GlobalMapTaylor:
+    make, vec, mat = (saddle_global, _get_float, _get_float) if kind == SADDLE else (
+        focus_global, _get_vector, _get_matrix)
+    read = dict(x_plus=vec, y_minus=_get_float, a=mat, b=vec, c=vec, d=_get_float, mu=_get_float)
     try:
-        if kind == SADDLE:
-            return saddle_global(
-                x_plus=_get_float(cfg, f"{section}.x_plus"),
-                y_minus=_get_float(cfg, f"{section}.y_minus"),
-                a=_get_float(cfg, f"{section}.a"),
-                b=_get_float(cfg, f"{section}.b"),
-                c=_get_float(cfg, f"{section}.c"),
-                d=_get_float(cfg, f"{section}.d"),
-                mu=_get_float(cfg, f"{section}.mu"),
-            )
-        return focus_global(
-            x_plus=_get_vector(cfg, f"{section}.x_plus"),
-            y_minus=_get_float(cfg, f"{section}.y_minus"),
-            a=_get_matrix(cfg, f"{section}.a"),
-            b=_get_vector(cfg, f"{section}.b"),
-            c=_get_vector(cfg, f"{section}.c"),
-            d=_get_float(cfg, f"{section}.d"),
-            mu=_get_float(cfg, f"{section}.mu"),
-        )
+        return make(**{name: get(cfg, f"{section}.{name}") for name, get in read.items()})
     except FieldError as err:
         raise ConfigError(str(err), key=f"{section}.{err.field}") from err
 

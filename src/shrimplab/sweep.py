@@ -39,21 +39,22 @@ converging slowly near a flip).  Orbits that park exactly on a repelling
 cycle (it happens: the critical orbit of the full-height parabola lands on
 its fixed point in floating point) are nudged once by 1e-9 and
 re-classified; only those cells run the transient and window again, as a
-head of their own whose survivors join the tail queue.
+head of their own whose survivors join the tail queue.  A per-cell flag
+(_Scan.nudged) marks them, so a cell that parks again is not nudged twice.
 
 A cell has escaped when its state left escape_radius at some step, NaN and
 inf included.  The orbit stages do not test each step.  When the radius is
-at least the trap radius of every cell of a batch (families.trap_radius:
-outside it one step at least doubles |y|), leaving the radius is absorbing,
-and so is NaN: the stages read |y| only at the drop, at the checkpoints and
-at the end (_absorbing).  Otherwise (a radius below some cell's trap
-radius, or a target whose step claims none, such as the rescaled map) they
-keep a running maximum of |y| (np.maximum, which propagates NaN) and test
-it only where the escape set is needed.  Either way escape is sticky, so
-this flags exactly the cells a per-step test flags, and it never alters an
-orbit that stays inside.  After the first 64 transient steps (_DROP_STEP)
-the cells that have already escaped are dropped from the block, and the
-escaped cells' recorded states are set to 0.
+at least the trap radius of every cell of a batch (FamilyPlaneTarget.trap,
+from families.trap_radius: outside it one step at least doubles |y|),
+leaving the radius is absorbing, and so is NaN: the stages read |y| only at
+the drop, at the checkpoints and at the end (_absorbing).  Otherwise (a
+radius below some cell's trap radius, or a target without a trap, such as
+the rescaled map) they keep a running maximum of |y| (np.maximum, which
+propagates NaN) and test it only where the escape set is needed.  Either
+way escape is sticky, so this flags exactly the cells a per-step test
+flags, and it never alters an orbit that stays inside.  After the first 64
+transient steps (_DROP_STEP) the cells that have already escaped are
+dropped from the block, and the escaped cells' recorded states are set to 0.
 
 The map is a pure function of the state, so once a state repeats bit for bit
 the orbit repeats forever.  After the drop, every _CHECK = 128 transient
@@ -138,22 +139,6 @@ class PlaneSpec:
         return np.linspace(self.y_lo, self.y_hi, ny)
 
 
-class _FamilyStep(partial):
-    """A family's in-place step with its parameters bound, step(y, dy=None),
-    and `trap`, the largest trap radius of its cells (families.trap_radius;
-    NaN where one is NaN), worked out on first use: a step without a `trap`
-    claims none (_absorbing)."""
-
-    def __new__(cls, family, params):
-        self = super().__new__(cls, family.step, params)
-        self.family = family
-        return self
-
-    @cached_property
-    def trap(self):
-        return float(np.max(trap_radius(self.family, self.args[0]), initial=0.0))
-
-
 class FamilyPlaneTarget:
     """Sweep target: a polynomial family with two of its parameters swept.
 
@@ -182,8 +167,13 @@ class FamilyPlaneTarget:
 
     def stepper(self, p1, p2):
         """The family's in-place step(y, dy=None) (families.FAMILIES), one parameter
-        point per cell, with its trap radius (_FamilyStep)."""
-        return _FamilyStep(FAMILIES[self.template.family], self._params(p1, p2))
+        point per cell."""
+        return partial(FAMILIES[self.template.family].step, self._params(p1, p2))
+
+    def trap(self, p1, p2):
+        """The largest trap radius of the cells (families.trap_radius); NaN if one is."""
+        family = FAMILIES[self.template.family]
+        return float(np.max(trap_radius(family, self._params(p1, p2)), initial=0.0))
 
     def meta(self):
         return {
@@ -305,12 +295,13 @@ class SweepGrid:
         )
 
 
-def _absorbing(step, radius):
-    """Whether leaving `radius` is absorbing for every cell of `step`: the
-    radius is at least the step's trap radius (families.trap_radius), so a
-    state outside it stays outside, and NaN stays NaN.  A step without a
-    `trap` (the rescaled map's), or with a NaN one, claims nothing."""
-    return radius >= getattr(step, "trap", math.nan)
+def _absorbing(target, p1, p2, radius):
+    """Whether leaving `radius` is absorbing for every cell (p1, p2) of
+    target: the radius is at least the cells' trap radius (target.trap), so
+    a state outside it stays outside, and NaN stays NaN.  A target without a
+    `trap` (the rescaled map), or a NaN trap radius, claims nothing."""
+    trap = getattr(target, "trap", None)
+    return trap is not None and radius >= trap(p1, p2)
 
 
 def _fold(top, y, mag):
@@ -373,7 +364,7 @@ def _orbit_window(target, p1, p2, y, radius, transient, length, top=None, t=0, s
     top = np.zeros(n) if top is None else top.copy()
     mag = np.empty(n)
     step = target.stepper(p1, p2)
-    track = not _absorbing(step, radius)
+    track = not _absorbing(target, p1, p2, radius)
     drop = min(transient, _DROP_STEP)
     _advance(step, y, top, mag, drop - t, track)
     t = max(t, drop)
@@ -498,13 +489,15 @@ def _recurrences(S, cols, tol, max_period):
     return period
 
 
-def _lyapunov(step, y, radius, samples):
-    """Average log|slope| over `samples` steps from y, and the escape flags.
+def _lyapunov(target, p1, p2, y, radius, samples):
+    """Average log|slope| over `samples` steps from y of target's cells
+    (p1, p2), and the escape flags.
 
     y is stepped in place.  Escape is tracked as in _advance; escaped cells'
     exponents are not meaningful.
     """
-    track = not _absorbing(step, radius)
+    step = target.stepper(p1, p2)
+    track = not _absorbing(target, p1, p2, radius)
     acc = np.zeros(y.size)
     top, mag, d = np.zeros(y.size), np.empty(y.size), np.empty(y.size)
     for _ in range(samples):
@@ -558,11 +551,12 @@ class _Scan:
         self.kind = np.zeros(n, dtype=np.uint8)
         self.period = np.zeros(n, dtype=np.int32)
         self.lyap = np.zeros(n)
+        self.nudged = np.zeros(n, dtype=bool)
         self.handoff = _handoff(spec.transient)
-        # cell, state, running maximum of |y|, nudged
-        self.tail = _Queue(np.intp, float, float, bool)
-        # cell, recurrence period, nudged, first and last window state
-        self.candidates = _Queue(np.intp, np.int32, bool, float, float)
+        # cell, state, running maximum of |y|
+        self.tail = _Queue(np.intp, float, float)
+        # cell, recurrence period, first and last window state
+        self.candidates = _Queue(np.intp, np.int32, float, float)
         # cell, last window state
         self.unlabelled = _Queue(np.intp, float)
 
@@ -573,36 +567,36 @@ class _Scan:
             **resume,
         )
 
-    def head(self, cells, y, nudged):
+    def head(self, cells, y):
         """Run the cells from y to the first checkpoint; settle those that
         are done and queue the rest at step self.handoff."""
         S, esc, (live, y, top) = self._window(self.params(cells), y, stop=self.handoff)
         done = np.ones(cells.size, dtype=bool)
         done[live] = False
-        queued = self._settle(cells, S, esc, done, np.full(cells.size, nudged))
+        queued = self._settle(cells, S, esc, done)
         del S  # before the pushes, which may run other batches
         self._queue(*queued)
-        self.tail.push(self._tail, cells[live], y, top, np.full(live.size, nudged))
+        self.tail.push(self._tail, cells[live], y, top)
 
-    def _tail(self, cells, y, top, nudged):
+    def _tail(self, cells, y, top):
         S, esc, _ = self._window(self.params(cells), y, top=top, t=self.handoff)
-        queued = self._settle(cells, S, esc, np.ones(cells.size, dtype=bool), nudged)
+        queued = self._settle(cells, S, esc, np.ones(cells.size, dtype=bool))
         del S
         self._queue(*queued)
 
-    def _settle(self, cells, S, esc, done, nudged):
+    def _settle(self, cells, S, esc, done):
         """Label the done cells that escaped, and find the recurrences of the
         others in their window S.  Returns, as copies, the columns to queue:
-        (cell, period, nudged, first and last state) of the cells with a
-        recurrence, for refinement, and (cell, last state) of those without
-        one, for the Lyapunov stage."""
+        (cell, period, first and last state) of the cells with a recurrence,
+        for refinement, and (cell, last state) of those without one, for the
+        Lyapunov stage."""
         spec = self.spec
         self.kind[cells[done & esc]] = _CODE[KIND_ESCAPED]
         cols = np.flatnonzero(done & ~esc)
         rec = _recurrences(S, cols, spec.period_tol, spec.max_period)
         cand, none = cols[rec > 0], cols[rec == 0]
         return (
-            (cells[cand], rec[rec > 0], nudged[cand], S[0, cand], S[-1, cand]),
+            (cells[cand], rec[rec > 0], S[0, cand], S[-1, cand]),
             (cells[none], S[-1, none]),
         )
 
@@ -610,7 +604,7 @@ class _Scan:
         self.candidates.push(self._refine, *candidates)
         self.unlabelled.push(self._lyapunov, *unlabelled)
 
-    def _refine(self, cells, rec, nudged, y0, last):
+    def _refine(self, cells, rec, y0, last):
         """Label each candidate with the smallest divisor d of its recurrence
         period whose Newton-refined d-cycle through its window start y0 is
         attracting and near its orbit: within 0.5 + 2 |f^d(y0) - y0| of y0,
@@ -642,20 +636,20 @@ class _Scan:
         self.kind[cells[found]] = _CODE[KIND_PERIOD]
         self.period[cells[found]] = period[found]
         # copies, taken before any push can reuse the batch's columns
+        nudged = self.nudged[cells]
         idx = np.flatnonzero(~found & ~nudged)
         nudge = cells[idx], y0[idx] + 1.0e-9
         idx = np.flatnonzero(~found & nudged)
         self.unlabelled.push(self._lyapunov, cells[idx], last[idx])
         if nudge[0].size:
-            self.head(*nudge, True)
+            self.nudged[nudge[0]] = True
+            self.head(*nudge)
 
     def _lyapunov(self, cells, y):
         """Escaped, chaotic when the exponent is positive, and unresolved
         otherwise; the cells that have not escaped keep their exponent."""
         spec = self.spec
-        lam, esc = _lyapunov(
-            spec.target.stepper(*self.params(cells)), y, spec.escape_radius, spec.samples
-        )
+        lam, esc = _lyapunov(spec.target, *self.params(cells), y, spec.escape_radius, spec.samples)
         code = np.where(lam > 0.0, _CODE[KIND_CHAOTIC], _CODE[KIND_UNRESOLVED])
         code[esc] = _CODE[KIND_ESCAPED]
         self.kind[cells] = code
@@ -672,7 +666,7 @@ def _scan_cells(spec: SweepSpec, n: int, params):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, n, _BLOCK):
             cells = np.arange(lo, min(lo + _BLOCK, n))
-            scan.head(cells, np.full(cells.size, spec.seed()), False)
+            scan.head(cells, np.full(cells.size, spec.seed()))
         # a tail batch queues candidates, and a refinement queues nudged cells
         while scan.tail.size or scan.candidates.size:
             scan.tail.flush(scan._tail)

@@ -10,9 +10,7 @@ from shrimplab.bifurcation import (
     NEWTON_TOL,
     PD,
     SN,
-    BifPoint,
     FamilyYMap,
-    PeriodicOrbit,
     _extended_system,
     _solve,
     continue_both_ways,
@@ -20,11 +18,10 @@ from shrimplab.bifurcation import (
     curve_to_csv,
     detect_codim2,
     find_periodic_orbit,
-    lyapunov_value_1,
     orbit_pass,
     solve_codim1,
 )
-from shrimplab.errors import ConvergenceError, NumericalError, ShrimplabError
+from shrimplab.errors import ConvergenceError, ShrimplabError
 
 DP = FamilyYMap("double_parabola")
 PAR = FamilyYMap("parabola")
@@ -60,6 +57,19 @@ def test_find_orbit_rejects_divisor_period():
         find_periodic_orbit(DP, 2, 0.05, (0.0, 0.0))
 
 
+@pytest.mark.parametrize("j", [21, 22, 23, 30])
+def test_find_orbit_stops_at_working_precision(j):
+    # 2 - Y^2 maps Y = -2 cos(t) to -2 cos(2 t), so t = 2 pi j / (2^14 - 1)
+    # gives a period-14 orbit with a multiplier near 2^14; round-off keeps
+    # its residual above NEWTON_TOL, and Newton stops once its step no
+    # longer moves y
+    y = -2.0 * math.cos(2.0 * math.pi * j / (2**14 - 1))
+    o = find_periodic_orbit(PAR, 14, y + 1e-10, (2.0,))
+    assert abs(o.y - y) <= 1e-15
+    v, d1 = orbit_pass(PAR, o.y, o.params, 14)[:2]
+    assert abs(v - o.y) <= 1e-10 and d1 == o.multiplier
+
+
 def test_orbit_reverifies_its_invariants():
     o = find_periodic_orbit(DP, 1, -0.9, (0.1, 0.2))
     v, d1 = orbit_pass(DP, o.y, o.params, o.period)[:2]
@@ -85,17 +95,18 @@ def test_codim1_cubic_minus_flip():
 
 def test_lyapunov_value_examples():
     pd = solve_codim1(PAR, 1, PD, 0, (0.4, 0.8), (0.0,))
-    assert math.isclose(lyapunov_value_1(PAR, pd), 1.0, abs_tol=1e-8)
+    assert math.isclose(pd.test_values["lyapunov_1"], 1.0, abs_tol=1e-8)
 
     s3 = FamilyYMap("shrimp3")
     pd3 = solve_codim1(s3, 1, PD, 2, (0.0, -1.0), (0.0, 0.0, -1.0))
-    assert abs(lyapunov_value_1(s3, pd3)) < 1e-8
+    assert abs(pd3.test_values["lyapunov_1"]) < 1e-8
 
     # cubic_plus at (M1, M2) = (0, -1) is -Y + Y^3: a flip at 0 whose first
     # Lyapunov value is 0.25 * 0^2 + 6 / 6
     cubic = FamilyYMap("cubic_plus")
-    pdc = BifPoint(kind=PD, orbit=PeriodicOrbit(1, 0.0, -1.0, (0.0, -1.0)))
-    assert abs(lyapunov_value_1(cubic, pdc) - 1.0) < 1e-12
+    pdc = solve_codim1(cubic, 1, PD, 1, (0.0, -0.9), (0.0, -0.9))
+    assert abs(pdc.orbit.y) < 1e-10 and abs(pdc.orbit.params[1] + 1.0) < 1e-10
+    assert abs(pdc.test_values["lyapunov_1"] - 1.0) < 1e-12
 
 
 def test_orbit_passes_reject_non_finite_params():
@@ -240,12 +251,6 @@ def test_continuations_record_why_they_stopped():
     stuck = continue_codim1(DP, sn, (0, 1), sn.orbit.params, step=0.5, max_step=0.5,
                             min_step=0.4)
     assert stuck.stop_reasons == ("min_step",) and len(stuck.points) == 1
-
-
-def test_lyapunov_requires_flip():
-    sn = solve_codim1(PAR, 1, SN, 0, (-0.4, -0.3), (0.0,))
-    with pytest.raises(NumericalError):
-        lyapunov_value_1(PAR, sn)
 
 
 def test_continuation_parabola_dummy_plane():
@@ -396,6 +401,11 @@ def _distance(orbit, point):
     ("sn_pos", 0.0), ("sn_pos", 0.5), ("sn_pos", 0.95),
     ("sn_neg", 1.0 - 1e-4), ("sn_neg", 1.0 + 1e-4),
     ("pd_pos", -1.2), ("pd_pos", -1.05), ("pd_pos", -0.95),
+    # the near-origin degenerate flip of these slices is bracketed, but the
+    # corrector fails inside its refinement, so only the far one is found
+    *(pytest.param("pd_pos", m3, marks=pytest.mark.xfail(
+        strict=True, reason="detect_codim2 drops the near-origin flip: its refinement "
+        "fails in the corrector")) for m3 in (-1.0001, -0.9999)),
     ("pd_neg", -1.2), ("pd_neg", -1.05),
 ])
 def test_shrimp3_codim2_points_match_closed_form(start, m3):
@@ -453,7 +463,7 @@ def test_cubic_minus_degenerate_flips():
         assert abs(m1 - sign * 16.0 / 27.0) <= 1e-13
         assert abs(m2 + 2.0 / 3.0) <= 1e-13
         assert abs(hit.orbit.y - sign / 3.0) <= 1e-13
-        assert abs(lyapunov_value_1(CM, hit)) <= 1e-12
+        assert abs(hit.test_values["lyapunov_1"]) <= 1e-12
 
 
 def test_orbit_pass_plane_leaves_y_derivatives_unchanged():
@@ -475,9 +485,8 @@ def test_overflowing_orbit_derivatives_raise_convergence_error():
         find_periodic_orbit(PAR, 400, 0.3, (2.0,))
     with pytest.raises(ConvergenceError):
         solve_codim1(PAR, 400, PD, 0, (0.3, 2.0), (2.0,))
-    flip = BifPoint(kind=PD, orbit=PeriodicOrbit(400, 0.3, -1.0, (2.0,)))
     with pytest.raises(ConvergenceError, match="overflowed"):
-        lyapunov_value_1(PAR, flip)
+        orbit_pass(PAR, 0.3, (2.0,), 400, order=3)
 
 
 def test_shrimp3_codim3_flip_endpoint():

@@ -89,18 +89,18 @@ def test_reparked_cell_is_nudged_once(monkeypatch):
     heads = []
     head = sweep._Scan.head
 
-    def counted_head(self, cells, y, nudged):
-        heads.append((cells.tolist(), nudged))
-        return head(self, cells, y, nudged)
+    def counted_head(self, cells, y):
+        heads.append((cells.tolist(), self.nudged[cells].tolist()))
+        return head(self, cells, y)
 
     monkeypatch.setattr(sweep._Scan, "head", counted_head)
     grid = plane_sweep(spec)
     # the two M1 = 2 cells (the second axis is a dummy) park and are nudged once
-    assert heads == [([0, 1, 2, 3], False), ([2, 3], True)]
+    assert heads == [([0, 1, 2, 3], [False] * 4), ([2, 3], [True] * 2)]
     p1, p2 = np.full(2, 2.0), np.zeros(2)
     y = np.full(2, -2.0 + 1.0e-9)  # the window start -2 of the parked orbit, nudged
     S, esc, _ = sweep._orbit_window(spec.target, p1, p2, y, spec.escape_radius, 4, 3)
-    lam, _ = sweep._lyapunov(spec.target.stepper(p1, p2), S[-1], spec.escape_radius, 64)
+    lam, _ = sweep._lyapunov(spec.target, p1, p2, S[-1], spec.escape_radius, 64)
     assert not esc.any() and np.all(lam > 0.0)
     assert np.array_equal(grid.kind[1], np.full(2, sweep._CODE["chaotic"]))
     assert np.array_equal(_bits(grid.lyap[1]), _bits(lam))
@@ -350,9 +350,9 @@ def test_lyapunov_cells_pooled_across_blocks(monkeypatch):
     lyapunov, orbit_window = sweep._lyapunov, sweep._orbit_window
     calls, sizes = [], []
 
-    def counted_lyapunov(step, y, radius, samples):
+    def counted_lyapunov(target, p1, p2, y, radius, samples):
         calls.append(y.size)
-        return lyapunov(step, y, radius, samples)
+        return lyapunov(target, p1, p2, y, radius, samples)
 
     def sized_orbit_window(target, p1, p2, y, *args, **kw):
         sizes.append(y.size)
@@ -486,7 +486,7 @@ def test_escape_tracking_matches_per_step_reference(target, monkeypatch):
                 assert np.all(S[:, esc] == 0.0)
                 if radius == np.inf:
                     nan_seen |= bool(esc.any())
-            lam, esc = sweep._lyapunov(target.stepper(p1, p2), y0.copy(), radius, 80)
+            lam, esc = sweep._lyapunov(target, p1, p2, y0.copy(), radius, 80)
             lam_ref, esc_ref = _reference_lyapunov(f, df, y0, radius, 80)
             assert np.array_equal(esc, esc_ref), radius
             assert np.array_equal(_bits(lam[~esc]), _bits(lam_ref[~esc])), radius
@@ -514,8 +514,7 @@ def test_trap_radius_decides_escape_tracking(monkeypatch):
     one_more = tuple(np.append(a, b) for a, b in zip(cells, (3.0, -5.0, 0.1)))
     radius, transient, samples = 40.0, 600, 50
     for (p1, p2, y0), tracked in ((cells, False), (one_more, True)):
-        step = target.stepper(p1, p2)
-        assert sweep._absorbing(step, radius) is not tracked
+        assert sweep._absorbing(target, p1, p2, radius) is not tracked
         folds.clear()
         with np.errstate(over="ignore", invalid="ignore"):
             S, esc, _ = sweep._orbit_window(target, p1, p2, y0, radius, transient, 9)
@@ -526,17 +525,17 @@ def test_trap_radius_decides_escape_tracking(monkeypatch):
             assert np.array_equal(esc, esc_ref) and esc.any()
             assert np.array_equal(_bits(S), _bits(S_ref))
             folds.clear()
-            lam, esc = sweep._lyapunov(step, y0.copy(), radius, samples)
+            lam, esc = sweep._lyapunov(target, p1, p2, y0.copy(), radius, samples)
             assert len(folds) == (samples + 1 if tracked else 1)
             lam_ref, esc_ref = _reference_lyapunov(f, df, y0, radius, samples)
             assert np.array_equal(esc, esc_ref)
             assert np.array_equal(_bits(lam[~esc]), _bits(lam_ref[~esc]))
     rescaled = RescaledPlaneTarget(ESCAPE_TARGETS[-1].cfg)
-    step = rescaled.stepper(np.array([0.5, 1.0]), np.array([0.2, -0.3]))
+    m1, m2 = np.array([0.5, 1.0]), np.array([0.2, -0.3])
     for radius in (1.0e6, 1.0e300, np.inf):
-        assert not sweep._absorbing(step, radius)
+        assert not sweep._absorbing(rescaled, m1, m2, radius)
         folds.clear()
-        sweep._lyapunov(step, np.zeros(2), radius, 4)
+        sweep._lyapunov(rescaled, m1, m2, np.zeros(2), radius, 4)
         assert len(folds) == 5
 
 
