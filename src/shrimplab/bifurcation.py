@@ -116,14 +116,24 @@ def _first_lyapunov(d2, d3):
     return 0.25 * d2 * d2 + d3 / 6.0
 
 
+def _root_distance(ymap, y, params, period):
+    """Estimated distance from y to the nearest period-n point: the Newton
+    step |T^n(y) - y| / |(T^n)'(y) - 1|, or sqrt(2 |T^n(y) - y| / |(T^n)''|)
+    if smaller (near a fold); at least 1e-15 (1 + |y|), y's round-off."""
+    v, d1, d2 = orbit_pass(ymap, y, params, period)[:3]
+    g, slope = abs(v - y), abs(d1 - 1.0)
+    near = min(g / slope if slope else math.inf, math.sqrt(2.0 * g / abs(d2)) if d2 else math.inf)
+    return max(near, 1.0e-15 * (1.0 + abs(y)))
+
+
 def _reject_divisor_period(ymap, y, params, period, what):
-    """Raise NumericalError when y recurs within 1e-6 at a proper divisor of
-    period."""
+    """Raise NumericalError when a period-d point, d a proper divisor of
+    period, lies within the solution's own accuracy: 10 times its distance
+    to a period-`period` point (_root_distance; the two agree at a d-cycle)."""
+    accuracy = 10.0 * _root_distance(ymap, y, params, period)
     for div in range(1, period):
-        if period % div == 0:
-            vd = orbit_pass(ymap, y, params, div)[0]
-            if abs(vd - y) <= 1.0e-6:
-                raise NumericalError(f"{what} has period {div}, not minimal period {period}")
+        if period % div == 0 and _root_distance(ymap, y, params, div) <= accuracy:
+            raise NumericalError(f"{what} has period {div}, not minimal period {period}")
 
 
 @dataclass(frozen=True)
@@ -246,8 +256,9 @@ def solve_codim1(
     else:
         raise ConvergenceError(f"codim-1 Newton did not converge in {NEWTON_MAX_ITER} steps")
     params[free_index] = p
+    point = _bif_point(ymap, kind, period, y, params)  # raises first if its jets overflow
     _reject_divisor_period(ymap, y, params, period, "codim-1 solution")
-    return _bif_point(ymap, kind, period, y, params)
+    return point
 
 
 def _plane_params(u, plane, params):

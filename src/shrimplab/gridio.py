@@ -15,6 +15,8 @@ checks, plans, predictions) in the same '#'-header form.
 from __future__ import annotations
 
 import csv
+import itertools
+import re
 import warnings
 
 import numpy as np
@@ -27,6 +29,7 @@ from .sweep import (
     KIND_PERIOD,
     KIND_UNRESOLVED,
     SweepGrid,
+    _BLOCK,
     _CODE,
 )
 
@@ -139,8 +142,9 @@ def import_grid_csv(path) -> SweepGrid:
     """Rebuild a grid from its CSV export (cells are reproduced exactly).
 
     The '#' metadata lines and the header row are read line by line; the
-    cell rows are parsed in one np.loadtxt call.  Any malformed input raises
-    ConfigError naming the file.
+    cell rows are parsed _BLOCK lines at a time, one np.loadtxt call each,
+    into the output arrays.  Any malformed input raises ConfigError naming
+    the file.
     """
     meta = {}
     with open(path) as fh:
@@ -159,10 +163,7 @@ def import_grid_csv(path) -> SweepGrid:
             raise ConfigError("unexpected CSV header", key=str(path))
         try:
             spec = build_sweep_spec(meta, target=_ImportedTarget(meta))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a file with no cell rows
-                rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 4, 5), dtype=_ROW, ndmin=1)
-            kind, period, lyap = _cells(rows, spec.nx, spec.ny)
+            kind, period, lyap = _cells(fh, spec.nx, spec.ny)
         except KeyError as err:
             raise ConfigError(f"missing metadata {err}", key=str(path)) from err
         except (ConfigError, ValueError) as err:
@@ -170,38 +171,54 @@ def import_grid_csv(path) -> SweepGrid:
     return SweepGrid(spec=spec, kind=kind, period=period, lyap=lyap)
 
 
-def _cells(rows, nx, ny):
-    """The (nx, ny) kind/period/lyap arrays of parsed cell rows; ValueError
-    on a bad row count, index, outcome or value."""
+def _cells(fh, nx, ny):
+    """The (nx, ny) kind/period/lyap arrays of the cell rows left in fh;
+    ValueError on a bad row count, index, outcome or value."""
     n = nx * ny
-    if rows.size != n:
-        raise ValueError(f"expected {n} cells, found {rows.size}")
+    kind = np.zeros(n, dtype=np.uint8)  # 0 until a row sets the cell
+    period = np.zeros(n, dtype=np.int32)
+    lyap = np.zeros(n)
+    found = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a chunk with no cell rows
+        for first in fh:  # a chunk: this line and the next _BLOCK - 1
+            lines = itertools.chain([first], itertools.islice(fh, _BLOCK - 1))
+            try:
+                rows = np.loadtxt(lines, delimiter=",", usecols=(0, 1, 4, 5), dtype=_ROW, ndmin=1)
+            except ValueError as err:  # loadtxt counts the rows of its chunk only
+                raise ValueError(re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + found}",
+                                        str(err))) from None
+            found += _fill(rows, nx, ny, kind, period, lyap)
+            del rows  # before the next chunk is parsed
+    if found != n:
+        raise ValueError(f"expected {n} cells, found {found}")
+    if not kind.all():  # n rows that miss a cell name another one twice
+        raise ValueError("duplicated cell index")
+    shape = (nx, ny)
+    return kind.reshape(shape), period.reshape(shape), lyap.reshape(shape)
+
+
+def _fill(rows, nx, ny, kind, period, lyap):
+    """Write parsed cell rows into the flat kind/period/lyap arrays and
+    return their count; ValueError on a bad index, outcome or value."""
     i, j = rows["i"], rows["j"]
     if ((i < 0) | (i >= nx) | (j < 0) | (j >= ny)).any():
         raise ValueError(f"cell index outside the {nx}x{ny} grid")
     flat = i * ny + j
-    seen = np.zeros(n, dtype=bool)
-    seen[flat] = True
-    if not seen.all():
-        raise ValueError("duplicated cell index")
     outcome, value = rows["outcome"], rows["value"]
-    code = np.zeros(n, dtype=np.uint8)
+    code = np.zeros(rows.size, dtype=np.uint8)
     for name, c in _CODE.items():
         code[outcome == name.encode()] = c
     if not code.all():
         raise ValueError(f"unknown outcome {outcome[code == 0][0].decode('latin-1')!r}")
     if (np.char.str_len(value) == _ROW["value"].itemsize).any():
         raise ValueError("value field too long")
-    kind = np.zeros(n, dtype=np.uint8)
-    period = np.zeros(n, dtype=np.int32)
-    lyap = np.zeros(n)
     kind[flat] = code
     periodic = code == _CODE[KIND_PERIOD]
     exponent = (code == _CODE[KIND_CHAOTIC]) | (code == _CODE[KIND_UNRESOLVED])
     period[flat[periodic]] = value[periodic].astype(np.int32)
     lyap[flat[exponent]] = value[exponent].astype(np.float64)
-    shape = (nx, ny)
-    return kind.reshape(shape), period.reshape(shape), lyap.reshape(shape)
+    return rows.size
 
 
 class _ImportedTarget:

@@ -58,7 +58,8 @@ dropped from the block, and the escaped cells' recorded states are set to 0.
 
 The map is a pure function of the state, so once a state repeats bit for bit
 the orbit repeats forever.  After the drop, every _CHECK = 128 transient
-steps the last _RING = 32 states are kept in a ring, and a cell whose newest
+steps the last _RING = 32 states are kept in a ring (rows of the window
+buffer, which the window rows overwrite later), and a cell whose newest
 state t has the bits of the state t - q, for some q < 32, is retired: its
 state at step `transient` is read out of the ring (the state at step
 s >= t - q is that of step t - q + (s - t) mod q), and its other window
@@ -78,7 +79,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
@@ -354,10 +355,15 @@ def _orbit_window(target, p1, p2, y, radius, transient, length, top=None, t=0, s
     Returns (S, esc, rest).  Given a step `stop` of the schedule, the drop
     or a checkpoint no later than the last one (_handoff(transient) is), the
     run stops there and rest = (live, y, top) holds the cells still running:
-    their indices, states and running maxima; their S and esc are left 0 and
-    False, and resuming them from t = stop gives the bits of an
-    uninterrupted run.  Without a stop rest is None.  The caller's y and top
-    are not written.
+    their indices, states and running maxima; their esc is left False and
+    their S is undefined, and resuming them from t = stop gives the bits of
+    an uninterrupted run.  Without a stop rest is None.  The caller's y and
+    top are not written.
+
+    S is the first `length` rows of one buffer whose rows 1.._RING hold the
+    retirement ring during the transient, until the window overwrites them
+    (so after a stop, the S columns of the cells still running may hold
+    ring states).
     """
     n = y.size
     y = y.copy()
@@ -369,12 +375,12 @@ def _orbit_window(target, p1, p2, y, radius, transient, length, top=None, t=0, s
     _advance(step, y, top, mag, drop - t, track)
     t = max(t, drop)
     _fold(top, y, mag)
-    S = np.zeros((length, n))
+    buf = np.zeros((max(length, 1 + _RING), n))
+    S = buf[:length]
     esc = np.ones(n, dtype=bool)
     retired = np.zeros(n, dtype=bool)
     live = np.arange(n)
     keep = top <= radius
-    ring = None
     while True:
         if not keep.all():
             live, y, top = live[keep], y[keep], top[keep]
@@ -382,9 +388,7 @@ def _orbit_window(target, p1, p2, y, radius, transient, length, top=None, t=0, s
             step = target.stepper(p1[live], p2[live])
         if t == stop or t + _CHECK > transient or not live.size:
             break
-        if ring is None:
-            ring = np.empty((_RING, live.size))
-        R = ring[:, : live.size]
+        R = buf[1 : 1 + _RING, : live.size]
         _advance(step, y, top, mag, _CHECK - _RING, track)
         for r in R:
             _advance(step, y, top, mag, 1, track)
@@ -708,6 +712,7 @@ def plane_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
         step = math.ceil(n / max(workers, math.ceil(n / _BLOCK)))
         los = range(0, n, step)
         his = [min(lo + step, n) for lo in los]
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
         with ProcessPoolExecutor(max_workers=min(workers, len(los))) as pool:
             parts = list(pool.map(_sweep_cells, [spec] * len(los), los, his))
         kind, period, lyap = (np.concatenate(column) for column in zip(*parts))
@@ -717,12 +722,38 @@ def plane_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
     )
 
 
+class CellList(Sequence):
+    """The (i, j) cells of a grid with ny columns, held as flat (x-major)
+    indices, 8 B a cell; it reads, compares and hashes as the tuple of its
+    (i, j) tuples."""
+
+    def __init__(self, flat, ny):
+        self.flat, self.ny = flat, ny
+
+    def __len__(self):
+        return self.flat.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return CellList(self.flat[k], self.ny)
+        return divmod(int(self.flat[k]), self.ny)
+
+    def __iter__(self):
+        return zip(*(a.tolist() for a in np.divmod(self.flat, self.ny)))
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, CellList) else other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class GridComponent:
     period: int
     cell_count: int
     bbox: tuple
-    cells: tuple
+    cells: CellList
 
 
 def shrimp_locate(grid: SweepGrid, period: int):
@@ -732,7 +763,8 @@ def shrimp_locate(grid: SweepGrid, period: int):
     rows that share a column are joined (union-find over runs), and cells are
     grouped by the first run of their component.  Components of equal size
     come in the raster order of their first cell, and each component's
-    `cells` are in raster (i, then j) order.
+    `cells` are in raster (i, then j) order: a CellList over its slice of
+    one array of flat indices.
     """
     mask = (grid.kind == _CODE[KIND_PERIOD]) & (grid.period == period)
     ny = mask.shape[1]
@@ -765,18 +797,19 @@ def shrimp_locate(grid: SweepGrid, period: int):
     run_root = np.array([root(r) for r in range(row.size)], dtype=np.int64)
     cell_root = np.repeat(run_root, hi - lo)
     order = np.argsort(cell_root, kind="stable")
-    ci, cj = np.divmod(np.flatnonzero(mask)[order], ny)
+    flat = np.flatnonzero(mask)[order]
     starts = np.flatnonzero(np.diff(cell_root[order], prepend=-1))
-    sizes = np.diff(starts, append=ci.size)
+    sizes = np.diff(starts, append=flat.size)
+    ci, cj = np.divmod(flat, ny)
     bbox = zip(
         ci[starts].tolist(),
         ci[starts + sizes - 1].tolist(),
         np.minimum.reduceat(cj, starts).tolist(),
         np.maximum.reduceat(cj, starts).tolist(),
     )
-    cells = list(zip(ci.tolist(), cj.tolist()))
     components = [
-        GridComponent(period=period, cell_count=size, bbox=box, cells=tuple(cells[s : s + size]))
+        GridComponent(period=period, cell_count=size, bbox=box,
+                      cells=CellList(flat[s : s + size], ny))
         for s, size, box in zip(starts.tolist(), sizes.tolist(), bbox)
     ]
     components.sort(key=lambda c: -c.cell_count)

@@ -70,6 +70,16 @@ def test_find_orbit_stops_at_working_precision(j):
     assert abs(v - o.y) <= 1e-10 and d1 == o.multiplier
 
 
+def test_find_orbit_keeps_orbit_passing_near_a_fixed_point():
+    # the period-14 orbit of 2 - Y^2 through y = -2 cos(2 pi / (2^14 - 1))
+    # passes 1.5e-7 from the repelling fixed point -2, with |T(y) - y| =
+    # 4.4e-7; it is known to round-off, so it is not taken for that point
+    y = -2.0 * math.cos(2.0 * math.pi / (2**14 - 1))
+    assert 1.0e-7 < abs(PAR.value(y, (2.0,)) - y) < 1.0e-6
+    o = find_periodic_orbit(PAR, 14, y + 1e-10, (2.0,))
+    assert o.period == 14 and abs(o.y - y) <= 4e-15
+
+
 def test_orbit_reverifies_its_invariants():
     o = find_periodic_orbit(DP, 1, -0.9, (0.1, 0.2))
     v, d1 = orbit_pass(DP, o.y, o.params, o.period)[:2]

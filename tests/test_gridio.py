@@ -1,8 +1,11 @@
 import csv
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from shrimplab import gridio, sweep
 from shrimplab.errors import ConfigError
 from shrimplab.families import ModelMap
 from shrimplab.gridio import (
@@ -231,3 +234,58 @@ def test_import_rejects_malformed_metadata_value(tmp_path):
     text = path.read_text()
     path.write_text(text.replace("# sweep.nx = 12\n", "# sweep.nx = abc\n"))
     _assert_rejected(path, "key 'sweep.nx': not an integer: 'abc'")
+
+
+def _cell_rows(path):
+    """The file's lines before the cell rows, and the cell rows."""
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(k for k, line in enumerate(lines) if not line.startswith("#")) + 1
+    return lines[:at], lines[at:]
+
+
+@pytest.mark.parametrize("block", [1, 7, 16, 119, 120, 121])
+def test_import_in_chunks_matches_one_parse(tmp_path, monkeypatch, block):
+    """Chunks of a few rows import the same grid, from shuffled rows too,
+    and report a row count and a bad row as one parse of the file does."""
+    grid = small_grid()
+    path = _exported(tmp_path)
+    head, rows = _cell_rows(path)
+    monkeypatch.setattr(gridio, "_BLOCK", 10**6)
+    _edit_row(path, 40, lambda f: ["1.5"] + f[1:])
+    with pytest.raises(ConfigError, match="at row 40,") as whole:
+        import_grid_csv(path)
+    monkeypatch.setattr(gridio, "_BLOCK", block)
+    _assert_rejected(path, whole.value.args[0])
+    random.Random(block).shuffle(rows)
+    path.write_text("".join(head + rows))
+    assert import_grid_csv(path).same_cells(grid)
+    path.write_text("".join(head + rows[:-1]))
+    _assert_rejected(path, "expected 120 cells, found 119")
+    # the same cell in the first and the last chunk
+    path.write_text("".join(head + rows[:-1] + rows[:1]))
+    _assert_rejected(path, "duplicated cell index")
+
+
+def test_import_memory_is_bounded_by_a_chunk(tmp_path):
+    """Importing 256x256 cells holds the output arrays and a few chunks'
+    worth of parsed rows, not every row of the file at once."""
+    n = 256
+    rng = np.random.default_rng(3)
+    kind = rng.integers(1, 5, (n, n)).astype(np.uint8)
+    grid = SweepGrid(
+        spec=SweepSpec(target=small_grid().spec.target, plane=PlaneSpec("M1", -1, 1, "M2", -1, 1),
+                       nx=n, ny=n),
+        kind=kind,
+        period=np.where(kind == 1, rng.integers(1, 17, (n, n)), 0).astype(np.int32),
+        lyap=np.where((kind == 2) | (kind == 4), rng.normal(size=(n, n)), 0.0),
+    )
+    path = export_grid_csv(grid, tmp_path / "grid.csv")
+    tracemalloc.start()
+    try:
+        back = import_grid_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.same_cells(grid)
+    outputs = back.kind.nbytes + back.period.nbytes + back.lyap.nbytes
+    assert peak < outputs + 3 * sweep._BLOCK * gridio._ROW.itemsize

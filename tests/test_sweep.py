@@ -1,4 +1,9 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -328,12 +333,22 @@ def test_pool_never_exceeds_cpu_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
     spec = dp_spec(nx=16, ny=16, transient=64, samples=64, max_period=4)
     grid = plane_sweep(spec, workers=10**5)
     assert asked and max(asked) <= 2
     assert grid.same_cells(plane_sweep(spec))
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only a sweep with workers > 1 loads the process pool's modules."""
+    src = str(Path(sweep.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, shrimplab.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_lyapunov_cells_pooled_across_blocks(monkeypatch):
@@ -667,6 +682,55 @@ def test_shrimp_locate_matches_flood_fill():
             assert list(c.cells) == sorted(c.cells)  # raster order
             assert len(c.cells) == c.cell_count
         assert shrimp_locate(grid, 2) == []
+
+
+def test_component_cells_read_as_tuples():
+    """A component's CellList reads as the raster-ordered tuple of its
+    (i, j) cells: iteration, length, indexing, slicing and membership."""
+    for mask in _masks():
+        nx, ny = mask.shape
+        grid = SweepGrid(
+            spec=dp_spec(nx=max(nx, 2), ny=max(ny, 2)),
+            kind=np.where(mask, 1, 2).astype(np.uint8),
+            period=np.where(mask, 3, 0).astype(np.int32),
+            lyap=np.zeros(mask.shape),
+        )
+        comps = shrimp_locate(grid, 3)
+        reference = {frozenset(c[2]): tuple(sorted(c[2])) for c in _reference_components(mask)}
+        for c in comps:
+            cells = reference[frozenset(c.cells)]
+            assert tuple(c.cells) == cells and c.cells == cells
+            assert len(c.cells) == len(cells)
+            for k in (0, len(cells) // 2, -1):
+                assert c.cells[k] == cells[k]
+            assert c.cells[1:-1] == cells[1:-1]
+            assert all(cell in c.cells for cell in cells)
+            assert hash(c.cells) == hash(cells)
+        outside = [(i, j) for i in range(-1, nx + 1) for j in range(-1, ny + 1)
+                   if not (0 <= i < nx and 0 <= j < ny and mask[i, j])]
+        assert not any(cell in c.cells for c in comps for cell in outside)
+        again = shrimp_locate(grid, 3)
+        assert again == comps and [hash(c) for c in again] == [hash(c) for c in comps]
+
+
+def test_component_holds_a_flat_index_per_cell():
+    """The one component of an all-period-1 256x256 grid keeps at most
+    16 B per cell (a tuple of (i, j) tuples takes 64 here)."""
+    n = 256
+    grid = SweepGrid(
+        spec=dp_spec(nx=n, ny=n),
+        kind=np.ones((n, n), dtype=np.uint8),
+        period=np.ones((n, n), dtype=np.int32),
+        lyap=np.zeros((n, n)),
+    )
+    tracemalloc.start()
+    try:
+        comps = shrimp_locate(grid, 1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [c.cell_count for c in comps] == [n * n]
+    assert kept <= 16 * n * n
 
 
 def test_shrimp_locate_full_grid():
