@@ -152,12 +152,11 @@ class BifPoint:
 
 
 def _bif_point(ymap, kind, period, y, params) -> BifPoint:
-    """The point y of a period-cycle at params, with its fixed-point residual
-    and both codim-2 test values (second orbit derivative, first Lyapunov)."""
-    v, d1, d2, d3, _, _ = orbit_pass(ymap, y, params, period, order=3)
+    """The point y of a period-cycle at params, with both codim-2 test values
+    (second orbit derivative, first Lyapunov)."""
+    _, d1, d2, d3, _, _ = orbit_pass(ymap, y, params, period, order=3)
     orbit = PeriodicOrbit(period, float(y), float(d1), tuple(params))
-    tests = {"fixed_point": abs(v - y), "second_derivative": d2,
-             "lyapunov_1": _first_lyapunov(d2, d3)}
+    tests = {"second_derivative": d2, "lyapunov_1": _first_lyapunov(d2, d3)}
     return BifPoint(kind=kind, orbit=orbit, test_values=tests)
 
 

@@ -81,7 +81,7 @@ def _cmd_sweep(cfg, outdir, force, workers):
     grid = plane_sweep(spec, workers=workers)
     csv_path = _out_path(outdir, "grid.csv", force)
     pgm_path = _out_path(outdir, "grid.pgm", force)
-    header = [("config." + line.split(" = ")[0], line.split(" = ")[1]) for line in resolved_lines(cfg)]
+    header = [(f"config.{key}", cfg[key]) for key in sorted(cfg)]
     export_grid(grid, csv_path, pgm_path, extra_meta=header)
     return [csv_path, pgm_path]
 
@@ -177,8 +177,8 @@ def _cmd_rescale_verify(cfg, outdir, force, workers):
     for k in ks:
         rcfg = build_return_config(cfg, k=k, m=k)
         frame = rescale_frame(rcfg)
-        report = limit_map_deviation(rcfg, radius, grid, frame=frame)
-        measured = measured_y_linear_coeff(rcfg, frame=frame)
+        report = limit_map_deviation(frame, radius, grid)
+        measured = measured_y_linear_coeff(frame)
         rows.append(
             (
                 k,
@@ -204,7 +204,7 @@ def _plan(planner, *args, **kwargs):
 
 
 def _cmd_sequence_plan(cfg, outdir, force, workers):
-    count = _get_int(cfg, "plan.count")
+    count = _setting(cfg, "plan.count", _get_int, lambda n: n >= 1, "an integer >= 1")
     s_values = [float(j) for j in range(1, count + 1)]
     if cfg["plan.kind"] == "saddle":
         plan = _plan(

@@ -134,10 +134,6 @@ def parse_config_lines(text: str, source: str = "<config>"):
     return out, lines
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict:
-    return parse_config_lines(text, source)[0]
-
-
 def load_config(path=None, overrides=()) -> dict:
     """Defaults, then the config file, then key=value overrides."""
     file_cfg, file_lines = {}, {}

@@ -14,7 +14,7 @@ b, c are 2-vectors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,9 +53,6 @@ class GlobalMapTaylor:
     @cached_property
     def x_dim(self) -> int:
         return np.atleast_1d(np.asarray(self.x_plus, dtype=float)).size
-
-    def with_mu(self, mu: float) -> "GlobalMapTaylor":
-        return replace(self, mu=float(mu))
 
 
 def apply_global(g: GlobalMapTaylor, x, y, mu=None, tangent=None):

@@ -50,16 +50,17 @@ from .returnmap import ReturnMapConfig
 
 @dataclass(frozen=True)
 class RescaleFrame:
-    """Scales, chart origins, and parameter map for one (k, m) composition.
+    """Scales, chart origins, and parameter map for one (k, m) composition:
+    the handle of the rescaled return map.
 
-    Fields refer to the oriented composition (first excursion taken k local
-    steps in, second m steps in).  When the underlying configuration has
-    k < m the orientation is the mirror one and ``roles_swapped`` is True:
-    the first/second parameter roles in the limit family are then (M2, M1).
+    oc is the oriented configuration (k >= m: first excursion taken k local
+    steps in, second m steps in), and the other fields refer to it.  When
+    the underlying configuration has k < m, oc is its mirror and
+    ``roles_swapped`` is True: the first/second parameter roles in the limit
+    family are then (M2, M1).
     """
 
-    k: int
-    m: int
+    oc: ReturnMapConfig
     roles_swapped: bool
     beta1: float
     beta2: float
@@ -73,7 +74,6 @@ class RescaleFrame:
     m1: float
     m2: float
     m3_coeff: float
-    nu: float
 
     def mus_for(self, m_first: float, m_second: float):
         """Splitting parameters realizing rescaled parameters (exact inverse)."""
@@ -125,18 +125,17 @@ def _oriented(cfg: ReturnMapConfig):
 
 
 def _y_linear_coefficient(local: LocalNormalForm, t1, t2, m: int, k: int):
-    """Coefficient of Y in the rescaled second row, and the phase nu."""
+    """Coefficient of Y in the rescaled second row."""
     lam, gamma = local.lam, local.gamma
     if local.kind == SADDLE:
         c2 = float(t2.c) * float(t1.b)
-        signed = c2 * (local.sign_lambda * lam) ** m * gamma**k
-        return signed, 0.0
+        return c2 * (local.sign_lambda * lam) ** m * gamma**k
     b = np.asarray(t1.b, dtype=float)
     c = np.asarray(t2.c, dtype=float)
     rho = math.sqrt((b[0] ** 2 + b[1] ** 2) * (c[0] ** 2 + c[1] ** 2))
     nu = math.atan2(b[0] * c[1] - b[1] * c[0], b[0] * c[0] + b[1] * c[1])
     c2 = rho * math.cos(m * local.phi - nu)
-    return c2 * lam**m * gamma**k, nu
+    return c2 * lam**m * gamma**k
 
 
 def _linear_centers(cfg: ReturnMapConfig):
@@ -267,14 +266,13 @@ def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
             lambda u: _center_residual(oc, u), np.array([eta, xi, mu1c, mu2c]), "center polish"
         )
 
-    m3_coeff, nu = _y_linear_coefficient(local, t1, t2, m, k)
+    m3_coeff = _y_linear_coefficient(local, t1, t2, m, k)
 
     if local.kind == SADDLE_FOCUS and (np.asarray(t2.b)[0] == 0.0 or np.asarray(t1.b)[0] == 0.0):
         raise NumericalError("frame charts need a nonzero first component of b")
 
     return RescaleFrame(
-        k=k,
-        m=m,
+        oc=oc,
         roles_swapped=swapped,
         beta1=float(beta1),
         beta2=float(beta2),
@@ -288,35 +286,25 @@ def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
         m1=float(m1_scale * (t1.mu - mu1c)),
         m2=float(m2_scale * (t2.mu - mu2c)),
         m3_coeff=float(m3_coeff),
-        nu=float(nu),
     )
 
 
-def _pipeline(
-    oc: ReturnMapConfig,
-    frame: RescaleFrame,
-    X,
-    Y,
-    mu1,
-    mu2,
-    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
-    tangent=None,
-):
-    """Rescaled-in, rescaled-out composition (oriented config) for one point
-    or for arrays of points, with splitting parameters mu1, mu2 per point:
-    the charts around _stages.
+def _pipeline(frame: RescaleFrame, X, Y, mu1, mu2, tangent=None):
+    """Rescaled-in, rescaled-out composition of frame.oc, the oriented
+    config, for one point or for arrays of points, with splitting parameters
+    mu1, mu2 per point: the frame's charts around _stages.
 
     A scalar saddle-focus X stands for the pair (X, 0).  Returns (Xbar, Ybar,
     status, inside, tangent): status is the per-point outcome of the
     cross-form solve (local.SOLVED where it converged); inside is False where
-    a local stage left escape_radius or the image is not finite or lies
+    a local stage left the escape radius or the image is not finite or lies
     beyond it.  Every model runs the same stages, each with the operation
     order of its one-point form, so a lattice point gets the bits it would
     get alone.  Given a direction tangent = (dX, dY) (scalars, or arrays
     broadcasting with the points), the last item is the exact derivative
     (dXbar, dYbar) of the map along it; otherwise it is None.
     """
-    local, t2 = oc.local, oc.t2
+    local, t2 = frame.oc.local, frame.oc.t2
     focus = local.kind == SADDLE_FOCUS
 
     def pair(v):  # a scalar saddle-focus X stands for (X, 0)
@@ -326,13 +314,13 @@ def _pipeline(
     if tangent is not None:
         tangent = frame.chart_dx(pair(tangent[0]), t2.b), frame.beta1 * tangent[1]
     _, xb02, yb11, status, step_m, step_k, tangents = _stages(
-        oc, x02, y11, mu1, mu2, escape_radius, tangent
+        frame.oc, x02, y11, mu1, mu2, DEFAULT_ESCAPE_RADIUS, tangent
     )
     xbar, ybar = frame.chart_x_inv(xb02, t2.b), frame.chart_y_inv(yb11)
-    x_inside = np.abs(xbar) <= escape_radius
+    x_inside = np.abs(xbar) <= DEFAULT_ESCAPE_RADIUS
     if focus:
         x_inside = x_inside.all(axis=-1)
-    inside = (step_m == 0) & (step_k == 0) & x_inside & (np.abs(ybar) <= escape_radius)
+    inside = (step_m == 0) & (step_k == 0) & x_inside & (np.abs(ybar) <= DEFAULT_ESCAPE_RADIUS)
     if tangents is not None:
         _, dxb02, dyb11 = tangents
         tangents = (frame.chart_dx_inv(dxb02, t2.b), dyb11 / frame.beta1)
@@ -349,26 +337,17 @@ def _usable(out, k: int):
     return out
 
 
-def rescaled_return(
-    cfg: ReturnMapConfig,
-    X,
-    Y,
-    M=None,
-    frame: RescaleFrame | None = None,
-    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
-):
-    """Apply the return map in rescaled coordinates.
+def rescaled_return(frame: RescaleFrame, X, Y, M=None):
+    """Apply the return map of the frame in its rescaled coordinates.
 
     X is the rescaled leading state (a scalar for the saddle model, a pair
     for the saddle-focus), Y the rescaled cross coordinate.  When M =
     (M_first, M_second) is given, the splitting parameters are set from it
     through the frame; otherwise the configured values are used.
     """
-    oc, _ = _oriented(cfg)
-    if frame is None:
-        frame = rescale_frame(cfg)
+    oc = frame.oc
     mu1, mu2 = (oc.t1.mu, oc.t2.mu) if M is None else frame.mus_for(M[0], M[1])
-    xbar, ybar, _, _, _ = _usable(_pipeline(oc, frame, X, Y, mu1, mu2, escape_radius), oc.k)
+    xbar, ybar, _, _, _ = _usable(_pipeline(frame, X, Y, mu1, mu2), oc.k)
     return xbar, ybar
 
 
@@ -381,13 +360,9 @@ class DeviationReport:
     skipped: int
 
 
-def limit_map_deviation(
-    cfg: ReturnMapConfig,
-    radius: float,
-    grid: int,
-    frame: RescaleFrame | None = None,
-) -> DeviationReport:
-    """Worst deviation of Ybar from the limit families over a lattice.
+def limit_map_deviation(frame: RescaleFrame, radius: float, grid: int) -> DeviationReport:
+    """Worst deviation of the frame's Ybar from the limit families over a
+    lattice.
 
     The lattice runs over (Y, M_first, M_second) in [-radius, radius]^3 with
     ``grid`` points per axis; the leading rescaled state is held at 0, the
@@ -403,14 +378,11 @@ def limit_map_deviation(
         raise ValueError("radius must be positive")
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    oc, _ = _oriented(cfg)
-    if frame is None:
-        frame = rescale_frame(cfg)
     axis = np.linspace(-radius, radius, grid)
     yv, m1v, m2v = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
     mu1, mu2 = frame.mus_for(m1v, m2v)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, ybar, status, inside, _ = _pipeline(oc, frame, 0.0, yv, mu1, mu2)
+        _, ybar, status, inside, _ = _pipeline(frame, 0.0, yv, mu1, mu2)
     ok = (status == SOLVED) & inside
 
     lim2 = FAMILIES[DOUBLE_PARABOLA].value((m1v, m2v), yv)
@@ -423,15 +395,12 @@ def limit_map_deviation(
     return DeviationReport(err_two_param=err2, err_three_param=err3, skipped=skipped)
 
 
-def measured_y_linear_coeff(cfg: ReturnMapConfig, frame: RescaleFrame | None = None) -> float:
-    """Linear-in-Y coefficient of the composed map: its exact slope dYbar/dY
-    at X = Y = 0 with M = (0, 0), from the composition's tangent."""
-    oc, _ = _oriented(cfg)
-    if frame is None:
-        frame = rescale_frame(cfg)
+def measured_y_linear_coeff(frame: RescaleFrame) -> float:
+    """Linear-in-Y coefficient of the frame's composed map: its exact slope
+    dYbar/dY at X = Y = 0 with M = (0, 0), from the composition's tangent."""
     mu1, mu2 = frame.mus_for(0.0, 0.0)
-    out = _pipeline(oc, frame, 0.0, 0.0, mu1, mu2, tangent=(0.0, 1.0))
-    _, slope = _usable(out, oc.k)[4]
+    out = _pipeline(frame, 0.0, 0.0, mu1, mu2, tangent=(0.0, 1.0))
+    _, slope = _usable(out, frame.oc.k)[4]
     return float(slope)
 
 
@@ -471,7 +440,6 @@ def locate_fold(cfg: ReturnMapConfig, m_event):
     """
     if cfg.local.kind != SADDLE or cfg.local.nonlinearity == TEST_CUBIC:
         raise NumericalError("fold location implemented for the linear saddle model")
-    oc, _ = _oriented(cfg)
     frame = rescale_frame(cfg)
     mu_pred = np.array(predict_shrimp_location(cfg, m_event))
     direction = mu_pred / np.linalg.norm(mu_pred)
@@ -484,7 +452,7 @@ def locate_fold(cfg: ReturnMapConfig, m_event):
         x, y, tt = np.repeat(rows, 2, axis=0).T
         mu = mu_pred + tt[:, None] * direction
         columns = np.tile(np.eye(2), len(rows))
-        xb, yb, _, _, (dxb, dyb) = _pipeline(oc, frame, x, y, mu[:, 0], mu[:, 1], tangent=columns)
+        xb, yb, _, _, (dxb, dyb) = _pipeline(frame, x, y, mu[:, 0], mu[:, 1], tangent=columns)
         jac = np.stack([dxb.reshape(-1, 2), dyb.reshape(-1, 2)], axis=1)
         return np.column_stack([(xb - x)[::2], (yb - y)[::2], np.linalg.det(jac - np.eye(2))])
 

@@ -37,11 +37,6 @@ class ReturnMapConfig:
                     f"{name} has x-dimension {g.x_dim}, local form needs {want}"
                 )
 
-    def with_mus(self, mu1: float, mu2: float) -> "ReturnMapConfig":
-        return ReturnMapConfig(
-            self.local, self.t1.with_mu(mu1), self.t2.with_mu(mu2), self.k, self.m
-        )
-
     def swapped(self) -> "ReturnMapConfig":
         """Mirror configuration: exchange the roles of the two excursions."""
         return ReturnMapConfig(self.local, self.t2, self.t1, self.m, self.k)

@@ -34,8 +34,6 @@ class PlanEntry:
 
 @dataclass(frozen=True)
 class SequencePlan:
-    kind: str
-    nominal: float
     entries: tuple = field(default_factory=tuple)
     skipped: tuple = field(default_factory=tuple)
 
@@ -80,9 +78,7 @@ def plan_modulus_sequence(
         lo = min(t1, theta0)
         hi = max(t2, theta0)
         entries.append(PlanEntry(j=j, k=k, m=m, s=float(s), lo=lo, hi=hi, ends=(t1, t2)))
-    return SequencePlan(
-        kind="saddle", nominal=theta0, entries=tuple(entries), skipped=tuple(skipped)
-    )
+    return SequencePlan(entries=tuple(entries), skipped=tuple(skipped))
 
 
 def modulus_endpoint_gains(entry: PlanEntry, gamma: float):
@@ -115,6 +111,8 @@ def plan_rotation_sequence(
     if not 0.0 < phi0 < math.pi:
         raise FieldError("phi0", "phi0 must lie in (0, pi)")
     _require_expanding(gamma)
+    if not (math.isfinite(amplitude) and amplitude > 0.0):
+        raise FieldError("amplitude", "amplitude must be finite and positive")
     if not 0.0 < lam * abs(gamma) < 1.0:
         raise FieldError(
             "lambda", "lambda * |gamma| must lie in (0, 1) for a dissipative saddle-focus"
@@ -155,9 +153,7 @@ def plan_rotation_sequence(
         entries.append(
             PlanEntry(j=j, k=k, m=m, s=float(s), lo=lo, hi=hi, ends=(phi1, phi2), n=n)
         )
-    return SequencePlan(
-        kind="saddle_focus", nominal=phi0, entries=tuple(entries), skipped=tuple(skipped)
-    )
+    return SequencePlan(entries=tuple(entries), skipped=tuple(skipped))
 
 
 def rotation_endpoint_coefficients(

@@ -80,7 +80,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -88,7 +88,7 @@ import numpy as np
 from .errors import FieldError
 from .families import FAMILIES, ModelMap, param_index, trap_radius
 from .local import DEFAULT_ESCAPE_RADIUS
-from .rescale import _oriented, _stages, rescale_frame
+from .rescale import _stages, rescale_frame
 from .returnmap import ReturnMapConfig
 
 KIND_PERIOD = "period"
@@ -97,7 +97,6 @@ KIND_ESCAPED = "escaped"
 KIND_UNRESOLVED = "unresolved"
 
 _CODE = {KIND_PERIOD: 1, KIND_CHAOTIC: 2, KIND_ESCAPED: 3, KIND_UNRESOLVED: 4}
-_KIND = {v: k for k, v in _CODE.items()}
 
 # Cells classified together: every stage of a sweep works on at most this many
 # cells at once, so its arrays stay in cache and its memory is bounded.
@@ -110,13 +109,6 @@ _DROP_STEP = 64
 # and the cells whose orbit has repeated bit for bit are retired.
 _CHECK = 128
 _RING = 32
-
-
-@dataclass(frozen=True)
-class CellOutcome:
-    kind: str
-    period: int = 0
-    lyap: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ class RescaledPlaneTarget:
         Ybar(y) and, given dy, dy the exact slope at the old y, from one pass
         of rescale._stages in _pipeline's charts (without its escape flags
         and Xbar, which the sweep does not use)."""
-        oc, frame = _oriented(self.cfg)[0], self.frame
+        frame = self.frame
         mu1, mu2 = frame.mus_for(m1, m2)
         x02 = frame.center_x2  # X = 0
         along_y = (np.zeros(np.shape(x02)), frame.beta1)  # (dx02, dy11) of a unit dY
@@ -214,7 +206,7 @@ class RescaledPlaneTarget:
         def step(y, dy=None):
             tangent = None if dy is None else along_y
             _, _, yb11, _, _, _, tangents = _stages(
-                oc, x02, frame.chart_y(y), mu1, mu2, np.inf, tangent
+                frame.oc, x02, frame.chart_y(y), mu1, mu2, np.inf, tangent
             )
             y[...] = frame.chart_y_inv(yb11)
             if dy is not None:
@@ -281,12 +273,6 @@ class SweepGrid:
     kind: np.ndarray
     period: np.ndarray
     lyap: np.ndarray
-
-    def outcome(self, i: int, j: int) -> CellOutcome:
-        code = int(self.kind[i, j])
-        return CellOutcome(
-            kind=_KIND[code], period=int(self.period[i, j]), lyap=float(self.lyap[i, j])
-        )
 
     def same_cells(self, other: "SweepGrid") -> bool:
         return (
@@ -677,15 +663,6 @@ def _scan_cells(spec: SweepSpec, n: int, params):
             scan.candidates.flush(scan._refine)
         scan.unlabelled.flush(scan._lyapunov)
     return scan.kind, scan.period, scan.lyap
-
-
-def attractor_scan(target, point, spec: SweepSpec) -> CellOutcome:
-    """Classify a single parameter point with the sweep machinery."""
-    spec = replace(spec, target=target)
-    p1 = np.array([float(point[0])])
-    p2 = np.array([float(point[1])])
-    kind, period, lyap = _scan_cells(spec, 1, lambda cells: (p1[cells], p2[cells]))
-    return CellOutcome(kind=_KIND[int(kind[0])], period=int(period[0]), lyap=float(lyap[0]))
 
 
 def _sweep_cells(spec: SweepSpec, lo: int, hi: int):

@@ -205,9 +205,9 @@ def _arm_interval(sn_pts, m1, tol=0.02):
 def _deviation_series(radius=2.0, grid=13):
     out = {}
     for k in (6, 8, 10, 12, 14):
-        cfg = bench_cfg(k, k)
-        rep = limit_map_deviation(cfg, radius, grid)
-        out[k] = (rep.err_two_param, rep.err_three_param, rescale_frame(cfg).m3_coeff)
+        frame = rescale_frame(bench_cfg(k, k))
+        rep = limit_map_deviation(frame, radius, grid)
+        out[k] = (rep.err_two_param, rep.err_three_param, frame.m3_coeff)
     return out
 
 
@@ -252,8 +252,8 @@ def test_criterion_4_strict_decrease_test_cubic():
     local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0, nonlinearity="test_cubic")
     err2, err3 = [], []
     for k in (6, 8, 10, 12, 14):
-        cfg = ReturnMapConfig(local, saddle_global(), saddle_global(), k, k)
-        rep = limit_map_deviation(cfg, 2.0, 13)
+        frame = rescale_frame(ReturnMapConfig(local, saddle_global(), saddle_global(), k, k))
+        rep = limit_map_deviation(frame, 2.0, 13)
         err2.append(rep.err_two_param)
         err3.append(rep.err_three_param)
     ok = all(b < a for errs in (err2, err3) for a, b in zip(errs, errs[1:]))
@@ -267,9 +267,8 @@ def test_criterion_4_strict_decrease_test_cubic():
 
 
 def test_criterion_5_linear_coefficient_law():
-    cfg = bench_cfg(12, 12)
-    frame = rescale_frame(cfg)
-    measured = measured_y_linear_coeff(cfg, frame=frame)
+    frame = rescale_frame(bench_cfg(12, 12))
+    measured = measured_y_linear_coeff(frame)
     rel = abs(measured - frame.m3_coeff) / abs(frame.m3_coeff)
     assert rel <= 0.01
     assert math.isclose(frame.m3_coeff, 1.0 * 1.0 * 0.4**12 * 2.0**12, rel_tol=1e-12)
@@ -287,11 +286,10 @@ def test_criterion_5_linear_coefficient_law():
     rho = math.sqrt((1.0 + 0.25) * (1.0 + 0.25))
     nu = math.atan2(1.0 * (-0.5) - 0.5 * 1.0, 1.0 * 1.0 + 0.5 * (-0.5))
     for m in range(8, 15):
-        cfg_sf = ReturnMapConfig(local, t1, t2, m + 2, m)
-        frame_sf = rescale_frame(cfg_sf)
+        frame_sf = rescale_frame(ReturnMapConfig(local, t1, t2, m + 2, m))
         cosine = rho * math.cos(m * 0.3 - nu) * 0.4**m * 2.0 ** (m + 2)
         assert math.isclose(frame_sf.m3_coeff, cosine, rel_tol=1e-12)
-        measured_sf = measured_y_linear_coeff(cfg_sf, frame=frame_sf)
+        measured_sf = measured_y_linear_coeff(frame_sf)
         worst = max(worst, abs(measured_sf - cosine) / abs(cosine))
     assert worst <= 0.02
     report(5, True, f"saddle within {rel:.1e}, saddle-focus within {worst:.1e}")

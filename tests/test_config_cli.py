@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import re
 import sys
 import tempfile
 import warnings
@@ -19,25 +20,25 @@ from shrimplab.config import (
     build_return_config,
     build_sweep_spec,
     load_config,
-    parse_config_text,
+    parse_config_lines,
 )
 from shrimplab.errors import ConfigError
 
 
 def test_parse_basics():
-    cfg = parse_config_text("local.lambda = 0.5\n# comment\n\nt1.b = 2  # inline\n")
+    cfg = parse_config_lines("local.lambda = 0.5\n# comment\n\nt1.b = 2  # inline\n")[0]
     assert cfg == {"local.lambda": "0.5", "t1.b": "2"}
 
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ConfigError) as err:
-        parse_config_text("local.lambda = 0.5\nbroken line\n")
+        parse_config_lines("local.lambda = 0.5\nbroken line\n")
     assert err.value.line == 2
     with pytest.raises(ConfigError) as err:
-        parse_config_text("nodot = 3\n")
+        parse_config_lines("nodot = 3\n")
     assert err.value.line == 1
     with pytest.raises(ConfigError) as err:
-        parse_config_text("local.lambda =   # nothing\n")
+        parse_config_lines("local.lambda =   # nothing\n")
     assert err.value.key == "local.lambda"
 
 
@@ -103,6 +104,14 @@ def test_cli_sweep_writes_artifacts(tmp_path):
     assert (out / "grid.pgm").read_text().startswith("P2")
 
 
+def test_cli_sweep_header_keeps_whole_values(tmp_path):
+    # a value holding " = " was cut there: "# config.plan.kind = a"
+    out = tmp_path / "run"
+    assert run_cli(sweep_args(out, ("--set", "plan.kind=a = b"))) == 0
+    for name in ("grid.csv", "grid.pgm"):
+        assert "# config.plan.kind = a = b\n" in (out / name).read_text()
+
+
 def test_cli_refuses_overwrite(tmp_path):
     out = tmp_path / "run"
     assert run_cli(sweep_args(out)) == 0
@@ -155,6 +164,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert code == 1
     message = capsys.readouterr().err
     assert "sweep.unknown_key" in message
+
+
+DISSIPATIVE_FOCUS = ["plan.kind=saddle_focus", "plan.gamma=2.0", "plan.lambda=0.4"]
 
 
 @pytest.mark.parametrize(
@@ -213,6 +225,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("shrimp-predict", ["t1.c=inf"], "t1.c"),
         ("rescale-verify", ["t2.mu=nan"], "t2.mu"),
         ("rescale-verify", ["local.kind=saddle_focus", "t1.x_plus=1,inf"], "t1.x_plus"),
+        # were exit 0 with a header-only plan, or with infinite endpoints
+        *(("sequence-plan", [*DISSIPATIVE_FOCUS, f"plan.amplitude={a}"], "amplitude")
+          for a in ("nan", "0", "-1", "inf")),
+        *(("sequence-plan", [*DISSIPATIVE_FOCUS, f"plan.count={n}"], "plan.count")
+          for n in ("0", "-3")),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
@@ -427,3 +444,17 @@ def test_perfbench_tracer_finds_every_traced_name():
     finally:
         tracer.uninstall()
     assert not hasattr(sys.modules["shrimplab.sweep"].plane_sweep, "__wrapped__")
+
+
+def test_readme_python_blocks_run():
+    """Every python block of README.md runs in a fresh namespace, and the
+    quick start's ybar is what its comment says."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        claim = re.search(r"^xbar, ybar = .*#\s*~\s*(.+)$", block, re.M)
+        if claim:
+            assert abs(namespace["ybar"] - eval(claim.group(1))) <= 1e-9

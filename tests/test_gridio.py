@@ -12,7 +12,7 @@ from shrimplab.gridio import (
     export_grid, export_grid_csv, gray_for, grid_metadata, import_grid_csv,
 )
 from shrimplab.sweep import (
-    FamilyPlaneTarget, PlaneSpec, SweepGrid, SweepSpec, attractor_scan, plane_sweep,
+    FamilyPlaneTarget, PlaneSpec, SweepGrid, SweepSpec, plane_sweep,
 )
 
 
@@ -111,8 +111,6 @@ def test_imported_grid_cannot_be_reswept(tmp_path):
     spec = import_grid_csv(tmp_path / "grid.csv").spec
     with pytest.raises(ConfigError, match="re-iterated"):
         plane_sweep(spec)
-    with pytest.raises(ConfigError, match="re-iterated"):
-        attractor_scan(spec.target, (0.0, 0.0), spec)
 
 
 def test_gray_mapping():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -19,6 +20,7 @@ from shrimplab.rescale import (
     rescale_frame,
     rescaled_return,
 )
+from shrimplab.sweep import RescaledPlaneTarget
 
 
 def saddle_cfg(k, m, lam=0.4, gamma=2.0, **g):
@@ -59,10 +61,9 @@ def test_beta_scaling_law():
 def test_m3_coefficient_examples():
     fr = rescale_frame(saddle_cfg(5, 5))
     assert math.isclose(fr.m3_coeff, 0.8**5)
-    # saddle-focus with unit-axis vectors: nu = 0, coefficient cos(m phi)
+    # saddle-focus with unit-axis vectors: phase nu = 0, coefficient cos(m phi)
     cfg = focus_cfg(6, 4, phi=math.pi / 3, b1=(1.0, 0.0), c2=(1.0, 0.0))
     fr = rescale_frame(cfg)
-    assert math.isclose(fr.nu, 0.0, abs_tol=1e-15)
     assert math.isclose(fr.m3_coeff, math.cos(4 * math.pi / 3) * 0.4**4 * 2.0**6)
 
 
@@ -90,23 +91,22 @@ def test_frame_chart_round_trip():
 
 
 def test_rescaled_return_examples():
-    cfg = saddle_cfg(12, 12)
-    _, y0 = rescaled_return(cfg, 0.0, 0.0, M=(0.0, 0.0))
+    fr = rescale_frame(saddle_cfg(12, 12))
+    _, y0 = rescaled_return(fr, 0.0, 0.0, M=(0.0, 0.0))
     assert abs(y0) <= 1e-9
-    _, y1 = rescaled_return(cfg, 0.0, 1.0, M=(1.0, 0.0))
+    _, y1 = rescaled_return(fr, 0.0, 1.0, M=(1.0, 0.0))
     assert abs(y1 - 0.8**12) <= 1e-9
 
 
 def test_rescaled_return_quartic_structure():
     # brute-force check: at X=0 the second coordinate follows the quartic
     # composed with the frame's linear coefficient, point by point
-    cfg = saddle_cfg(10, 8)
-    fr = rescale_frame(cfg)
+    fr = rescale_frame(saddle_cfg(10, 8))
     rng = np.random.default_rng(2)
     for _ in range(25):
         y = rng.uniform(-2, 2)
         m1, m2 = rng.uniform(-2, 2, 2)
-        _, yb = rescaled_return(cfg, 0.0, y, M=(m1, m2), frame=fr)
+        _, yb = rescaled_return(fr, 0.0, y, M=(m1, m2))
         expected = m2 - (m1 - y * y) ** 2 + fr.m3_coeff * y
         assert abs(yb - expected) < 1e-8
 
@@ -114,11 +114,10 @@ def test_rescaled_return_quartic_structure():
 def test_rescaled_return_x_coupling_oracle():
     # with X nonzero the first equation picks up the mirror coupling
     # b2*c1*lam^k*gamma^m * X; verify against independent arithmetic
-    cfg = saddle_cfg(9, 6)
-    fr = rescale_frame(cfg)
+    fr = rescale_frame(saddle_cfg(9, 6))
     c1_coupling = 1.0 * 0.4**9 * 2.0**6
     for x in (-1.5, 0.7, 2.0):
-        xb, yb = rescaled_return(cfg, x, 0.5, M=(0.3, -0.2), frame=fr)
+        xb, yb = rescaled_return(fr, x, 0.5, M=(0.3, -0.2))
         x_expected = 0.3 - 0.25 + c1_coupling * x
         assert abs(xb - x_expected) < 1e-9
         y_expected = -0.2 - x_expected**2 + fr.m3_coeff * 0.5
@@ -129,7 +128,7 @@ def test_frame_current_mu_values():
     cfg = saddle_cfg(8, 8)
     fr0 = rescale_frame(cfg)
     mu1, mu2 = fr0.mus_for(0.7, -0.4)
-    fr1 = rescale_frame(cfg.with_mus(mu1, mu2))
+    fr1 = rescale_frame(replace(cfg, t1=replace(cfg.t1, mu=mu1), t2=replace(cfg.t2, mu=mu2)))
     assert math.isclose(fr1.m1, 0.7, abs_tol=1e-9)
     assert math.isclose(fr1.m2, -0.4, abs_tol=1e-9)
 
@@ -146,25 +145,26 @@ def test_ordering_symmetry():
 
 
 def test_deviation_report_benchmark():
-    report = limit_map_deviation(saddle_cfg(12, 12), 2.0, 9)
+    fr = rescale_frame(saddle_cfg(12, 12))
+    report = limit_map_deviation(fr, 2.0, 9)
     assert report.skipped == 0
     assert report.err_three_param < 1e-6
-    m3 = rescale_frame(saddle_cfg(12, 12)).m3_coeff
+    m3 = fr.m3_coeff
     gap = report.err_two_param - report.err_three_param
     assert 0.5 * abs(m3) * 2.0 <= gap <= 2.0 * abs(m3) * 2.0
 
 
 def test_deviation_rejects_bad_input():
+    fr = rescale_frame(saddle_cfg(6, 6))
     with pytest.raises(ValueError):
-        limit_map_deviation(saddle_cfg(6, 6), -1.0, 9)
+        limit_map_deviation(fr, -1.0, 9)
     with pytest.raises(ValueError):
-        limit_map_deviation(saddle_cfg(6, 6), 1.0, 1)
+        limit_map_deviation(fr, 1.0, 1)
 
 
 def test_measured_linear_coefficient():
-    cfg = saddle_cfg(12, 12)
-    fr = rescale_frame(cfg)
-    measured = measured_y_linear_coeff(cfg, frame=fr)
+    fr = rescale_frame(saddle_cfg(12, 12))
+    measured = measured_y_linear_coeff(fr)
     assert abs(measured - fr.m3_coeff) <= 1e-2 * abs(fr.m3_coeff)
 
 
@@ -194,24 +194,22 @@ def test_predict_matches_exact_center_when_a_zero():
 
 def test_frame_handles_feedback_coefficients():
     # nonzero a: the numeric center solve must keep the composition centered
-    cfg = saddle_cfg(9, 7, a=0.6)
-    fr = rescale_frame(cfg)
-    _, y0 = rescaled_return(cfg, 0.0, 0.0, M=(0.0, 0.0), frame=fr)
+    fr = rescale_frame(saddle_cfg(9, 7, a=0.6))
+    _, y0 = rescaled_return(fr, 0.0, 0.0, M=(0.0, 0.0))
     assert abs(y0) < 1e-9
     rng = np.random.default_rng(4)
     for _ in range(10):
         y = rng.uniform(-1.5, 1.5)
         m1, m2 = rng.uniform(-1.5, 1.5, 2)
-        _, yb = rescaled_return(cfg, 0.0, y, M=(m1, m2), frame=fr)
+        _, yb = rescaled_return(fr, 0.0, y, M=(m1, m2))
         expected = m2 - (m1 - y * y) ** 2 + fr.m3_coeff * y
         assert abs(yb - expected) < 1e-7
 
 
 def test_test_cubic_center_polish():
     local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0, nonlinearity="test_cubic")
-    cfg = ReturnMapConfig(local, saddle_global(), saddle_global(), 10, 10)
-    fr = rescale_frame(cfg)
-    _, y0 = rescaled_return(cfg, 0.0, 0.0, M=(0.0, 0.0), frame=fr)
+    fr = rescale_frame(ReturnMapConfig(local, saddle_global(), saddle_global(), 10, 10))
+    _, y0 = rescaled_return(fr, 0.0, 0.0, M=(0.0, 0.0))
     assert abs(y0) < 1e-7
 
 
@@ -219,11 +217,10 @@ def test_test_cubic_center_polish_with_feedback():
     # Was "center polish did not converge": the vertex residual was a +-1e-6
     # central difference whose noise floor lay above the 1e-12 tolerance.
     local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0, nonlinearity="test_cubic")
-    cfg = ReturnMapConfig(local, saddle_global(a=0.3), saddle_global(a=0.3), 14, 13)
-    fr = rescale_frame(cfg)
-    xb, yb = rescaled_return(cfg, 0.0, 0.0, M=(0.0, 0.0), frame=fr)
+    fr = rescale_frame(ReturnMapConfig(local, saddle_global(a=0.3), saddle_global(a=0.3), 14, 13))
+    xb, yb = rescaled_return(fr, 0.0, 0.0, M=(0.0, 0.0))
     assert abs(xb) < 1e-9 and abs(yb) < 1e-9
-    report = limit_map_deviation(cfg, 2.0, 13, frame=fr)
+    report = limit_map_deviation(fr, 2.0, 13)
     assert report.skipped == 0
 
 
@@ -244,14 +241,13 @@ def test_test_cubic_frames_verify_to_k20():
     # about 4x per two passes and passed 1e-12 there.
     local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0, nonlinearity="test_cubic")
     feedback = ReturnMapConfig(local, saddle_global(a=0.2), saddle_global(a=-0.1), 14, 14)
-    assert rescale_frame(feedback).k == 14
+    assert rescale_frame(feedback).oc.k == 14
     errs = []
     for k in (14, 16, 18, 20):
-        cfg = ReturnMapConfig(local, saddle_global(), saddle_global(), k, k)
-        fr = rescale_frame(cfg)
-        errs.append(limit_map_deviation(cfg, 2.0, 13, frame=fr).err_three_param)
+        fr = rescale_frame(ReturnMapConfig(local, saddle_global(), saddle_global(), k, k))
+        errs.append(limit_map_deviation(fr, 2.0, 13).err_three_param)
         if k >= 16:
-            assert abs(measured_y_linear_coeff(cfg, frame=fr) - fr.m3_coeff) <= 1e-3 * fr.m3_coeff
+            assert abs(measured_y_linear_coeff(fr) - fr.m3_coeff) <= 1e-3 * fr.m3_coeff
     assert all(b < a for a, b in zip(errs, errs[1:])), errs
 
 
@@ -289,8 +285,8 @@ def test_rescaled_return_mirror_ordering_equivalence():
     local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0)
     t1 = saddle_global(b=1.5, c=0.7, d=1.2)
     t2 = saddle_global(b=0.9, c=1.1, d=0.8)
-    lt = ReturnMapConfig(local, t1, t2, 4, 9)
-    ge = ReturnMapConfig(local, t2, t1, 9, 4)
+    lt = rescale_frame(ReturnMapConfig(local, t1, t2, 4, 9))
+    ge = rescale_frame(ReturnMapConfig(local, t2, t1, 9, 4))
     for x, y, m in ((0.0, 0.4, (0.2, -0.1)), (0.5, -1.0, (0.0, 0.3))):
         xa, ya = rescaled_return(lt, x, y, M=m)
         xb, yb = rescaled_return(ge, x, y, M=m)
@@ -299,9 +295,9 @@ def test_rescaled_return_mirror_ordering_equivalence():
 
 
 def test_deviation_saddle_focus_path():
-    report = limit_map_deviation(focus_cfg(10, 8), 1.5, 5)
-    assert report.skipped == 0
     fr = rescale_frame(focus_cfg(10, 8))
+    report = limit_map_deviation(fr, 1.5, 5)
+    assert report.skipped == 0
     gap = report.err_two_param - report.err_three_param
     assert report.err_three_param < 1e-6
     assert gap <= 2.0 * abs(fr.m3_coeff) * 1.5
@@ -312,15 +308,14 @@ def cubic_cfg(k, m):
     return ReturnMapConfig(local, saddle_global(), saddle_global(), k, m)
 
 
-def _pointwise_deviation(cfg, radius, grid):
+def _pointwise_deviation(frame, radius, grid):
     """Reference: the deviation lattice with one rescaled_return call per point."""
-    frame = rescale_frame(cfg)
     axis = np.linspace(-radius, radius, grid)
     yv, m1v, m2v = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
     ybar = np.full(yv.size, np.nan)
     for i in range(yv.size):
         try:
-            _, ybar[i] = rescaled_return(cfg, 0.0, yv[i], M=(m1v[i], m2v[i]), frame=frame)
+            _, ybar[i] = rescaled_return(frame, 0.0, yv[i], M=(m1v[i], m2v[i]))
         except (EscapeError, ConvergenceError):
             pass
     lim2 = m2v - (m1v - yv**2) ** 2
@@ -346,18 +341,13 @@ def _pointwise_deviation(cfg, radius, grid):
     ids=["saddle", "saddle-escapes", "focus", "focus-escapes", "cubic", "cubic-escapes"],
 )
 def test_deviation_lattice_matches_pointwise_reference(cfg, radius, grid, skips):
-    report = limit_map_deviation(cfg, radius, grid)
-    err2, err3, skipped = _pointwise_deviation(cfg, radius, grid)
+    frame = rescale_frame(cfg)
+    report = limit_map_deviation(frame, radius, grid)
+    err2, err3, skipped = _pointwise_deviation(frame, radius, grid)
     assert report.err_two_param == err2
     assert report.err_three_param == err3
     assert report.skipped == skipped
     assert (skipped > 0) == skips
-
-
-def test_deviation_accepts_prebuilt_frame():
-    cfg = cubic_cfg(8, 8)
-    frame = rescale_frame(cfg)
-    assert limit_map_deviation(cfg, 2.0, 5, frame=frame) == limit_map_deviation(cfg, 2.0, 5)
 
 
 TANGENT_CONFIGS = {
@@ -375,9 +365,8 @@ TANGENT_CONFIGS = {
 
 
 @lru_cache(maxsize=None)
-def _tangent_case(name):
-    cfg = TANGENT_CONFIGS[name]
-    return (cfg if cfg.k >= cfg.m else cfg.swapped()), rescale_frame(cfg)
+def _tangent_frame(name):
+    return rescale_frame(TANGENT_CONFIGS[name])
 
 
 @settings(max_examples=80, deadline=None)
@@ -389,8 +378,8 @@ def _tangent_case(name):
 def test_pipeline_tangent_matches_central_differences(name, state, m):
     # The exact tangent of the composition along each rescaled state axis
     # (X, the saddle-focus X2, and Y) against a central difference.
-    oc, frame = _tangent_case(name)
-    focus = oc.local.x_dim == 2
+    frame = _tangent_frame(name)
+    focus = frame.oc.local.x_dim == 2
     X = np.array(state[:2]) if focus else state[0]
     Y = state[2]
     mu1, mu2 = frame.mus_for(*m)
@@ -398,12 +387,29 @@ def test_pipeline_tangent_matches_central_differences(name, state, m):
     axes.append((np.zeros(2) if focus else 0.0, 1.0))
     h = 1.0e-5
     for dX, dY in axes:
-        xb, yb, status, inside, (dxb, dyb) = _pipeline(
-            oc, frame, X, Y, mu1, mu2, tangent=(dX, dY)
-        )
+        xb, yb, status, inside, (dxb, dyb) = _pipeline(frame, X, Y, mu1, mu2, tangent=(dX, dY))
         assume(status == SOLVED and inside)
-        xp, yp, _, _, _ = _pipeline(oc, frame, X + h * dX, Y + h * dY, mu1, mu2)
-        xm, ym, _, _, _ = _pipeline(oc, frame, X - h * dX, Y - h * dY, mu1, mu2)
+        xp, yp, _, _, _ = _pipeline(frame, X + h * dX, Y + h * dY, mu1, mu2)
+        xm, ym, _, _, _ = _pipeline(frame, X - h * dX, Y - h * dY, mu1, mu2)
         for exact, plus, minus in ((dxb, xp, xm), (dyb, yp, ym)):
             central = (plus - minus) / (2.0 * h)
             assert np.allclose(exact, central, rtol=1e-6, atol=1e-6), (dX, dY)
+
+
+@pytest.mark.parametrize("name", sorted(TANGENT_CONFIGS))
+def test_rescaled_sweep_step_is_pipeline_at_x0(name):
+    # The sweep's step wraps _stages in the frame's charts itself; at X = 0
+    # it must give _pipeline's Ybar, and its dYbar along (0, 1), bit for bit
+    # at every point that is solved and stays inside.
+    frame = _tangent_frame(name)
+    rng = np.random.default_rng(11)
+    y, m1, m2 = rng.uniform(-1.5, 1.5, (3, 500))
+    mu1, mu2 = frame.mus_for(m1, m2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, ybar, status, inside, (_, dybar) = _pipeline(frame, 0.0, y, mu1, mu2, (0.0, 1.0))
+        step_y, step_dy = y.copy(), np.empty_like(y)
+        RescaledPlaneTarget(TANGENT_CONFIGS[name]).stepper(m1, m2)(step_y, step_dy)
+    ok = (status == SOLVED) & inside
+    assert ok.sum() >= 100
+    for stepped, piped in ((step_y, ybar), (step_dy, dybar)):
+        assert np.array_equal(stepped[ok].view(np.uint64), piped[ok].view(np.uint64))

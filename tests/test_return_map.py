@@ -6,6 +6,7 @@ a time through the one-point local and excursion maps, in the ordering of
 the configuration, without cross form or charts.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,10 +213,11 @@ def test_rescaled_return_matches_first_return(name):
         X = rng.uniform(-1.0, 1.0, 2) if focus else rng.uniform(-1.0, 1.0)
         Y = rng.uniform(-1.2, 1.2)
         M = rng.uniform(-1.0, 1.0, 2)
-        xbar, ybar = rescaled_return(cfg, X, Y, M=M, frame=frame)
+        xbar, ybar = rescaled_return(frame, X, Y, M=M)
 
         mu1, mu2 = frame.mus_for(*M)
-        run = cfg.with_mus(mu1, mu2) if cfg.k >= cfg.m else cfg.with_mus(mu2, mu1)
+        first, second = (mu1, mu2) if cfg.k >= cfg.m else (mu2, mu1)
+        run = replace(cfg, t1=replace(cfg.t1, mu=first), t2=replace(cfg.t2, mu=second))
         x02, y11 = frame.chart_x(X, oc.t2.b), frame.chart_y(Y)
         # The reference shoots forward from y02, which multiplies its error by
         # gamma^(k+m) before the chart divides by beta2: solve it to 1e-15.

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +19,11 @@ from shrimplab.global_map import focus_global, saddle_global
 from shrimplab.returnmap import ReturnMapConfig
 from shrimplab import sweep
 from shrimplab.sweep import (
-    CellOutcome,
     FamilyPlaneTarget,
     PlaneSpec,
     RescaledPlaneTarget,
     SweepGrid,
     SweepSpec,
-    attractor_scan,
     plane_sweep,
     shrimp_locate,
 )
@@ -52,6 +51,17 @@ def focus_return_config():
     return ReturnMapConfig(local, g, g, 10, 10)
 
 
+def scan_point(spec, point):
+    """(kind, period, lyap) of one parameter point: a 2x2 plane sweep whose
+    four cells are all that point, and so all classified alike."""
+    plane = replace(spec.plane, x_lo=point[0], x_hi=point[0], y_lo=point[1], y_hi=point[1])
+    grid = plane_sweep(replace(spec, plane=plane, nx=2, ny=2))
+    assert np.all(grid.kind == grid.kind[0, 0]) and np.all(grid.period == grid.period[0, 0])
+    assert np.array_equal(_bits(grid.lyap), _bits(np.full((2, 2), grid.lyap[0, 0])))
+    kinds = {code: kind for kind, code in sweep._CODE.items()}
+    return kinds[int(grid.kind[0, 0])], int(grid.period[0, 0]), float(grid.lyap[0, 0])
+
+
 def cubic_return_config():
     local = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0, nonlinearity="test_cubic")
     return ReturnMapConfig(local, saddle_global(), saddle_global(), 10, 10)
@@ -64,25 +74,21 @@ def family_spec(family, params, **kw):
 
 
 def test_scan_superstable_fixed_point():
-    spec = dp_spec()
-    out = attractor_scan(spec.target, (0.0, 0.0), spec)
-    assert out == CellOutcome(kind="period", period=1, lyap=0.0)
+    assert scan_point(dp_spec(), (0.0, 0.0)) == ("period", 1, 0.0)
 
 
 def test_scan_parabola_escape():
-    spec = par_spec(2.05, 2.2)
-    out = attractor_scan(spec.target, (2.1, 0.0), spec)
-    assert out.kind == "escaped"
+    kind, _, _ = scan_point(par_spec(2.05, 2.2), (2.1, 0.0))
+    assert kind == "escaped"
 
 
 def test_scan_parabola_full_height_chaos():
     # at full height the map is conjugate to the doubling map: exponent ln 2.
     # The critical orbit parks exactly on the repelling fixed point, so this
     # also exercises the deterministic nudge.
-    spec = par_spec(1.9, 2.0, samples=8192)
-    out = attractor_scan(spec.target, (2.0, 0.0), spec)
-    assert out.kind == "chaotic"
-    assert abs(out.lyap - math.log(2.0)) < 0.05
+    kind, _, lyap = scan_point(par_spec(1.9, 2.0, samples=8192), (2.0, 0.0))
+    assert kind == "chaotic"
+    assert abs(lyap - math.log(2.0)) < 0.05
 
 
 def test_reparked_cell_is_nudged_once(monkeypatch):
@@ -124,10 +130,9 @@ WINDOW_CFG = Path(__file__).resolve().parents[1] / "configs" / "shrimp_window.cf
     ],
 )
 def test_unconfirmed_cell_is_unresolved(point):
-    spec = build_sweep_spec(load_config(str(WINDOW_CFG)))
-    out = attractor_scan(spec.target, point, spec)
-    assert out.kind == "unresolved" and out.period == 0
-    assert out.lyap < 0.0
+    kind, period, lyap = scan_point(build_sweep_spec(load_config(str(WINDOW_CFG))), point)
+    assert kind == "unresolved" and period == 0
+    assert lyap < 0.0
 
 
 def test_labels_mean_what_they_say():
@@ -869,6 +874,6 @@ def test_rescaled_plane_target():
         spec = SweepSpec(target=target, plane=plane, nx=6, ny=6, transient=512, samples=512)
         grid = plane_sweep(spec)
         # near the origin of the rescaled plane the fixed point is attracting
-        assert grid.outcome(3, 3).kind == "period"
-        out = attractor_scan(target, (0.0, 0.0), spec)
-        assert out.kind == "period" and out.period == 1
+        assert grid.kind[3, 3] == sweep._CODE["period"]
+        kind, period, _ = scan_point(spec, (0.0, 0.0))
+        assert kind == "period" and period == 1
