@@ -184,16 +184,21 @@ def find_periodic_orbit(
     params,
 ) -> PeriodicOrbit:
     """Newton solve of T^n(y) = y, stopping as solve_codim1 does, with the
-    multiplier of its last pass; rejects orbits of a proper divisor period."""
+    multiplier of its last pass; rejects orbits of a proper divisor period.
+    Newton also stops once its residual no longer halves but lies within
+    the pass's round-off bound, 32 n eps (1 + |d1|) (1 + |y|) up to 1e-8
+    (1 + |y|), which the final 1e-10 check also accepts (see README)."""
     if period < 1:
         raise ValueError("period must be >= 1")
     params = tuple(float(p) for p in params)
-    y = float(y_guess)
+    y, f_before = float(y_guess), math.inf
     for _ in range(NEWTON_MAX_ITER):
         v, d1 = orbit_pass(ymap, y, params, period)[:2]
         f = v - y
-        if abs(f) <= NEWTON_TOL:
+        roundoff = min(32.0 * period * math.ulp(1.0) * (1.0 + abs(d1)), 1.0e-8) * (1.0 + abs(y))
+        if abs(f) <= NEWTON_TOL or 0.5 * f_before < abs(f) <= roundoff:
             break
+        f_before = abs(f)
         fp = d1 - 1.0
         if fp == 0.0:
             raise NumericalError("singular Newton step: multiplier exactly 1 off-root")
@@ -205,7 +210,7 @@ def find_periodic_orbit(
             raise ConvergenceError("orbit Newton diverged")
     else:
         raise ConvergenceError(f"orbit Newton did not converge in {NEWTON_MAX_ITER} steps")
-    if abs(f) > 1.0e-10:
+    if abs(f) > max(1.0e-10, roundoff):
         raise ConvergenceError("orbit residual above verification tolerance")
     _reject_divisor_period(ymap, y, params, period, "solution")
     return PeriodicOrbit(period=period, y=float(y), multiplier=float(d1), params=params)

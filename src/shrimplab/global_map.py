@@ -14,8 +14,9 @@ b, c are 2-vectors.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class GlobalMapTaylor:
         return np.atleast_1d(np.asarray(self.x_plus, dtype=float)).size
 
 
-def apply_global(g: GlobalMapTaylor, x, y, mu=None, tangent=None):
+def apply_global(g: GlobalMapTaylor, x, y, mu=None, tangent=None, x_row=True):
     """Apply the excursion map to a point (x, y) near the unstable axis, or
     to arrays of such points.
 
@@ -63,27 +64,24 @@ def apply_global(g: GlobalMapTaylor, x, y, mu=None, tangent=None):
     scalar or one value per point, replaces g.mu when given.  A tangent, a
     list [dx, dy] of scalars or arrays that broadcast with the points, gets
     the items (a dx + b dy, c.dx + 2 d (y - y_minus) dy) in their place.
+    With x_row False the xbar row and the tangent's first item are not
+    computed, and None stands in their place.
     """
     if mu is None:
         mu = g.mu
     dy = y - g.y_minus
+    if g.x_dim == 1:
+        x_plus, a, b, c = g.x_plus, g.a, g.b, g.c
+        lin, col = operator.mul, (lambda v: v)
+    else:
+        x_plus, a, b, c = (np.asarray(v, dtype=float) for v in (g.x_plus, g.a, g.b, g.c))
+        lin, col = apply_matrix, partial(np.expand_dims, axis=-1)
     if tangent is not None:
         tx, ty = tangent
-        fold = 2.0 * g.d * dy * ty
-        if g.x_dim == 1:
-            tangent[:] = g.a * tx + g.b * ty, g.c * tx + fold
-        else:
-            a, b, c = (np.asarray(v, dtype=float) for v in (g.a, g.b, g.c))
-            new_x = apply_matrix(a, tx) + b * np.expand_dims(ty, -1)
-            tangent[:] = new_x, apply_matrix(c, tx) + fold
-    if g.x_dim == 1:
-        xbar = g.x_plus + g.a * x + g.b * dy
-        ybar = mu + g.c * x + g.d * dy * dy
-        return xbar, ybar
-    xbar = np.asarray(g.x_plus, dtype=float) + apply_matrix(np.asarray(g.a, dtype=float), x)
-    xbar = xbar + np.asarray(g.b, dtype=float) * np.expand_dims(dy, -1)
-    ybar = mu + apply_matrix(np.asarray(g.c, dtype=float), x) + g.d * dy * dy
-    return xbar, ybar
+        new_x = lin(a, tx) + b * col(ty) if x_row else None
+        tangent[:] = new_x, lin(c, tx) + 2.0 * g.d * dy * ty
+    ybar = mu + lin(c, x) + g.d * dy * dy
+    return (x_plus + lin(a, x) + b * col(dy) if x_row else None), ybar
 
 
 def saddle_global(

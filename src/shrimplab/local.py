@@ -123,6 +123,8 @@ def _flat_points(shape, *arrays):
 
 
 def _leading_apply(local: LocalNormalForm, a, x):
+    if x is None:  # a row nobody reads (global_map.apply_global's x_row)
+        return None
     return apply_matrix(a, x) if local.kind == SADDLE_FOCUS else a * x
 
 
@@ -157,9 +159,10 @@ def iterate_points(
     is not iterated further.  The linear case uses exact powers and checks
     |y| after the last step only; the nonlinear case checks max(|x|, |y|)
     after every step.  No state exceeds an infinite escape_radius, so that
-    one skips the checks.  A tangent (module docstring) becomes (L^n dx,
-    gamma^n dy) in the linear case and is pushed through each step's
-    Jacobian along the orbit otherwise, stopping where the point stops.
+    one skips the checks (escape_step 0 in the linear case).  A tangent
+    (module docstring) becomes (L^n dx, gamma^n dy) in the linear case and
+    is pushed through each step's Jacobian along the orbit otherwise,
+    stopping where the point stops.  A linear x or dx of None stays None.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -167,8 +170,7 @@ def iterate_points(
     if local.nonlinearity == LINEAR:
         lead, grow = local.leading_power(n), local.gamma**n
         yn = grow * y
-        step = (np.where(np.abs(yn) > escape_radius, n, 0) if checked
-                else np.zeros(np.shape(yn), int))
+        step = np.where(np.abs(yn) > escape_radius, n, 0) if checked else 0
         if tangent is not None:
             tangent[:] = _leading_apply(local, lead, tangent[0]), grow * tangent[1]
         return _leading_apply(local, lead, x), yn, step
@@ -233,7 +235,8 @@ def cross_form_points(
 ):
     """Two-point problem for arrays of points: (x at time k, y at time 0, status).
 
-    The linear case is closed form and its status is SOLVED for all points.
+    The linear case is closed form, with status SOLVED and y at time 0 None
+    (cross_form_solve computes it; the composition does not read it).
     The test-cubic case shoots forward from y0 and runs Newton's method on
     y0 against the y given at time k: each pass runs the k steps once,
     carrying M, the product of the step Jacobians, and updates
@@ -254,11 +257,10 @@ def cross_form_points(
     if k < 1:
         raise ValueError("k must be >= 1")
     if local.nonlinearity == LINEAR:
-        xk = _leading_apply(local, local.leading_power(k), x0)
-        y0 = yk / local.gamma**k
+        lead = local.leading_power(k)
         if tangent is not None:
-            tangent[0] = _leading_apply(local, local.leading_power(k), tangent[0])
-        return xk, y0, SOLVED
+            tangent[0] = _leading_apply(local, lead, tangent[0])
+        return _leading_apply(local, lead, x0), None, SOLVED
 
     lam_s = local.sign_lambda * local.lam
     gam = local.gamma
@@ -315,7 +317,7 @@ def cross_form_solve(
     """
     xk, y0, status = cross_form_points(local, x0, yk, k, tol)
     if local.nonlinearity == LINEAR:
-        return xk, y0
+        return xk, yk / local.gamma**k
     raise_unsolved(status, k, tol)
     return float(xk), float(y0)
 

@@ -34,6 +34,7 @@ from .errors import ConvergenceError, EscapeError, NumericalError
 from .families import DOUBLE_PARABOLA, FAMILIES, SHRIMP3
 from .local import (
     DEFAULT_ESCAPE_RADIUS,
+    LINEAR,
     SADDLE,
     SADDLE_FOCUS,
     SOLVED,
@@ -160,7 +161,7 @@ def _linear_centers(cfg: ReturnMapConfig):
     return eta, xi, mu1c, mu2c
 
 
-def _stages(oc: ReturnMapConfig, x02, y11, mu1, mu2, escape_radius, tangent=None):
+def _stages(oc: ReturnMapConfig, x02, y11, mu1, mu2, escape_radius, tangent=None, y_row=False):
     """The double-round return map (oriented config) in cross coordinates,
     for one point or for arrays of points: the one composition of the stages.
 
@@ -173,17 +174,25 @@ def _stages(oc: ReturnMapConfig, x02, y11, mu1, mu2, escape_radius, tangent=None
     tangent (dx, dy) at (x02, y11), scalars or arrays that broadcast with
     the points, is pushed through every stage by its exact rule (forward
     mode); tangents is then (dy12, dxb02, dyb11), else None.
-    """
+
+    With y_row (the sweep's step) it returns (yb11, dyb11) alone and, where
+    the last pass is linear, skips T2's X-row and tangent and that pass's X:
+    16 array operations instead of 21 on the linear saddle, 24 instead of 32
+    with a tangent."""
     local, t1, t2, k, m = oc.local, oc.t1, oc.t2, oc.k, oc.m
     t = None if tangent is None else list(tangent)
     x11, _, status = cross_form_points(local, x02, y11, k, tangent=t)
     x01, y01 = apply_global(t1, x11, y11, mu1, tangent=t)
     x12, y12, step_m = iterate_points(local, x01, y01, m, escape_radius, t)
     dy12 = None if t is None else t[1]
-    xb02, yb02 = apply_global(t2, x12, y12, mu2, tangent=t)
+    x_row = not y_row or local.nonlinearity != LINEAR
+    xb02, yb02 = apply_global(t2, x12, y12, mu2, t, x_row)
     dxb02 = None if t is None else t[0]
     _, yb11, step_k = iterate_points(local, xb02, yb02, k, escape_radius, t)
-    return y12, xb02, yb11, status, step_m, step_k, None if t is None else (dy12, dxb02, t[1])
+    dyb11 = None if t is None else t[1]
+    if y_row:
+        return yb11, dyb11
+    return y12, xb02, yb11, status, step_m, step_k, None if t is None else (dy12, dxb02, dyb11)
 
 
 def _center_residual(cfg: ReturnMapConfig, u):

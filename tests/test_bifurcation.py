@@ -70,6 +70,26 @@ def test_find_orbit_stops_at_working_precision(j):
     assert abs(v - o.y) <= 1e-10 and d1 == o.multiplier
 
 
+@pytest.mark.parametrize("j", [1024, 2047, 2048, 2050, 2560, 4035, 4094, 4096, 4097, 5120, 6143])
+def test_find_orbit_stops_at_its_round_off_bound(j):
+    # The period-14 orbit of 2 - Y^2 through -2 cos(2 pi j / (2^14 - 1)) as
+    # above, at starts where round-off holds the residual at up to 5.4e-10
+    # (the start near the critical point 0 at j = 4096 amplifies it most):
+    # the Newton step stays above 1e-15 (1 + |y|), so only a stop at the
+    # pass's own round-off bound ends the solve
+    y = -2.0 * math.cos(2.0 * math.pi * j / (2**14 - 1))
+    o = find_periodic_orbit(PAR, 14, y + 1e-10, (2.0,))
+    assert o.period == 14 and abs(o.y - y) <= 1e-13
+
+
+@pytest.mark.parametrize("period, y0", [(1, 0.0), (2, 0.3), (14, 0.3)])
+def test_find_orbit_raises_far_from_any_cycle(period, y0):
+    # 2 - Y^2 at M1 = -1 has no real cycle of period 1 or 2, and every orbit
+    # escapes: the round-off stop takes no start there for a cycle
+    with pytest.raises(ShrimplabError):
+        find_periodic_orbit(PAR, period, y0, (-1.0,))
+
+
 def test_find_orbit_keeps_orbit_passing_near_a_fixed_point():
     # the period-14 orbit of 2 - Y^2 through y = -2 cos(2 pi / (2^14 - 1))
     # passes 1.5e-7 from the repelling fixed point -2, with |T(y) - y| =

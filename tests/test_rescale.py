@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from shrimplab.errors import ConvergenceError, EscapeError
 from shrimplab.global_map import focus_global, saddle_global
-from shrimplab.local import SOLVED, LocalNormalForm
+from shrimplab.local import DEFAULT_ESCAPE_RADIUS, SOLVED, LocalNormalForm
 from shrimplab.returnmap import ReturnMapConfig
 from shrimplab.rescale import (
     _pipeline,
+    _stages,
     limit_map_deviation,
     locate_fold,
     measured_y_linear_coeff,
@@ -413,3 +414,31 @@ def test_rescaled_sweep_step_is_pipeline_at_x0(name):
     assert ok.sum() >= 100
     for stepped, piped in ((step_y, ybar), (step_dy, dybar)):
         assert np.array_equal(stepped[ok].view(np.uint64), piped[ok].view(np.uint64))
+
+
+@pytest.mark.parametrize("radius", [math.inf, DEFAULT_ESCAPE_RADIUS])
+@pytest.mark.parametrize("n", [1, 500, 16384])
+@pytest.mark.parametrize("name", sorted(TANGENT_CONFIGS))
+def test_stages_y_row_is_the_full_composition(name, n, radius):
+    # Asked for the Y-row alone, _stages skips the rows that Ybar does not
+    # read; its Ybar and dYbar must still be those of the full composition
+    # bit for bit, also where a point escapes or turns NaN.
+    frame = _tangent_frame(name)
+    rng = np.random.default_rng(n)
+    Y, m1, m2 = rng.uniform(-1.5, 1.5, (3, n))
+    Y[1::5] = 10.0 ** rng.uniform(0.0, 200.0, Y[1::5].size)
+    Y[3::50] = np.nan
+    y11, (mu1, mu2), x02 = frame.chart_y(Y), frame.mus_for(m1, m2), frame.center_x2
+    for tangent in (None, (np.zeros(np.shape(x02)), frame.beta1)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = _stages(frame.oc, x02, y11, mu1, mu2, radius, tangent)
+            y_row = _stages(frame.oc, x02, y11, mu1, mu2, radius, tangent, y_row=True)
+        pairs = [(full[2], y_row[0])]
+        if tangent is None:
+            assert y_row[1] is None
+        else:
+            pairs.append((full[6][2], y_row[1]))
+        for whole, row in pairs:
+            assert np.array_equal(np.asarray(whole).view(np.uint64), np.asarray(row).view(np.uint64))
+    if n > 1:
+        assert 0 < np.isfinite(full[2]).sum() < n
