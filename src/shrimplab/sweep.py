@@ -26,7 +26,10 @@ waiting for a label, the nudge re-run on the parked cells.  Each cell
 keeps its own steps and checkpoint schedule, and no stage lets one cell
 affect another, so the outcome of a cell depends neither on the block size
 or the batching nor on how the grid is split across workers; parallel
-sweeps are byte-identical to serial ones.
+sweeps are byte-identical to serial ones.  A parallel sweep runs at most
+one worker per usable CPU and per block, each on one run of whole blocks
+that it sweeps like a serial one, pooling its batches across its blocks; a
+grid of one block is swept in-process.
 
 Classification per cell, along one path: discard a transient, look for a
 recurrence of minimal period p <= max_period (confirmed twice at tolerance
@@ -680,20 +683,21 @@ def _sweep_cells(spec: SweepSpec, lo: int, hi: int):
 
 
 def plane_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
-    """Rasterize the plane; output is identical for any worker count, and no
-    more worker processes are started than there are CPUs."""
+    """Rasterize the plane; output is identical for any worker count.  At
+    most one worker process runs per usable CPU and per block, each sweeps
+    one run of whole blocks, and a grid of one block is swept in-process."""
     n = spec.nx * spec.ny
-    workers = min(workers, os.cpu_count() or 1)
+    blocks = math.ceil(n / _BLOCK)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1, blocks)
     if workers <= 1:
         kind, period, lyap = _sweep_cells(spec, 0, n)
     else:
-        # at least one piece per worker, and no piece larger than a block
-        step = math.ceil(n / max(workers, math.ceil(n / _BLOCK)))
-        los = range(0, n, step)
-        his = [min(lo + step, n) for lo in los]
+        # worker k sweeps blocks k * blocks // workers up to the next worker's first
+        los = [_BLOCK * (k * blocks // workers) for k in range(workers)]
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
-        with ProcessPoolExecutor(max_workers=min(workers, len(los))) as pool:
-            parts = list(pool.map(_sweep_cells, [spec] * len(los), los, his))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_sweep_cells, [spec] * workers, los, los[1:] + [n]))
         kind, period, lyap = (np.concatenate(column) for column in zip(*parts))
     shape = (spec.nx, spec.ny)
     return SweepGrid(

@@ -40,6 +40,7 @@ from shrimplab.sequences import (
     plan_rotation_sequence,
     rotation_endpoint_coefficients,
 )
+from shrimplab import sweep
 from shrimplab.sweep import FamilyPlaneTarget, PlaneSpec, SweepSpec, plane_sweep, shrimp_locate
 
 BENCH_LOCAL = LocalNormalForm(kind="saddle", lam=0.4, gamma=2.0)
@@ -367,7 +368,11 @@ def test_criterion_8_shrimp_prediction():
     )
 
 
-def test_criterion_9_worker_determinism(tmp_path):
+def test_criterion_9_worker_determinism(tmp_path, monkeypatch, pool_spy, usable_cpus):
+    # blocks of 512 cells split the 64^2 grid into 8, so 4 and 8 workers
+    # each start a real pool
+    monkeypatch.setattr(sweep, "_BLOCK", 512)
+    usable_cpus(8)
     blobs = []
     for name, workers in (("w1", "1"), ("w4", "4"), ("w8", "8")):
         out = tmp_path / name
@@ -382,5 +387,6 @@ def test_criterion_9_worker_determinism(tmp_path):
         blobs.append(
             ((out / "grid.csv").read_bytes(), (out / "grid.pgm").read_bytes())
         )
+    assert pool_spy == [4, 8]
     assert blobs[0] == blobs[1] == blobs[2]
     report(9, True, "byte-identical grid artifacts across 1, 4, 8 workers")

@@ -23,6 +23,7 @@ from shrimplab.config import (
     parse_config_lines,
 )
 from shrimplab.errors import ConfigError
+from shrimplab import sweep
 
 
 def test_parse_basics():
@@ -119,12 +120,17 @@ def test_cli_refuses_overwrite(tmp_path):
     assert run_cli(sweep_args(out, ("--force",))) == 0
 
 
-def test_cli_identical_bytes_across_workers_and_runs(tmp_path):
+def test_cli_identical_bytes_across_workers_and_runs(tmp_path, monkeypatch, pool_spy, usable_cpus):
+    # blocks of 64 cells split the 24^2 grid into 9, so 2 and 4 workers
+    # each start a real pool
+    monkeypatch.setattr(sweep, "_BLOCK", 64)
+    usable_cpus(4)
     outs = []
     for name, workers in (("a", "1"), ("b", "2"), ("c", "4")):
         out = tmp_path / name
         assert run_cli(sweep_args(out, ("--workers", workers))) == 0
         outs.append(out)
+    assert pool_spy == [2, 4]
     blobs = [(o / "grid.csv").read_bytes() for o in outs]
     assert blobs[0] == blobs[1] == blobs[2]
     pgms = [(o / "grid.pgm").read_bytes() for o in outs]

@@ -321,13 +321,42 @@ def test_workers_bit_identical(monkeypatch):
         monkeypatch.undo()
 
 
-def test_pool_never_exceeds_cpu_count(monkeypatch):
-    """A huge worker count asks for no more processes than there are CPUs."""
-    asked = []
+def test_pool_never_exceeds_cpu_count(monkeypatch, pool_spy, usable_cpus):
+    """A huge worker count starts no more processes than there are usable
+    CPUs."""
+    monkeypatch.setattr(sweep, "_BLOCK", 64)  # 4 blocks
+    usable_cpus(2)
+    spec = dp_spec(nx=16, ny=16, transient=64, samples=64, max_period=4)
+    grid = plane_sweep(spec, workers=10**5)
+    assert pool_spy == [2]
+    assert grid.same_cells(plane_sweep(spec))
+
+
+def test_one_usable_cpu_starts_no_pool(monkeypatch, pool_spy, usable_cpus):
+    """The workers are capped by the CPUs this process may run on (its
+    affinity), and by os.cpu_count() where there is no affinity."""
+    monkeypatch.setattr(sweep, "_BLOCK", 64)  # 4 blocks
+    spec = dp_spec(nx=16, ny=16, transient=64, samples=64, max_period=4)
+    reference = plane_sweep(spec)
+    usable_cpus(4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert plane_sweep(spec, workers=4).same_cells(reference)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert plane_sweep(spec, workers=4).same_cells(reference)
+    assert pool_spy == []
+
+
+def test_pool_pieces_are_whole_block_runs(monkeypatch, usable_cpus):
+    """A sweep uses min(workers, usable CPUs, blocks) workers, each on one
+    contiguous run of whole blocks, and sweeps a one-block grid without a
+    pool."""
+    pools, pieces = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
-            asked.append(max_workers)
+            pools.append(max_workers)
 
         def __enter__(self):
             return self
@@ -338,12 +367,36 @@ def test_pool_never_exceeds_cpu_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
+    sweep_cells = sweep._sweep_cells
+
+    def recorded(spec, lo, hi):
+        pieces.append((lo, hi))
+        return sweep_cells(spec, lo, hi)
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
-    spec = dp_spec(nx=16, ny=16, transient=64, samples=64, max_period=4)
-    grid = plane_sweep(spec, workers=10**5)
-    assert asked and max(asked) <= 2
-    assert grid.same_cells(plane_sweep(spec))
+    monkeypatch.setattr(sweep, "_sweep_cells", recorded)
+    # (nx, ny, block, workers, cpus, pieces)
+    cases = [
+        (16, 16, 64, 2, 2, 2), (10, 25, 64, 3, 8, 3), (10, 25, 64, 8, 3, 3),
+        (16, 16, 64, 10**5, 2, 2), (5, 7, 7, 4, 4, 4), (5, 7, 7, 16, 16, 5),
+        (10, 13, 64, 2, 1, 1), (8, 8, 64, 4, 4, 1), (2, 5, 64, 4, 4, 1),
+    ]
+    for nx, ny, block, workers, cpus, expected in cases:
+        spec = dp_spec(nx=nx, ny=ny, transient=64, samples=64, max_period=4)
+        monkeypatch.setattr(sweep, "_BLOCK", block)
+        usable_cpus(cpus)
+        pools.clear()
+        pieces.clear()
+        grid = plane_sweep(spec, workers=workers)
+        n = nx * ny
+        case = (nx, ny, block, workers, cpus)
+        assert len(pieces) == expected, case
+        assert pools == ([expected] if expected > 1 else []), case
+        assert [lo for lo, _ in pieces] == [0] + [hi for _, hi in pieces[:-1]], case
+        assert pieces[-1][1] == n, case
+        assert all(lo < hi for lo, hi in pieces), case
+        assert all((hi - lo) % block == 0 for lo, hi in pieces[:-1]), case
+        assert grid.same_cells(plane_sweep(spec)), case
 
 
 def test_cli_import_loads_no_process_pool():
