@@ -27,6 +27,7 @@ from .config import (
     build_model,
     build_return_config,
     build_sweep_spec,
+    keyed,
     load_config,
     plane_param_index,
     resolved_lines,
@@ -34,9 +35,7 @@ from .config import (
     _get_int,
     _get_list,
 )
-from .errors import (
-    ConfigError, ConvergenceError, EscapeError, FieldError, NumericalError, ShrimplabError,
-)
+from .errors import ConfigError, ConvergenceError, NumericalError, ShrimplabError
 from .gridio import export_grid, write_table
 from .rescale import (
     limit_map_deviation,
@@ -195,36 +194,24 @@ def _cmd_rescale_verify(cfg, outdir, force, workers):
     return _write_output(cfg, outdir, force, "rescale.csv", columns, rows)
 
 
-def _plan(planner, *args, **kwargs):
-    """Run a sequence planner; the FieldErrors it raises name bad plan settings."""
-    try:
-        return planner(*args, **kwargs)
-    except FieldError as err:
-        raise ConfigError(str(err), key=f"plan.{err.field}") from err
-
-
 def _cmd_sequence_plan(cfg, outdir, force, workers):
     count = _setting(cfg, "plan.count", _get_int, lambda n: n >= 1, "an integer >= 1")
     s_values = [float(j) for j in range(1, count + 1)]
+    gam = _get_float(cfg, "plan.gamma")
     if cfg["plan.kind"] == "saddle":
-        plan = _plan(
-            plan_modulus_sequence,
-            _get_float(cfg, "plan.theta0"),
-            _get_float(cfg, "plan.gamma"),
-            s_values,
-        )
+        with keyed("plan"):
+            plan = plan_modulus_sequence(_get_float(cfg, "plan.theta0"), gam, s_values)
         rows = []
         for e in plan.entries:
-            g1, g2 = modulus_endpoint_gains(e, _get_float(cfg, "plan.gamma"))
+            g1, g2 = modulus_endpoint_gains(e, gam)
             rows.append((e.j, e.k, e.m, "", _fmt(e.lo), _fmt(e.hi), _fmt(e.s),
                          _fmt(g1), _fmt(g2)))
     elif cfg["plan.kind"] == "saddle_focus":
         lam = _get_float(cfg, "plan.lambda")
-        gam = _get_float(cfg, "plan.gamma")
         amp = _get_float(cfg, "plan.amplitude")
-        plan = _plan(
-            plan_rotation_sequence, _get_float(cfg, "plan.phi0"), lam, gam, s_values, amplitude=amp
-        )
+        with keyed("plan"):
+            plan = plan_rotation_sequence(
+                _get_float(cfg, "plan.phi0"), lam, gam, s_values, amplitude=amp)
         rows = []
         for e in plan.entries:
             c1, c2, _ = rotation_endpoint_coefficients(e, lam, gam, amplitude=amp)
@@ -310,15 +297,12 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"shrimplab: config error: {err}", file=sys.stderr)
         return 1
-    except (ConvergenceError, EscapeError, NumericalError, ArithmeticError, MemoryError) as err:
+    except (ShrimplabError, ArithmeticError, MemoryError) as err:
         print(f"shrimplab: numerical failure: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"shrimplab: i/o error: {err}", file=sys.stderr)
         return 3
-    except ShrimplabError as err:
-        print(f"shrimplab: error: {err}", file=sys.stderr)
-        return 2
     for path in paths:
         print(path)
     return 0

@@ -8,10 +8,12 @@ files.  The full schema is documented in the README.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import ConfigError, FieldError
-from .families import FAMILY_ARITY, ModelMap, param_index
+from .families import ModelMap, param_index
 from .global_map import GlobalMapTaylor, focus_global, saddle_global
 from .local import SADDLE, SADDLE_FOCUS, LocalNormalForm
 from .returnmap import ReturnMapConfig
@@ -195,54 +197,52 @@ def _get_list(cfg, key, kind=int):
     return _parse(cfg, key, lambda v: [kind(x) for x in v.split(",")], "a list")
 
 
-def build_local(cfg) -> LocalNormalForm:
-    kind = cfg["local.kind"]
+@contextmanager
+def keyed(section: str):
+    """Turn a FieldError raised in the block into a ConfigError on the key
+    section.field: the one place a bad setting of a built object gets its key."""
     try:
+        yield
+    except FieldError as err:
+        raise ConfigError(str(err), key=f"{section}.{err.field}") from err
+
+
+def build_local(cfg) -> LocalNormalForm:
+    with keyed("local"):
         return LocalNormalForm(
-            kind=kind,
+            kind=cfg["local.kind"],
             lam=_get_float(cfg, "local.lambda"),
             gamma=_get_float(cfg, "local.gamma"),
             phi=_get_float(cfg, "local.phi"),
             sign_lambda=_get_int(cfg, "local.sign_lambda"),
             nonlinearity=cfg["local.nonlinearity"],
         )
-    except ValueError as err:
-        raise ConfigError(str(err), key="local.*") from err
 
 
 def build_global(cfg, section: str, kind: str) -> GlobalMapTaylor:
     make, vec, mat = (saddle_global, _get_float, _get_float) if kind == SADDLE else (
         focus_global, _get_vector, _get_matrix)
     read = dict(x_plus=vec, y_minus=_get_float, a=mat, b=vec, c=vec, d=_get_float, mu=_get_float)
-    try:
+    with keyed(section):
         return make(**{name: get(cfg, f"{section}.{name}") for name, get in read.items()})
-    except FieldError as err:
-        raise ConfigError(str(err), key=f"{section}.{err.field}") from err
 
 
 def build_return_config(cfg, k=None, m=None) -> ReturnMapConfig:
     local = build_local(cfg)
-    try:
+    t1, t2 = (build_global(cfg, section, local.kind) for section in ("t1", "t2"))
+    with keyed("return"):
         return ReturnMapConfig(
             local=local,
-            t1=build_global(cfg, "t1", local.kind),
-            t2=build_global(cfg, "t2", local.kind),
+            t1=t1,
+            t2=t2,
             k=k if k is not None else _get_int(cfg, "return.k"),
             m=m if m is not None else _get_int(cfg, "return.m"),
         )
-    except ValueError as err:
-        raise ConfigError(str(err), key="return.*") from err
 
 
 def build_model(cfg) -> ModelMap:
-    family = cfg["model.family"]
-    if family not in FAMILY_ARITY:
-        raise ConfigError(f"unknown family '{family}'", key="model.family")
-    params = _get_list(cfg, "model.params", float)
-    try:
-        return ModelMap(family, tuple(params))
-    except ValueError as err:
-        raise ConfigError(str(err), key="model.params") from err
+    with keyed("model"):
+        return ModelMap(cfg["model.family"], tuple(_get_list(cfg, "model.params", float)))
 
 
 def _spec_fields(cfg, section):
@@ -257,10 +257,8 @@ def _spec_fields(cfg, section):
 
 
 def build_plane(cfg) -> PlaneSpec:
-    try:
+    with keyed("plane"):
         return PlaneSpec(**_spec_fields(cfg, "plane"))
-    except FieldError as err:
-        raise ConfigError(str(err), key=f"plane.{err.field}") from err
 
 
 def plane_param_index(cfg, family: str, key: str) -> int:
@@ -289,10 +287,8 @@ def build_sweep_spec(cfg, target=None) -> SweepSpec:
     plane = build_plane(cfg)
     if target is None:
         target = _sweep_target(cfg, plane)
-    try:
+    with keyed("sweep"):
         return SweepSpec(target=target, plane=plane, **_spec_fields(cfg, "sweep"))
-    except FieldError as err:
-        raise ConfigError(str(err), key=f"sweep.{err.field}") from err
 
 
 def resolved_lines(cfg) -> list:

@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldError
+
 PARABOLA = "parabola"
 CUBIC_PLUS = "cubic_plus"
 CUBIC_MINUS = "cubic_minus"
@@ -165,15 +167,16 @@ class ModelMap:
 
 
 def family_params(family: str, params) -> tuple:
-    """params as a tuple of floats; ValueError unless the family is known and
-    params are as many finite numbers as it has parameters."""
+    """params as a tuple of floats; FieldError on family unless it is known,
+    on params unless they are as many finite numbers as it has parameters."""
     if family not in FAMILY_ARITY:
-        raise ValueError(f"unknown family '{family}'")
+        raise FieldError("family", f"unknown family '{family}'")
     params = tuple(map(float, params))
     if len(params) != FAMILY_ARITY[family]:
-        raise ValueError(f"{family} takes {FAMILY_ARITY[family]} parameters, got {len(params)}")
+        raise FieldError(
+            "params", f"{family} takes {FAMILY_ARITY[family]} parameters, got {len(params)}")
     if not all(map(math.isfinite, params)):
-        raise ValueError("parameters must be finite")
+        raise FieldError("params", "parameters must be finite")
     return params
 
 

@@ -10,7 +10,7 @@ with d != 0 (quadratic fold in y) and nonzero b, c.  The maps are exactly
 these polynomials: no hidden higher-order terms.  Every coefficient is
 finite; a bad one raises FieldError naming it.  For a saddle all
 coefficients are scalars; for a saddle-focus x is a 2-vector, a is 2x2, and
-b, c are 2-vectors.
+b, c are 2-vectors (focus_global checks these shapes).
 """
 from __future__ import annotations
 
@@ -95,13 +95,11 @@ def saddle_global(
 
 
 def focus_global(x_plus, y_minus, a, b, c, d, mu=0.0) -> GlobalMapTaylor:
-    """Vector-coefficient excursion map for the 3D saddle-focus model."""
-    return GlobalMapTaylor(
-        x_plus=np.asarray(x_plus, dtype=float),
-        y_minus=float(y_minus),
-        a=np.asarray(a, dtype=float),
-        b=np.asarray(b, dtype=float),
-        c=np.asarray(c, dtype=float),
-        d=float(d),
-        mu=float(mu),
-    )
+    """Vector-coefficient excursion map for the 3D saddle-focus model;
+    FieldError unless x_plus, b and c are 2-vectors and a is 2x2."""
+    arrays = dict(x_plus=x_plus, a=a, b=b, c=c)
+    for name, value in arrays.items():
+        arrays[name] = np.asarray(value, dtype=float)
+        if arrays[name].shape != ((2, 2) if name == "a" else (2,)):
+            raise FieldError(name, f"{name} must be " + ("2x2" if name == "a" else "a 2-vector"))
+    return GlobalMapTaylor(y_minus=float(y_minus), d=float(d), mu=float(mu), **arrays)

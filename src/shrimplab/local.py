@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, EscapeError
+from .errors import ConvergenceError, EscapeError, FieldError
 
 SADDLE = "saddle"
 SADDLE_FOCUS = "saddle_focus"
@@ -50,22 +50,24 @@ class LocalNormalForm:
     nonlinearity: str = LINEAR
 
     def __post_init__(self):
+        # each FieldError names the setting (the local.* config field) at fault
         if self.kind not in (SADDLE, SADDLE_FOCUS):
-            raise ValueError(f"unknown local kind '{self.kind}'")
+            raise FieldError("kind", f"unknown local kind '{self.kind}'")
         if not 0.0 < self.lam < 1.0:
-            raise ValueError("lam must lie in (0, 1)")
+            raise FieldError("lambda", "lambda must lie in (0, 1)")
         if not abs(self.gamma) > 1.0:
-            raise ValueError("|gamma| must exceed 1")
+            raise FieldError("gamma", "|gamma| must exceed 1")
         if not self.lam * abs(self.gamma) < 1.0:
-            raise ValueError("strong dissipativity requires lam*|gamma| < 1")
+            raise FieldError("gamma", "strong dissipativity requires lambda*|gamma| < 1")
         if self.kind == SADDLE_FOCUS and not 0.0 < self.phi < math.pi:
-            raise ValueError("phi must lie in (0, pi) for a saddle-focus")
+            raise FieldError("phi", "phi must lie in (0, pi) for a saddle-focus")
         if self.sign_lambda not in (-1, 1):
-            raise ValueError("sign_lambda must be +1 or -1")
+            raise FieldError("sign_lambda", "sign_lambda must be +1 or -1")
         if self.nonlinearity not in (LINEAR, TEST_CUBIC):
-            raise ValueError(f"unknown nonlinearity '{self.nonlinearity}'")
+            raise FieldError("nonlinearity", f"unknown nonlinearity '{self.nonlinearity}'")
         if self.nonlinearity == TEST_CUBIC and self.kind != SADDLE:
-            raise ValueError("test_cubic nonlinearity is defined for the saddle form")
+            raise FieldError(
+                "nonlinearity", "test_cubic nonlinearity is defined for the saddle form")
 
     @property
     def x_dim(self) -> int:

@@ -82,32 +82,33 @@ class RescaleFrame:
         mu2 = self.mu2_center + m_second / self.m2_scale
         return mu1, mu2
 
-    def chart_x(self, frame_x, b2):
+    def chart_x(self, frame_x):
         """Rescaled X (leading, secondary) to original starting x.
 
-        For the saddle-focus the pair sits on the last axis of frame_x, so
-        arrays of points map point by point.
+        X's leading axis lies along oc.t2.b.  For the saddle-focus the pair
+        sits on the last axis of frame_x, so arrays of points map point by
+        point.
         """
-        return self.center_x2 + self.chart_dx(frame_x, b2)
+        return self.center_x2 + self.chart_dx(frame_x)
 
-    def chart_dx(self, frame_dx, b2):
+    def chart_dx(self, frame_dx):
         """The linear part of chart_x: a rescaled displacement in x."""
         if np.ndim(self.center_x2) == 0:
-            return float(b2) * self.beta2 * frame_dx
+            return float(self.oc.t2.b) * self.beta2 * frame_dx
         frame_dx = np.asarray(frame_dx, dtype=float)
         x1, x22 = frame_dx[..., 0:1], frame_dx[..., 1:2]
-        b = np.asarray(b2, dtype=float)
+        b = np.asarray(self.oc.t2.b, dtype=float)
         return self.beta2 * x1 * b + self.delta_km * self.beta2 * x22 * np.array([0.0, 1.0])
 
-    def chart_x_inv(self, x, b2):
+    def chart_x_inv(self, x):
         """Original x back to rescaled X coordinates (inverse of chart_x)."""
-        return self.chart_dx_inv(np.asarray(x, dtype=float) - self.center_x2, b2)
+        return self.chart_dx_inv(np.asarray(x, dtype=float) - self.center_x2)
 
-    def chart_dx_inv(self, dx, b2):
+    def chart_dx_inv(self, dx):
         """The linear part of chart_x_inv: a displacement in x, rescaled."""
         if np.ndim(self.center_x2) == 0:
-            return dx / (float(b2) * self.beta2)
-        b = np.asarray(b2, dtype=float)
+            return dx / (float(self.oc.t2.b) * self.beta2)
+        b = np.asarray(self.oc.t2.b, dtype=float)
         x1 = dx[..., 0] / (b[0] * self.beta2)
         x22 = (dx[..., 1] - (b[1] / b[0]) * dx[..., 0]) / (self.delta_km * self.beta2)
         return np.stack([x1, x22], axis=-1)
@@ -313,26 +314,25 @@ def _pipeline(frame: RescaleFrame, X, Y, mu1, mu2, tangent=None):
     broadcasting with the points), the last item is the exact derivative
     (dXbar, dYbar) of the map along it; otherwise it is None.
     """
-    local, t2 = frame.oc.local, frame.oc.t2
-    focus = local.kind == SADDLE_FOCUS
+    focus = frame.oc.local.kind == SADDLE_FOCUS
 
     def pair(v):  # a scalar saddle-focus X stands for (X, 0)
         return np.array([float(v), 0.0]) if focus and np.ndim(v) == 0 else v
 
-    x02, y11 = frame.chart_x(pair(X), t2.b), frame.chart_y(Y)
+    x02, y11 = frame.chart_x(pair(X)), frame.chart_y(Y)
     if tangent is not None:
-        tangent = frame.chart_dx(pair(tangent[0]), t2.b), frame.beta1 * tangent[1]
+        tangent = frame.chart_dx(pair(tangent[0])), frame.beta1 * tangent[1]
     _, xb02, yb11, status, step_m, step_k, tangents = _stages(
         frame.oc, x02, y11, mu1, mu2, DEFAULT_ESCAPE_RADIUS, tangent
     )
-    xbar, ybar = frame.chart_x_inv(xb02, t2.b), frame.chart_y_inv(yb11)
+    xbar, ybar = frame.chart_x_inv(xb02), frame.chart_y_inv(yb11)
     x_inside = np.abs(xbar) <= DEFAULT_ESCAPE_RADIUS
     if focus:
         x_inside = x_inside.all(axis=-1)
     inside = (step_m == 0) & (step_k == 0) & x_inside & (np.abs(ybar) <= DEFAULT_ESCAPE_RADIUS)
     if tangents is not None:
         _, dxb02, dyb11 = tangents
-        tangents = (frame.chart_dx_inv(dxb02, t2.b), dyb11 / frame.beta1)
+        tangents = (frame.chart_dx_inv(dxb02), dyb11 / frame.beta1)
     return xbar, ybar, status, inside, tangents
 
 

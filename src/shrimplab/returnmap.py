@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import FieldError
 from .global_map import GlobalMapTaylor
 from .local import LocalNormalForm
 
@@ -28,8 +29,9 @@ class ReturnMapConfig:
     m: int
 
     def __post_init__(self):
-        if self.k < 1 or self.m < 1:
-            raise ValueError("k and m must be >= 1")
+        for name in ("k", "m"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, f"{name} must be >= 1")
         want = self.local.x_dim
         for name, g in (("t1", self.t1), ("t2", self.t2)):
             if g.x_dim != want:

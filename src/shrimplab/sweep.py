@@ -267,6 +267,8 @@ class SweepSpec:
                 raise FieldError(name, f"{name} must be finite and positive")
         if self.seed_rule not in ("critical", "fixed"):
             raise FieldError("seed_rule", "seed_rule must be 'critical' or 'fixed'")
+        if not math.isfinite(self.seed_value):
+            raise FieldError("seed_value", "seed_value must be finite")
 
     def seed(self) -> float:
         return 0.0 if self.seed_rule == "critical" else self.seed_value

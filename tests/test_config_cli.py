@@ -236,6 +236,27 @@ DISSIPATIVE_FOCUS = ["plan.kind=saddle_focus", "plan.gamma=2.0", "plan.lambda=0.
           for a in ("nan", "0", "-1", "inf")),
         *(("sequence-plan", [*DISSIPATIVE_FOCUS, f"plan.count={n}"], "plan.count")
           for n in ("0", "-3")),
+        # the local form, the pass counts and the saddle-focus coefficient
+        # shapes: were errors on the keys 'local.*' and 'return.*', or
+        # ValueError tracebacks (shapes)
+        ("rescale-verify", ["local.kind=node"], "local.kind"),
+        ("rescale-verify", ["local.lambda=2"], "local.lambda"),
+        ("shrimp-predict", ["local.gamma=1"], "local.gamma"),
+        ("rescale-verify", ["local.kind=saddle_focus", "local.phi=4"], "local.phi"),
+        ("sweep", ["sweep.target=rescaled_return", "local.sign_lambda=2"], "local.sign_lambda"),
+        ("rescale-verify", ["local.kind=saddle_focus", "local.nonlinearity=test_cubic"],
+         "local.nonlinearity"),
+        ("sweep", ["sweep.target=rescaled_return", "return.k=0"], "return.k"),
+        ("rescale-verify", ["local.kind=saddle_focus", "t1.a=0"], "t1.a"),
+        ("sweep", ["sweep.target=rescaled_return", "local.kind=saddle_focus", "t1.b=1,0.5,2"],
+         "t1.b"),
+        ("shrimp-predict", ["local.kind=saddle_focus", "t2.c=1"], "t2.c"),
+        ("rescale-verify", ["local.kind=saddle_focus", "t1.x_plus=1.0"], "t1.x_plus"),
+        # were exit 0 with every cell escaped
+        *(("sweep", ["sweep.seed_rule=fixed", f"sweep.seed_value={v}"], "sweep.seed_value")
+          for v in ("nan", "inf")),
+        # checked after model.params is parsed, by the family's own check
+        ("sweep", ["model.family=logistic"], "model.family"),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
@@ -248,7 +269,7 @@ def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
     # the error names the offending key: `named` when it is one, else the
     # key of the field it names, in the section of the last setting
     key = named if "." in named else f"{settings[-1].split('.')[0]}.{named.split()[0]}"
-    assert f"key '{key}':" in message
+    assert key in BENCHMARK_DEFAULTS and f"key '{key}':" in message
 
 
 def test_cli_continue_and_codim2(tmp_path):

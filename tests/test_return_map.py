@@ -218,11 +218,11 @@ def test_rescaled_return_matches_first_return(name):
         mu1, mu2 = frame.mus_for(*M)
         first, second = (mu1, mu2) if cfg.k >= cfg.m else (mu2, mu1)
         run = replace(cfg, t1=replace(cfg.t1, mu=first), t2=replace(cfg.t2, mu=second))
-        x02, y11 = frame.chart_x(X, oc.t2.b), frame.chart_y(Y)
+        x02, y11 = frame.chart_x(X), frame.chart_y(Y)
         # The reference shoots forward from y02, which multiplies its error by
         # gamma^(k+m) before the chart divides by beta2: solve it to 1e-15.
         _, y02 = cross_form_solve(oc.local, x02, y11, oc.k, tol=1.0e-15)
         xb02, yb02 = first_return(run, x02, y02)
         _, yb11 = local_iterate(oc.local, xb02, yb02, oc.k)
-        assert np.allclose(frame.chart_x_inv(xb02, oc.t2.b), xbar, rtol=0, atol=1e-8)
+        assert np.allclose(frame.chart_x_inv(xb02), xbar, rtol=0, atol=1e-8)
         assert math.isclose(frame.chart_y_inv(yb11), ybar, rel_tol=0, abs_tol=1e-8)

@@ -187,6 +187,9 @@ def test_spec_rejects_meaningless_values():
     for tol in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="period_tol"):
             dp_spec(period_tol=tol)
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="seed_value"):
+            dp_spec(seed_rule="fixed", seed_value=value)
 
 
 ORACLE_AXES = {"M1": 0, "M2": 1, "M3": 2}
