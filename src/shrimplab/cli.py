@@ -35,7 +35,7 @@ from .config import (
     _get_int,
     _get_list,
 )
-from .errors import ConfigError, ConvergenceError, NumericalError, ShrimplabError
+from .errors import ConfigError, ConvergenceError, FieldError, NumericalError, ShrimplabError
 from .gridio import export_grid, write_table
 from .rescale import (
     limit_map_deviation,
@@ -175,7 +175,8 @@ def _cmd_rescale_verify(cfg, outdir, force, workers):
     rows = []
     for k in ks:
         rcfg = build_return_config(cfg, k=k, m=k)
-        frame = rescale_frame(rcfg)
+        with keyed("return"):
+            frame = rescale_frame(rcfg)
         report = limit_map_deviation(frame, radius, grid)
         measured = measured_y_linear_coeff(frame)
         rows.append(
@@ -234,7 +235,7 @@ def _cmd_shrimp_predict(cfg, outdir, force, workers):
         try:
             mu_meas, _, rel = locate_fold(rcfg, m_event)
             measured = (_fmt(float(mu_meas[0])), _fmt(float(mu_meas[1])), _fmt(rel))
-        except (ConvergenceError, NumericalError):
+        except (ConvergenceError, NumericalError, FieldError):  # no frame, no fold
             measured = ("", "", "")
         rows.append(
             (k, k, _fmt(mu_pred[0]), _fmt(mu_pred[1])) + measured

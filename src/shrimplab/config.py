@@ -200,11 +200,12 @@ def _get_list(cfg, key, kind=int):
 @contextmanager
 def keyed(section: str):
     """Turn a FieldError raised in the block into a ConfigError on the key
-    section.field: the one place a bad setting of a built object gets its key."""
+    section.field, where the error's own section, if any, overrides the
+    given one: the one place a bad setting of a built object gets its key."""
     try:
         yield
     except FieldError as err:
-        raise ConfigError(str(err), key=f"{section}.{err.field}") from err
+        raise ConfigError(str(err), key=f"{err.section or section}.{err.field}") from err
 
 
 def build_local(cfg) -> LocalNormalForm:
@@ -277,7 +278,8 @@ def _sweep_target(cfg, plane):
             plane_param_index(cfg, model.family, key)
         return FamilyPlaneTarget(model, plane.x_name, plane.y_name)
     if cfg["sweep.target"] == "rescaled_return":
-        return RescaledPlaneTarget(build_return_config(cfg))
+        with keyed("return"):  # the target builds its frame (rescale_frame)
+            return RescaledPlaneTarget(build_return_config(cfg))
     raise ConfigError(f"unknown sweep target '{cfg['sweep.target']}'", key="sweep.target")
 
 

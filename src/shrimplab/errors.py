@@ -6,10 +6,10 @@ class ShrimplabError(Exception):
 
 
 class FieldError(ValueError):
-    """An invalid value of one named field of a spec or planner argument."""
+    """An invalid value of one named field of a spec, or of its part section."""
 
-    def __init__(self, field, message):
-        self.field = field
+    def __init__(self, field, message, section=None):
+        self.field, self.section = field, section
         super().__init__(message)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, EscapeError, NumericalError
+from .errors import ConvergenceError, EscapeError, FieldError, NumericalError
 from .families import DOUBLE_PARABOLA, FAMILIES, SHRIMP3
 from .local import (
     DEFAULT_ESCAPE_RADIUS,
@@ -257,12 +257,17 @@ def _parameter_scales(oc: ReturnMapConfig):
 
 
 def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
-    """Build the affine frame for cfg (orientation handled internally)."""
+    """Build the affine frame for cfg (orientation handled internally);
+    FieldError on gamma of cfg.local unless gamma > 1, and on b of cfg.t1 or
+    cfg.t2 if a saddle-focus b[0] = 0 (its section names the part)."""
+    if cfg.local.gamma <= 1.0:
+        raise FieldError("gamma", "rescale frames require gamma > 1", section="local")
+    for name in ("t1", "t2") if cfg.local.kind == SADDLE_FOCUS else ():
+        if np.asarray(getattr(cfg, name).b)[0] == 0.0:
+            raise FieldError("b", "frame charts need a nonzero first component of b", section=name)
     oc, swapped = _oriented(cfg)
     local, t1, t2, k, m = oc.local, oc.t1, oc.t2, oc.k, oc.m
     gamma = local.gamma
-    if gamma <= 1.0:
-        raise NumericalError("rescale frames require gamma > 1")
     d1, d2 = float(t1.d), float(t2.d)
 
     beta1 = -1.0 / np.cbrt(d2 * d1 * d1) * gamma ** (-(k + 2.0 * m) / 3.0)
@@ -277,9 +282,6 @@ def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
         )
 
     m3_coeff = _y_linear_coefficient(local, t1, t2, m, k)
-
-    if local.kind == SADDLE_FOCUS and (np.asarray(t2.b)[0] == 0.0 or np.asarray(t1.b)[0] == 0.0):
-        raise NumericalError("frame charts need a nonzero first component of b")
 
     return RescaleFrame(
         oc=oc,

@@ -9,24 +9,26 @@ order.  The head of a block runs its orbits to the first retirement
 checkpoint (below; the step-64 drop when no checkpoint fits in the
 transient), and the cells that are done by then, escaped or retired, are
 settled from their window: escapes are labelled, and the recurrence test
-runs on these cells only.  The long tail is pooled across blocks in three
+runs on these cells only.  The long tail is pooled across blocks in four
 queues of at most _BLOCK cells, each run as one batch when it is full and
 at the end: the tail queue holds the cells still running, all at the same
 step, with their state and running maximum, and runs the rest of the
 transient and the window; the candidate queue holds the cells with a
 recurrence, with their first and last window state, and runs the Newton
-refinement once per divisor; the Lyapunov queue (_Scan.unlabelled) holds
-the cells left unlabelled, with their last state.  So every stage works on
-full batches (on the 512^2 acceptance window a block has 1,000 to 8,000
-cells left after the first checkpoint), and a sweep's memory is bounded by
-one head block and the three queues rather than by nx * ny; the cells'
-parameters are looked up per batch.  Within a batch each stage runs only
-on the cells that still need it: Newton refinement on the cells still
-waiting for a label, the nudge re-run on the parked cells.  Each cell
-keeps its own steps and checkpoint schedule, and no stage lets one cell
-affect another, so the outcome of a cell depends neither on the block size
-or the batching nor on how the grid is split across workers; parallel
-sweeps are byte-identical to serial ones.  A parallel sweep runs at most
+refinement once per divisor below _DEEP = 3; the deep queue holds the
+candidates left with a longer period and runs the divisors from 3 on; the
+Lyapunov queue (_Scan.unlabelled) holds the cells left unlabelled, with
+their last state.  So every stage works on full batches (on the 512^2
+acceptance window a block has 1,000 to 8,000 cells left after the first
+checkpoint), and a sweep's memory is bounded by one head block and the
+four queues rather than by nx * ny; the cells' parameters are looked up
+per batch.  Within a batch each stage runs only on the cells that still
+need it: Newton refinement on the cells still waiting for a label, the
+nudge re-run on the parked cells.  Each cell keeps its own steps and
+checkpoint schedule, and no stage lets one cell affect another, so the
+outcome of a cell depends neither on the block size or the batching nor
+on how the grid is split across workers; parallel sweeps are
+byte-identical to serial ones.  A parallel sweep runs at most
 one worker per usable CPU and per block, each on one run of whole blocks
 that it sweeps like a serial one, pooling its batches across its blocks; a
 grid of one block is swept in-process.
@@ -84,7 +86,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial, partialmethod
 
 import numpy as np
 
@@ -112,6 +114,8 @@ _DROP_STEP = 64
 # and the cells whose orbit has repeated bit for bit are retired.
 _CHECK = 128
 _RING = 32
+# The candidates' divisors from this one on are tried in the deep queue.
+_DEEP = 3
 
 
 @dataclass(frozen=True)
@@ -185,16 +189,12 @@ class RescaledPlaneTarget:
     The cross coordinate Y is the dynamical variable and the leading state is
     held at the chart center X = 0: a step is the composition of
     rescale._pipeline at X = 0, for every local model.  A cell whose
-    cross-form solve fails gets NaN and is classified escaped.
+    cross-form solve fails gets NaN and is classified escaped.  The frame
+    (rescale_frame) is built with the target.
     """
 
     def __init__(self, cfg: ReturnMapConfig):
-        self.cfg = cfg
-
-    @cached_property
-    def frame(self):
-        """The rescaling frame, built once per target on first use."""
-        return rescale_frame(self.cfg)
+        self.cfg, self.frame = cfg, rescale_frame(cfg)
 
     def stepper(self, m1, m2):
         """The fused in-place step(y, dy=None) of families.FAMILIES: y becomes
@@ -490,18 +490,25 @@ def _lyapunov(target, p1, p2, y, radius, samples):
     """Average log|slope| over `samples` steps from y of target's cells
     (p1, p2), and the escape flags.
 
+    The slopes max(|f'|, 1e-15) are multiplied in groups of eight samples (the
+    last may be shorter) and the logs of the products added; a product stays
+    finite for |Y| below about 1e12, so for escape radii up to that (README).
+
     y is stepped in place.  Escape is tracked as in _advance; escaped cells'
     exponents are not meaningful.
     """
     step = target.stepper(p1, p2)
     track = not _absorbing(target, p1, p2, radius)
     acc = np.zeros(y.size)
-    top, mag, d = np.zeros(y.size), np.empty(y.size), np.empty(y.size)
-    for _ in range(samples):
+    top, mag, d, prod = np.zeros(y.size), np.empty(y.size), np.empty(y.size), np.ones(y.size)
+    for s in range(1, samples + 1):
         step(y, d)
         np.abs(d, out=d)
         np.maximum(d, 1.0e-15, out=d)
-        acc += np.log(d, out=d)
+        prod *= d
+        if s % 8 == 0 or s == samples:
+            acc += np.log(prod, out=prod)
+            prod.fill(1.0)
         if track:
             _fold(top, y, mag)
     _fold(top, y, mag)
@@ -540,7 +547,7 @@ class _Queue:
 
 class _Scan:
     """The outcome arrays of n cells, whose parameters are params(cells) for
-    an array of cell indices, and the three queues that pool their long
+    an array of cell indices, and the four queues that pool their long
     tail across blocks (module docstring)."""
 
     def __init__(self, spec: SweepSpec, n, params):
@@ -554,6 +561,8 @@ class _Scan:
         self.tail = _Queue(np.intp, float, float)
         # cell, recurrence period, first and last window state
         self.candidates = _Queue(np.intp, np.int32, float, float)
+        # the same, of the candidates left for the divisors from _DEEP on
+        self.deep = _Queue(np.intp, np.int32, float, float)
         # cell, last window state
         self.unlabelled = _Queue(np.intp, float)
 
@@ -601,7 +610,7 @@ class _Scan:
         self.candidates.push(self._refine, *candidates)
         self.unlabelled.push(self._lyapunov, *unlabelled)
 
-    def _refine(self, cells, rec, y0, last):
+    def _refine(self, cells, rec, y0, last, lo=1):
         """Label each candidate with the smallest divisor d of its recurrence
         period whose Newton-refined d-cycle through its window start y0 is
         attracting and near its orbit: within 0.5 + 2 |f^d(y0) - y0| of y0,
@@ -610,13 +619,16 @@ class _Scan:
         rows).  This keeps slowly converging orbits near flips from
         masquerading as double-period cycles (their alternating tails recur
         at period 2 long before they settle).  Newton runs, for each d, once
-        on the cells still waiting for a label.  A cell with no such divisor
-        is parked on a repelling cycle: it is run again nudged by 1e-9, once,
-        or else queued for the Lyapunov stage with its last state."""
+        on the cells still waiting for a label: below _DEEP in a candidate
+        batch, which queues the cells left with a longer period for the deep
+        batches (_deep) of the rest.  A cell with no such divisor is parked on
+        a repelling cycle: it is run again nudged by 1e-9, once, or else
+        queued for the Lyapunov stage with its last state."""
         spec = self.spec
+        hi = _DEEP - 1 if lo < _DEEP else spec.max_period
         p1, p2 = self.params(cells)
         period = np.zeros(cells.size, dtype=np.int32)
-        for d in range(1, spec.max_period + 1):
+        for d in range(lo, hi + 1):
             idx = np.flatnonzero((rec % d == 0) & (period == 0))
             if not idx.size:
                 continue
@@ -633,14 +645,19 @@ class _Scan:
         self.kind[cells[found]] = _CODE[KIND_PERIOD]
         self.period[cells[found]] = period[found]
         # copies, taken before any push can reuse the batch's columns
+        deep = ~found & (rec > hi)
+        deeper = cells[deep], rec[deep], y0[deep], last[deep]
         nudged = self.nudged[cells]
-        idx = np.flatnonzero(~found & ~nudged)
+        idx = np.flatnonzero(~found & ~deep & ~nudged)
         nudge = cells[idx], y0[idx] + 1.0e-9
-        idx = np.flatnonzero(~found & nudged)
+        idx = np.flatnonzero(~found & ~deep & nudged)
         self.unlabelled.push(self._lyapunov, cells[idx], last[idx])
+        self.deep.push(self._deep, *deeper)
         if nudge[0].size:
             self.nudged[nudge[0]] = True
             self.head(*nudge)
+
+    _deep = partialmethod(_refine, lo=_DEEP)
 
     def _lyapunov(self, cells, y):
         """Escaped, chaotic when the exponent is positive, and unresolved
@@ -664,10 +681,11 @@ def _scan_cells(spec: SweepSpec, n: int, params):
         for lo in range(0, n, _BLOCK):
             cells = np.arange(lo, min(lo + _BLOCK, n))
             scan.head(cells, np.full(cells.size, spec.seed()))
-        # a tail batch queues candidates, and a refinement queues nudged cells
-        while scan.tail.size or scan.candidates.size:
+        # a tail batch queues candidates, and a refinement deep or nudged cells
+        while scan.tail.size or scan.candidates.size or scan.deep.size:
             scan.tail.flush(scan._tail)
             scan.candidates.flush(scan._refine)
+            scan.deep.flush(scan._deep)
         scan.unlabelled.flush(scan._lyapunov)
     return scan.kind, scan.period, scan.lyap
 

@@ -257,6 +257,14 @@ DISSIPATIVE_FOCUS = ["plan.kind=saddle_focus", "plan.gamma=2.0", "plan.lambda=0.
           for v in ("nan", "inf")),
         # checked after model.params is parsed, by the family's own check
         ("sweep", ["model.family=logistic"], "model.family"),
+        # settings the rescale frame cannot take: were exit 2 as numerical failures
+        ("rescale-verify", ["local.gamma=-2"], "local.gamma"),
+        ("sweep", ["sweep.target=rescaled_return", "local.gamma=-2"], "local.gamma"),
+        ("rescale-verify", ["local.kind=saddle_focus", "t2.b=0,1"], "t2.b"),
+        ("rescale-verify", ["local.kind=saddle_focus", "t1.b=0,1"], "t1.b"),
+        # k < m: the frame swaps t1 and t2, and the key is still the setting's
+        ("sweep", ["sweep.target=rescaled_return", "local.kind=saddle_focus", "return.k=5",
+                   "return.m=10", "t1.b=0,1"], "t1.b"),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):

@@ -444,6 +444,57 @@ def test_lyapunov_cells_pooled_across_blocks(monkeypatch):
     assert max(calls) <= block and max(sizes) <= block
 
 
+def test_deep_refinement_pooled_across_batches(monkeypatch):
+    """The candidates left for the divisors d >= 3 are pooled across the
+    candidate batches: each such d takes at most one Newton call per full
+    batch of these cells, and one more, and the labels do not change."""
+    spec = SweepSpec(
+        target=FamilyPlaneTarget(DP, "M1", "M2"),
+        plane=PlaneSpec("M1", -0.6, 1.5, "M2", -0.55, 1.4),
+        nx=40, ny=40, transient=400, samples=64, max_period=8,
+    )
+    reference = plane_sweep(spec)
+    block = 32  # 37 candidate batches
+    newton = sweep._newton_orbit
+    calls, deep = {}, set()
+
+    def counted_newton(target, p1, p2, y0, d):
+        calls[d] = calls.get(d, 0) + 1
+        if d >= 3:
+            deep.update(zip(p1.tolist(), p2.tolist()))
+        return newton(target, p1, p2, y0, d)
+
+    monkeypatch.setattr(sweep, "_BLOCK", block)
+    monkeypatch.setattr(sweep, "_newton_orbit", counted_newton)
+    assert plane_sweep(spec).same_cells(reference)
+    assert calls[1] > 10 and len(deep) > 2 * block
+    for d in range(3, spec.max_period + 1):
+        assert calls.get(d, 0) <= math.ceil(len(deep) / block) + 1, d
+
+
+def test_lyapunov_is_the_sum_of_the_step_logs():
+    """The grouped sum of the Lyapunov stage lies within a few ulps per
+    sample of the exactly rounded mean of the per-step logs (math.fsum), on
+    cells of the acceptance window and on the special cells."""
+    rng = np.random.default_rng(3)
+    window = rng.uniform(-0.6, 1.5, 400), rng.uniform(-0.55, 1.4, 400), np.zeros(400)
+    p1, p2, y0 = (np.concatenate([a, b]) for a, b in zip(window, np.array(SPECIAL_CELLS).T))
+    target, samples = FamilyPlaneTarget(DP, "M1", "M2"), 2045  # a last group of 5
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam, esc = sweep._lyapunov(target, p1, p2, y0.copy(), 1.0e6, samples)
+        f, df = target.maps(p1, p2)
+        logs, y = np.empty((samples, y0.size)), y0
+        for s in range(samples):
+            logs[s] = np.log(np.maximum(np.abs(df(y)), 1.0e-15))
+            y = f(y)
+    kept = np.flatnonzero(~esc & np.isfinite(lam))
+    assert kept.size > 300
+    for c in kept:
+        exact = math.fsum(logs[:, c]) / samples
+        scale = np.abs(logs[:, c]).mean()  # ulps of the mean step log
+        assert abs(lam[c] - exact) <= 4 * samples * np.spacing(scale), (c, lam[c], exact)
+
+
 def _reference_escape_step(y, esc, radius):
     """The per-step escape test: flag states outside the radius (NaN and inf
     included) and hold every flagged cell at 0."""
@@ -466,10 +517,16 @@ def _reference_window(f, y, radius, transient, length):
 
 
 def _reference_lyapunov(f, df, y, radius, samples):
-    acc = np.zeros(y.size)
+    """The grouped sum: the slopes, floored at 1e-15, are multiplied eight
+    samples at a time (the last group may be shorter), and the log of each
+    group's product is added."""
+    acc, prod = np.zeros(y.size), np.ones(y.size)
     esc = np.zeros(y.size, dtype=bool)
-    for _ in range(samples):
-        acc += np.log(np.maximum(np.abs(df(y)), 1.0e-15))
+    for s in range(1, samples + 1):
+        prod = prod * np.maximum(np.abs(df(y)), 1.0e-15)
+        if s % 8 == 0 or s == samples:
+            acc += np.log(prod)
+            prod = np.ones(y.size)
         y = f(y)
         _reference_escape_step(y, esc, radius)
     return acc / samples, esc
