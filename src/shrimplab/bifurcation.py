@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConvergenceError, EscapeError, NumericalError
+from .errors import ConvergenceError, EscapeError, FieldError, NumericalError
 from .families import FAMILIES, FAMILY_ARITY, family_params
 from .gridio import write_table
 
@@ -42,11 +42,12 @@ NEWTON_MAX_ITER = 50
 class FamilyYMap:
     """Scalar-map view of a polynomial family: params are the family params.
 
-    Extra trailing parameters are ignored, so a one-parameter family can be
-    continued in a plane with a dummy second axis.  value and jet are one map
-    step each and take params as given; every orbit pass validates them once
-    first, through checked.  A state that is not finite, as when an orbit
-    overflows, raises EscapeError.
+    Extra trailing parameters are ignored, so a family can be continued in a
+    plane with a dummy axis: families.param_index gives it the slot just past
+    the family's parameters, where jet's partials are (0, 0) and checked drops
+    it.  value and jet are one map step each and take params as given; every
+    orbit pass validates them once first, through checked.  A state that is
+    not finite, as when an orbit overflows, raises EscapeError.
     """
 
     def __init__(self, family: str):
@@ -239,7 +240,7 @@ def solve_codim1(
     Newton stops when the residual is within NEWTON_TOL or, where round-off
     keeps it above, when the step no longer moves (y, p)."""
     if kind not in (SN, PD):
-        raise ValueError("kind must be SN or PD")
+        raise FieldError("kind", f"unknown bifurcation kind '{kind}'")
     y, p = float(guess[0]), float(guess[1])
     params = list(float(q) for q in params)
     target = _multiplier_target(kind)

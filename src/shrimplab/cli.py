@@ -29,13 +29,13 @@ from .config import (
     build_sweep_spec,
     keyed,
     load_config,
-    plane_param_index,
     resolved_lines,
     _get_float,
     _get_int,
     _get_list,
 )
 from .errors import ConfigError, ConvergenceError, FieldError, NumericalError, ShrimplabError
+from .families import param_index
 from .gridio import export_grid, write_table
 from .rescale import (
     limit_map_deviation,
@@ -107,9 +107,6 @@ def _continuation(cfg):
     model = build_model(cfg)
     ymap = FamilyYMap(model.family)
     period = _setting(cfg, "continue.period", _get_int, lambda n: n >= 1, "an integer >= 1")
-    kind = cfg["continue.kind"]
-    if kind not in ("SN", "PD"):
-        raise ConfigError(f"unknown bifurcation kind '{kind}'", key="continue.kind")
     arity = len(model.params)
     free = _setting(cfg, "continue.free_param", _get_int, lambda i: 0 <= i < arity,
                     f"a parameter index in 0..{arity - 1}")
@@ -120,19 +117,16 @@ def _continuation(cfg):
                           "an integer >= 2")
     bounds = _setting(cfg, "continue.bounds", _get_float, _finite_positive,
                       "finite and positive")
-    params = list(model.params)
-    plane = []
-    for key in ("plane.x_name", "plane.y_name"):
-        index = plane_param_index(cfg, model.family, key)
-        if index < 0:
-            params.append(0.0)
-            index = len(params) - 1
-        plane.append(index)
-    start = solve_codim1(ymap, period, kind, free, guess, params)
+    with keyed("plane"):
+        plane = tuple(param_index(model.family, cfg[f"plane.{field}"], field)
+                      for field in ("x_name", "y_name"))
+    with keyed("continue"):
+        start = solve_codim1(ymap, period, cfg["continue.kind"], free, guess,
+                             [*model.params, 0.0])
     curve = continue_both_ways(
         ymap,
         start,
-        tuple(plane),
+        plane,
         start.orbit.params,
         step=step,
         max_points=max_points,
@@ -170,14 +164,14 @@ def _cmd_codim2(cfg, outdir, force, workers):
 
 def _cmd_rescale_verify(cfg, outdir, force, workers):
     ks = _ks(cfg, "rescale.ks")
-    radius = _setting(cfg, "rescale.radius", _get_float, _finite_positive, "finite and positive")
-    grid = _setting(cfg, "rescale.grid", _get_int, lambda n: n >= 2, "an integer >= 2")
+    radius, grid = _get_float(cfg, "rescale.radius"), _get_int(cfg, "rescale.grid")
     rows = []
     for k in ks:
         rcfg = build_return_config(cfg, k=k, m=k)
         with keyed("return"):
             frame = rescale_frame(rcfg)
-        report = limit_map_deviation(frame, radius, grid)
+        with keyed("rescale"):
+            report = limit_map_deviation(frame, radius, grid)
         measured = measured_y_linear_coeff(frame)
         rows.append(
             (

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import ConfigError, FieldError
-from .families import ModelMap, param_index
+from .families import ModelMap
 from .global_map import GlobalMapTaylor, focus_global, saddle_global
 from .local import SADDLE, SADDLE_FOCUS, LocalNormalForm
 from .returnmap import ReturnMapConfig
@@ -262,21 +262,12 @@ def build_plane(cfg) -> PlaneSpec:
         return PlaneSpec(**_spec_fields(cfg, "plane"))
 
 
-def plane_param_index(cfg, family: str, key: str) -> int:
-    """Index of the family parameter that the plane key names; -1 for 'dummy'."""
-    try:
-        return param_index(family, cfg[key])
-    except ValueError as err:
-        raise ConfigError(str(err), key=key) from err
-
-
 def _sweep_target(cfg, plane):
     """The plane target that `sweep.target` names."""
     if cfg["sweep.target"] == "family":
         model = build_model(cfg)
-        for key in ("plane.x_name", "plane.y_name"):  # a bad name is a ConfigError on its key
-            plane_param_index(cfg, model.family, key)
-        return FamilyPlaneTarget(model, plane.x_name, plane.y_name)
+        with keyed("plane"):  # the target resolves the axis names (param_index)
+            return FamilyPlaneTarget(model, plane.x_name, plane.y_name)
     if cfg["sweep.target"] == "rescaled_return":
         with keyed("return"):  # the target builds its frame (rescale_frame)
             return RescaledPlaneTarget(build_return_config(cfg))

@@ -180,12 +180,11 @@ def family_params(family: str, params) -> tuple:
     return params
 
 
-def param_index(family: str, name: str) -> int:
-    """Position of parameter `name` (M1, M2, M3) in the family's vector, or
-    -1 for 'dummy', an axis no parameter reads; ValueError if there is none."""
-    if name == "dummy":
-        return -1
-    names = ("M1", "M2", "M3")[: FAMILY_ARITY[family]]
+def param_index(family: str, name: str, field: str) -> int:
+    """Slot of parameter `name` (M1, M2, M3) in the family's vector; for
+    'dummy', an axis no parameter reads, the slot just past them, which the
+    family's formulas never read.  FieldError on field if there is none."""
+    names = ("M1", "M2", "M3")[: FAMILY_ARITY[family]] + ("dummy",)
     if name not in names:
-        raise ValueError(f"{family} has no parameter {name}")
+        raise FieldError(field, f"{family} has no parameter {name}")
     return names.index(name)

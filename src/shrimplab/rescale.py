@@ -385,10 +385,10 @@ def limit_map_deviation(frame: RescaleFrame, radius: float, grid: int) -> Deviat
     leaves the escape radius, when its cross-form solve does not converge,
     or when its image is not finite or lies beyond the escape radius.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise FieldError("radius", f"must be finite and positive, got '{radius:g}'")
     if grid < 2:
-        raise ValueError("grid must be >= 2")
+        raise FieldError("grid", f"must be an integer >= 2, got '{grid}'")
     axis = np.linspace(-radius, radius, grid)
     yv, m1v, m2v = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
     mu1, mu2 = frame.mus_for(m1v, m2v)

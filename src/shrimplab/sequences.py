@@ -97,11 +97,10 @@ def plan_rotation_sequence(
     s_values,
     m_values=None,
     amplitude: float = 1.0,
-    nu: float = 0.0,
     growth: float = 2.0,
 ) -> SequencePlan:
     """Saddle-focus planner: intervals of phi over which the coefficient
-    amplitude*cos(m*phi - nu)*lam^m*gamma^k sweeps [-s_j, s_j].
+    amplitude*cos(m*phi)*lam^m*gamma^k sweeps [-s_j, s_j].
 
     For each entry, k_j >= m_j is raised until the arccos argument
     s_j/(amplitude*lam^m*gamma^k) drops below 1/(growth*j); entries where
@@ -144,10 +143,10 @@ def plan_rotation_sequence(
             skipped.append((j, f"s={s} unreachable with m={m}"))
             continue
         last_k = k
-        n = round((m * phi0 - nu - 0.5 * math.pi) / (2.0 * math.pi))
+        n = round((m * phi0 - 0.5 * math.pi) / (2.0 * math.pi))
         acos = math.acos(arg)
-        phi1 = (acos + nu + 2.0 * math.pi * n) / m
-        phi2 = (math.pi - acos + nu + 2.0 * math.pi * n) / m
+        phi1 = (acos + 2.0 * math.pi * n) / m
+        phi2 = (math.pi - acos + 2.0 * math.pi * n) / m
         lo = min(phi1, phi2, phi0)
         hi = max(phi1, phi2, phi0)
         entries.append(
@@ -161,12 +160,11 @@ def rotation_endpoint_coefficients(
     lam: float,
     gamma: float,
     amplitude: float = 1.0,
-    nu: float = 0.0,
 ):
-    """Back-substituted coefficient amplitude*cos(m*phi - nu)*lam^m*gamma^k at
+    """Back-substituted coefficient amplitude*cos(m*phi)*lam^m*gamma^k at
     the two solved phi endpoints, by construction +s and -s, and the arccos
     argument s/(amplitude*lam^m*gamma^k) they were solved from."""
     m, k = entry.m, entry.k
     gain = amplitude * lam**m * gamma**k
-    c = lambda phi: amplitude * math.cos(m * phi - nu) * lam**m * gamma**k
+    c = lambda phi: amplitude * math.cos(m * phi) * lam**m * gamma**k
     return c(entry.ends[0]), c(entry.ends[1]), entry.s / gain

@@ -142,21 +142,19 @@ class PlaneSpec:
 class FamilyPlaneTarget:
     """Sweep target: a polynomial family with two of its parameters swept.
 
-    The axis name 'dummy' is accepted for one-parameter families: the swept
-    value is simply ignored, giving parameter-line sweeps a second axis.
+    The axis name 'dummy' gives parameter-line sweeps a second axis: it
+    resolves to the slot just past the family's parameters (param_index),
+    which the formulas never read, so its swept value is ignored.
     """
 
     def __init__(self, template: ModelMap, x_name: str, y_name: str):
         self.template = template
-        self.ix = param_index(template.family, x_name)
-        self.iy = param_index(template.family, y_name)
+        self.ix = param_index(template.family, x_name, "x_name")
+        self.iy = param_index(template.family, y_name, "y_name")
 
     def _params(self, p1, p2):
-        P = list(self.template.params)
-        if self.ix >= 0:
-            P[self.ix] = p1
-        if self.iy >= 0:
-            P[self.iy] = p2
+        P = [*self.template.params, 0.0]
+        P[self.ix], P[self.iy] = p1, p2
         return P
 
     def maps(self, p1, p2):

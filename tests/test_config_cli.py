@@ -265,6 +265,15 @@ DISSIPATIVE_FOCUS = ["plan.kind=saddle_focus", "plan.gamma=2.0", "plan.lambda=0.
         # k < m: the frame swaps t1 and t2, and the key is still the setting's
         ("sweep", ["sweep.target=rescaled_return", "local.kind=saddle_focus", "return.k=5",
                    "return.m=10", "t1.b=0,1"], "t1.b"),
+        # checked by solve_codim1 and by the plane's param_index, under keyed
+        ("continue", ["continue.kind=XX"], "continue.kind"),
+        ("codim2", ["continue.kind=XX"], "continue.kind"),
+        ("codim2", ["plane.y_name=M3"], "plane.y_name"),
+        ("sweep", ["model.family=parabola", "model.params=1", "plane.x_name=M2"],
+         "plane.x_name"),
+        # the default free parameter 1 is checked first, and parabola has none
+        ("continue", ["model.family=parabola", "model.params=1", "continue.free_param=0",
+                      "plane.x_name=M2"], "plane.x_name"),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):

@@ -12,7 +12,7 @@ import pytest
 
 from shrimplab.bifurcation import FamilyYMap, find_periodic_orbit
 from shrimplab.config import build_sweep_spec, load_config
-from shrimplab.errors import ShrimplabError
+from shrimplab.errors import FieldError, ShrimplabError
 from shrimplab.families import ModelMap, param_index
 from shrimplab.local import LocalNormalForm
 from shrimplab.global_map import focus_global, saddle_global
@@ -232,15 +232,20 @@ def test_family_maps_match_scalar_evaluators_bitwise(family, params, axes):
 
 
 def test_param_lookup_rejects_absent_parameter():
-    assert param_index("shrimp3", "M3") == 2
-    assert param_index("double_parabola", "dummy") == -1
+    assert param_index("shrimp3", "M3", "x_name") == 2
+    # the dummy axis gets the slot just past the family's parameters
+    assert param_index("double_parabola", "dummy", "x_name") == 2
+    assert param_index("parabola", "dummy", "y_name") == 1
     for bad in ("M3", "m1", "M4"):
-        with pytest.raises(ValueError, match=f"double_parabola has no parameter {bad}"):
+        with pytest.raises(FieldError, match=f"double_parabola has no parameter {bad}") as err:
             FamilyPlaneTarget(DP, "M1", bad)
-    with pytest.raises(ValueError, match="M3"):
+        assert err.value.field == "y_name"
+    with pytest.raises(FieldError, match="M3") as err:
         FamilyPlaneTarget(DP, "M3", "M2")
-    with pytest.raises(ValueError, match="M2"):
+    assert err.value.field == "x_name"
+    with pytest.raises(FieldError, match="M2") as err:
         FamilyPlaneTarget(PAR, "M2", "dummy")
+    assert err.value.field == "x_name"
 
 
 def test_constant_plane_all_period_one():
