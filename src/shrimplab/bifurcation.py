@@ -37,6 +37,8 @@ DEGENERATE_FLIP = "degenerate_flip"
 
 NEWTON_TOL = 1.0e-12
 NEWTON_MAX_ITER = 50
+# how far _refine_in_fine_steps follows a curve: 2 chords of the bracket
+_FINE_STEPS = 64
 
 
 class FamilyYMap:
@@ -176,6 +178,9 @@ class BifCurve:
     # it) or "max_points"; (reason,) from continue_codim1, (backward,
     # forward) from continue_both_ways; kept out of the CSV
     stop_reasons: tuple = ()
+    # sign changes of the test value that detect_codim2 could not refine to
+    # a hit, even in fine steps; kept out of the CSV
+    dropped_brackets: int = 0
 
 
 def find_periodic_orbit(
@@ -417,7 +422,10 @@ def continue_codim1(
 
     direction=+1 starts along grad r0 x grad r1, the cross product of the
     gradients of the two defining equations at the start, -1 against it.
+    FieldError on y_name if the plane's two axes are one parameter slot.
     """
+    if plane[0] == plane[1]:
+        raise FieldError("y_name", "a continuation plane needs two distinct parameters")
     kind, period = start.kind, start.orbit.period
     params = list(float(q) for q in params)
     orbit = start.orbit
@@ -463,6 +471,7 @@ def continue_both_ways(ymap, start: BifPoint, plane, params, **options) -> BifCu
     joined = BifCurve(fwd.kind, fwd.period, fwd.plane)
     joined.codim2_hits = back.codim2_hits[back.test_values[0] == 0.0 :] + fwd.codim2_hits
     joined.stop_reasons = back.stop_reasons + fwd.stop_reasons
+    joined.dropped_brackets = back.dropped_brackets + fwd.dropped_brackets
     for name in ("points", "y_values", "multipliers", "test_values"):
         setattr(joined, name, getattr(back, name)[::-1] + getattr(fwd, name))
     return joined
@@ -497,6 +506,33 @@ def _refine_codim2(ymap, curve, i, params):
     raise ConvergenceError("codim-2 refinement did not converge")
 
 
+def _refine_in_fine_steps(ymap, curve, i, params):
+    """The first zero of the test value on the curve continued from point i
+    toward point i + 1 in steps of 1/32 of their chord, for a bracket whose
+    refinement failed: one step across a sharp corner of the curve lands the
+    regula falsi trials far from it.  ConvergenceError if the sub-curve
+    shows no sign change within _FINE_STEPS steps."""
+    kind, period, plane = curve.kind, curve.period, curve.plane
+    u = (curve.y_values[i], *curve.points[i])
+    chord = [b - a for a, b in zip(u, (curve.y_values[i + 1], *curve.points[i + 1]))]
+    ds = math.hypot(*chord) / 32.0
+    _, jac, mult, test = _extended_system(ymap, period, kind, u, plane, params)
+    t = _tangent(jac, prev=chord)
+    sub = BifCurve(kind, period, plane)
+    _record_point(sub, ymap, u, mult, test, params)
+    for _ in range(_FINE_STEPS):
+        predictor = tuple(x + ds * dx for x, dx in zip(u, t))
+        u, jac, mult, test = _corrector(ymap, period, kind, predictor, plane, params, t, u, ds)
+        t = _tangent(jac, prev=t)
+        _record_point(sub, ymap, u, mult, test, params)
+        a, b = sub.test_values[-2:]
+        if b == 0.0:
+            return u
+        if (a < 0.0) != (b < 0.0):
+            return _refine_codim2(ymap, sub, len(sub.points) - 2, params)
+    raise ConvergenceError("no codim-2 zero found in fine steps")
+
+
 def detect_codim2(curve: BifCurve, ymap, params):
     """Locate the zeros of the recorded test value along a curve, in curve
     order.
@@ -506,9 +542,11 @@ def detect_codim2(curve: BifCurve, ymap, params):
     A curve point whose test value is exactly zero is a hit as it stands.
     Each bracket of consecutive points with nonzero test values of opposite
     signs is refined by regula falsi to a zero of the test value on the
-    curve (_refine_codim2); a bracket whose refinement fails gives no hit.
+    curve (_refine_codim2); a bracket whose refinement fails is searched
+    again in fine steps (_refine_in_fine_steps), and one that fails there
+    too gives no hit; their number is set as curve.dropped_brackets.
     """
-    hits = []
+    hits, dropped = [], 0
     kind = CUSP if curve.kind == SN else DEGENERATE_FLIP
     tests = curve.test_values
     for i, a in enumerate(tests):
@@ -518,10 +556,15 @@ def detect_codim2(curve: BifCurve, ymap, params):
             try:
                 u = _refine_codim2(ymap, curve, i, params)
             except ConvergenceError:
-                continue
+                try:
+                    u = _refine_in_fine_steps(ymap, curve, i, params)
+                except ConvergenceError:
+                    dropped += 1
+                    continue
         else:
             continue
         hits.append(_bif_point(ymap, kind, curve.period, u[0], _plane_params(u, curve.plane, params)))
+    curve.dropped_brackets = dropped
     return hits
 
 

@@ -123,15 +123,9 @@ def _continuation(cfg):
     with keyed("continue"):
         start = solve_codim1(ymap, period, cfg["continue.kind"], free, guess,
                              [*model.params, 0.0])
-    curve = continue_both_ways(
-        ymap,
-        start,
-        plane,
-        start.orbit.params,
-        step=step,
-        max_points=max_points,
-        bounds=bounds,
-    )
+    with keyed("plane"):
+        curve = continue_both_ways(ymap, start, plane, start.orbit.params, step=step,
+                                   max_points=max_points, bounds=bounds)
     return curve, (cfg["plane.x_name"], cfg["plane.y_name"])
 
 

@@ -15,9 +15,6 @@ checks, plans, predictions) in the same '#'-header form.
 from __future__ import annotations
 
 import csv
-import itertools
-import re
-import warnings
 
 import numpy as np
 
@@ -29,7 +26,6 @@ from .sweep import (
     KIND_PERIOD,
     KIND_UNRESOLVED,
     SweepGrid,
-    _BLOCK,
     _CODE,
 )
 
@@ -131,35 +127,43 @@ def export_grid(grid: SweepGrid, csv_path, pgm_path, extra_meta=()):
     )
 
 
-# One CSV cell row as np.loadtxt reads columns i, j, outcome and value.  Each
-# text field is one byte wider than anything the exporter writes (the longest
-# outcome name, 'unresolved'; the longest '.17g' repr of a double), so a field
-# that fills its width was cut short and is rejected.
-_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("outcome", "S11"), ("value", "S25")])
+# The cell rows are parsed in chunks of about this many bytes, each read on
+# to the end of its last line, so the arrays of one chunk stay small.
+_CHUNK = 1 << 18
+# The longest '.17g' repr of a double, as '-2.2250738585072014e-308'; a
+# longer value field was not written by the exporter and is rejected.
+_VALUE_WIDTH = 24
+# Spare bytes around a chunk, so that gathers at fixed offsets before or
+# past a row's fields stay inside the buffer: at least _VALUE_WIDTH and 18.
+_PAD_SIZE = 32
 
 
 def import_grid_csv(path) -> SweepGrid:
     """Rebuild a grid from its CSV export (cells are reproduced exactly).
 
     The '#' metadata lines and the header row are read line by line; the
-    cell rows are parsed _BLOCK lines at a time, one np.loadtxt call each,
-    into the output arrays.  Any malformed input raises ConfigError naming
-    the file.
+    cell rows, in any order, are parsed from the bytes of about _CHUNK at a
+    time (_fill) into the output arrays.  Each cell row is six
+    comma-separated fields ending in LF or CRLF: i and j as an optional sign
+    and digits, x and y (not read), an outcome name, and a period's digits,
+    a .17g exponent or (escaped) anything, of at most 24 bytes.  Any
+    malformed input raises ConfigError naming the file, and a bad row its
+    0-based place among the cell rows.
     """
     meta = {}
-    with open(path) as fh:
-        header = ""
+    with open(path, "rb") as fh:
+        header = b""
         for line in fh:
-            if not line.startswith("#"):
+            if not line.startswith(b"#"):
                 header = line
                 break
-            body = line[1:].strip()
+            body = line[1:].decode().strip()
             if "=" in body:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
         if not header:
             raise ConfigError("no CSV content found", key=str(path))
-        if header.rstrip("\r\n").split(",")[:2] != ["i", "j"]:
+        if header.rstrip(b"\r\n").split(b",")[:2] != [b"i", b"j"]:
             raise ConfigError("unexpected CSV header", key=str(path))
         try:
             spec = build_sweep_spec(meta, target=_ImportedTarget(meta))
@@ -172,53 +176,134 @@ def import_grid_csv(path) -> SweepGrid:
 
 
 def _cells(fh, nx, ny):
-    """The (nx, ny) kind/period/lyap arrays of the cell rows left in fh;
-    ValueError on a bad row count, index, outcome or value."""
+    """The (nx, ny) kind/period/lyap arrays of the cell rows left in the
+    binary file fh; ValueError on a bad row count or row."""
     n = nx * ny
     kind = np.zeros(n, dtype=np.uint8)  # 0 until a row sets the cell
     period = np.zeros(n, dtype=np.int32)
     lyap = np.zeros(n)
+    # one buffer for every chunk: reading each into fresh bytes cost a third
+    # of its parse
+    buf = np.zeros(_CHUNK + 2 * _PAD_SIZE + 1, dtype=np.uint8)
     found = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a chunk with no cell rows
-        for first in fh:  # a chunk: this line and the next _BLOCK - 1
-            lines = itertools.chain([first], itertools.islice(fh, _BLOCK - 1))
-            try:
-                rows = np.loadtxt(lines, delimiter=",", usecols=(0, 1, 4, 5), dtype=_ROW, ndmin=1)
-            except ValueError as err:  # loadtxt counts the rows of its chunk only
-                raise ValueError(re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + found}",
-                                        str(err))) from None
-            found += _fill(rows, nx, ny, kind, period, lyap)
-            del rows  # before the next chunk is parsed
+    while got := fh.readinto(memoryview(buf)[_PAD_SIZE : _PAD_SIZE + _CHUNK]):
+        line = fh.readline()  # the rest of the chunk's last line
+        end = _PAD_SIZE + got + len(line)
+        if end + _PAD_SIZE + 1 > buf.size:  # a long last line
+            buf = np.pad(buf, (0, end + _PAD_SIZE + 1 - buf.size))
+        buf[end - len(line) : end] = np.frombuffer(line, dtype=np.uint8)
+        if buf[end - 1] != 10:  # the file's last line
+            buf[end] = 10
+            end += 1
+        found += _fill(buf, end, found, nx, ny, kind, period, lyap)
     if found != n:
         raise ValueError(f"expected {n} cells, found {found}")
-    if not kind.all():  # n rows that miss a cell name another one twice
-        raise ValueError("duplicated cell index")
     shape = (nx, ny)
     return kind.reshape(shape), period.reshape(shape), lyap.reshape(shape)
 
 
-def _fill(rows, nx, ny, kind, period, lyap):
-    """Write parsed cell rows into the flat kind/period/lyap arrays and
-    return their count; ValueError on a bad index, outcome or value."""
-    i, j = rows["i"], rows["j"]
-    if ((i < 0) | (i >= nx) | (j < 0) | (j >= ny)).any():
-        raise ValueError(f"cell index outside the {nx}x{ny} grid")
+def _fill(buf, end, row0, nx, ny, kind, period, lyap):
+    """Parse the cell rows in buf[_PAD_SIZE:end], whole lines, as rows row0,
+    row0 + 1, ... into the flat kind/period/lyap arrays and return their
+    count; ValueError naming the first bad row found.  One scan each for
+    the line ends and the commas locates every field."""
+    nl, comma = np.flatnonzero(buf[:end] == 10), np.flatnonzero(buf[:end] == 44)
+    rows = nl.size
+
+    def shown(lo, hi, k):
+        return repr(buf[lo[k] : hi[k]].tobytes().decode("latin-1"))
+
+    def reject(mask, problem, column=None, subset=None):
+        """ValueError on the first row set in mask, over the rows or the
+        subset of rows; problem(k) says what is wrong with entry k."""
+        if mask.any():
+            k = int(np.flatnonzero(mask)[0])
+            row = row0 + (k if subset is None else int(subset[k]))
+            raise ValueError(f"{problem(k)} at row {row}" + (f", column {column}" if column else ""))
+
+    # c[f]: the comma after field f of each row
+    c = comma.reshape(-1, 5).T.copy() if comma.size == 5 * rows else None
+    if c is None or (c[4] > nl).any() or (c[0, 1:] < nl[:-1]).any():
+        fields = np.diff(np.searchsorted(comma, nl), prepend=0) + 1
+        reject(fields != 6, lambda k: f"expected 6 fields, found {fields[k]}")
+    lo = np.stack((np.concatenate(([_PAD_SIZE], nl[:-1] + 1)), c[0] + 1))
+    ij, bad_ij = _integers(buf, lo, c[:2], 18)
+    for col in (0, 1):
+        reject(bad_ij[col], lambda k: f"bad integer {shown(lo[col], c[col], k)}", col + 1)
+    i, j = ij
+    reject((i < 0) | (i >= nx) | (j < 0) | (j >= ny),
+        lambda k: f"cell index ({i[k]}, {j[k]}) outside the {nx}x{ny} grid")
+
+    # an outcome is a name of its width, compared in its first and next 8
+    # bytes read as little-endian words
+    lo, width = c[3] + 1, c[4] - c[3] - 1
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))  # one per byte
+    head, rest = words[lo], words[lo + 8]
+    code = np.zeros(rows, dtype=np.uint8)
+    for name, value in _CODE.items():
+        key = name.encode()
+        match = (width == len(key)) & ((head & _low_bytes(len(key))) == _word(key))
+        if len(key) > 8:
+            match &= (rest & _low_bytes(len(key) - 8)) == _word(key[8:])
+        code[match] = value
+    reject(code == 0, lambda k: f"unknown outcome {shown(lo, c[4], k)}", 5)
+
+    lo, end = c[4] + 1, nl - (buf[nl - 1] == 13)  # the value, before a CRLF's CR
+    reject(end - lo > _VALUE_WIDTH, lambda k: "value field too long", 6)
+    periodic = np.flatnonzero(code == _CODE[KIND_PERIOD])
+    p, bad_p = _integers(buf, lo[periodic], end[periodic], 9)
+    reject(bad_p, lambda k: f"bad period {shown(lo[periodic], end[periodic], k)}", 6, periodic)
+    exponent = np.flatnonzero((code == _CODE[KIND_CHAOTIC]) | (code == _CODE[KIND_UNRESOLVED]))
+    at = lo[exponent, None] + np.arange(_VALUE_WIDTH)
+    values = np.where(at < end[exponent, None], buf[at], 0).view(f"S{_VALUE_WIDTH}").ravel()
+    try:
+        lam = values.astype(np.float64)  # correctly rounded, as float() is
+    except ValueError:
+        reject(np.array([not _is_float(v) for v in values]),
+            lambda k: f"bad exponent {values[k].decode('latin-1')!r}", 6, exponent)
+
     flat = i * ny + j
-    outcome, value = rows["outcome"], rows["value"]
-    code = np.zeros(rows.size, dtype=np.uint8)
-    for name, c in _CODE.items():
-        code[outcome == name.encode()] = c
-    if not code.all():
-        raise ValueError(f"unknown outcome {outcome[code == 0][0].decode('latin-1')!r}")
-    if (np.char.str_len(value) == _ROW["value"].itemsize).any():
-        raise ValueError("value field too long")
+    seen = kind[flat] != 0  # set by an earlier chunk
     kind[flat] = code
-    periodic = code == _CODE[KIND_PERIOD]
-    exponent = (code == _CODE[KIND_CHAOTIC]) | (code == _CODE[KIND_UNRESOLVED])
-    period[flat[periodic]] = value[periodic].astype(np.int32)
-    lyap[flat[exponent]] = value[exponent].astype(np.float64)
-    return rows.size
+    if seen.any() or np.count_nonzero(kind) != row0 + rows:
+        order = np.argsort(flat, kind="stable")
+        seen[order[1:][flat[order[1:]] == flat[order[:-1]]]] = True  # set earlier in chunk
+        reject(seen, lambda k: f"duplicated cell index ({i[k]}, {j[k]})")
+    period[flat[periodic]] = p
+    lyap[flat[exponent]] = lam
+    return rows
+
+
+def _integers(buf, lo, hi, digits):
+    """The fields buf[lo:hi] (arrays of any one shape) read as an optional
+    sign and 1 to `digits` decimal digits, and a mask of the fields that are
+    not: one gather per digit position, from the right."""
+    first = buf[lo]
+    minus = first == 45
+    width = hi - lo - (minus | (first == 43))
+    bad = (width < 1) | (width > digits)
+    value = np.zeros(lo.shape, dtype=np.int64)
+    for k in range(1, min(int(width.max(initial=0)), digits) + 1):
+        digit = (buf[hi - k] - 48) * (width >= k)  # 0 left of the field
+        bad |= digit > 9  # a non-digit byte wraps above 9
+        value += digit * np.int64(10) ** (k - 1)
+    return np.negative(value, out=value, where=minus), bad
+
+
+def _low_bytes(n):
+    return np.uint64((1 << 8 * min(n, 8)) - 1)
+
+
+def _word(key):
+    return np.uint64(int.from_bytes(key[:8], "little"))
+
+
+def _is_float(text):
+    try:
+        np.array(text).astype(np.float64)
+    except ValueError:
+        return False
+    return True
 
 
 class _ImportedTarget:

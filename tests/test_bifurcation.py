@@ -431,11 +431,9 @@ def _distance(orbit, point):
     ("sn_pos", 0.0), ("sn_pos", 0.5), ("sn_pos", 0.95),
     ("sn_neg", 1.0 - 1e-4), ("sn_neg", 1.0 + 1e-4),
     ("pd_pos", -1.2), ("pd_pos", -1.05), ("pd_pos", -0.95),
-    # the near-origin degenerate flip of these slices is bracketed, but the
-    # corrector fails inside its refinement, so only the far one is found
-    *(pytest.param("pd_pos", m3, marks=pytest.mark.xfail(
-        strict=True, reason="detect_codim2 drops the near-origin flip: its refinement "
-        "fails in the corrector")) for m3 in (-1.0001, -0.9999)),
+    # one continuation step jumps the sharp corner at the near-origin flip
+    # of these slices, and only the re-continuation in fine steps finds it
+    ("pd_pos", -1.0001), ("pd_pos", -0.9999),
     ("pd_neg", -1.2), ("pd_neg", -1.05),
 ])
 def test_shrimp3_codim2_points_match_closed_form(start, m3):
@@ -452,6 +450,17 @@ def test_shrimp3_codim2_points_match_closed_form(start, m3):
     assert all(hit.params[2] == m3 for hit in hits)
 
 
+def test_unrefined_bracket_is_counted(monkeypatch):
+    # the near-origin flip of pd_pos at M3 = -1.0001 needs about 36 fine
+    # steps; with 8 its bracket stays unrefined, and the curve says so
+    bif = solve_codim1(S3, 1, PD, 1, (1.0, 1.06), (0.75, 0.0, -1.0001))
+    curve = continue_both_ways(S3, bif, (0, 1), bif.orbit.params)
+    assert (len(curve.codim2_hits), curve.dropped_brackets) == (2, 0)
+    monkeypatch.setattr(bifurcation, "_FINE_STEPS", 8)
+    curve = continue_both_ways(S3, bif, (0, 1), bif.orbit.params)
+    assert (len(curve.codim2_hits), curve.dropped_brackets) == (1, 1)
+
+
 def test_codim2_point_at_the_start_is_reported_once():
     # a zero of the test value at a curve point is a hit, and the start of a
     # two-way continuation is a point of both halves.  The double parabola's
@@ -465,9 +474,13 @@ def test_codim2_point_at_the_start_is_reported_once():
     # flip near Y = 0.63 has a first Lyapunov value of exactly 0
     point = _shrimp3_codim2_closed_form(PD, -1.0001)[1]
     pd = solve_codim1(S3, 1, PD, 1, (point[0], point[2]), (point[1], 0.0, -1.0001))
+    # continuation also passes the near-origin flip of the slice, the
+    # other hit
     curve = continue_both_ways(S3, pd, (0, 1), pd.orbit.params)
-    assert len(curve.codim2_hits) == 1
+    assert len(curve.codim2_hits) == 2
     assert _distance(curve.codim2_hits[0].orbit, point) <= 1e-10
+    near = _shrimp3_codim2_closed_form(PD, -1.0001)[0]
+    assert _distance(curve.codim2_hits[1].orbit, near) <= 1e-10
 
 
 def test_cubic_minus_pitchfork_cusp():

@@ -274,6 +274,11 @@ DISSIPATIVE_FOCUS = ["plan.kind=saddle_focus", "plan.gamma=2.0", "plan.lambda=0.
         # the default free parameter 1 is checked first, and parabola has none
         ("continue", ["model.family=parabola", "model.params=1", "continue.free_param=0",
                       "plane.x_name=M2"], "plane.x_name"),
+        # a continuation plane needs two parameter slots (checked by
+        # continue_codim1): were exit 0 with two M1 columns, and exit 2
+        ("continue", ["plane.y_name=M1"], "plane.y_name"),
+        ("codim2", ["plane.y_name=M1"], "plane.y_name"),
+        ("continue", ["plane.x_name=dummy", "plane.y_name=dummy"], "plane.y_name"),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
@@ -287,6 +292,14 @@ def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
     # key of the field it names, in the section of the last setting
     key = named if "." in named else f"{settings[-1].split('.')[0]}.{named.split()[0]}"
     assert key in BENCHMARK_DEFAULTS and f"key '{key}':" in message
+
+
+def test_cli_sweep_accepts_axes_of_one_parameter(tmp_path):
+    # only continuation needs two parameter slots
+    out = tmp_path / "one_slot"
+    assert run_cli(["sweep", "--out", str(out), "--set", "plane.y_name=M1",
+                    *(a for s in CHEAP for a in ("--set", s))]) == 0
+    assert "i,j,M1,M1,outcome,value" in (out / "grid.csv").read_text()
 
 
 def test_cli_continue_and_codim2(tmp_path):

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shrimplab import gridio, sweep
+from shrimplab import gridio
 from shrimplab.errors import ConfigError
 from shrimplab.families import ModelMap
 from shrimplab.gridio import (
@@ -179,9 +180,9 @@ def test_import_rejects_unknown_outcome(tmp_path):
     path = _exported(tmp_path)
     _edit_row(path, 5, lambda f: f[:4] + ["periodic", "1"])
     _assert_rejected(path, "unknown outcome 'periodic'")
-    # an outcome longer than the field is cut short, and matches no name
+    # a known name with bytes appended matches none
     _edit_row(path, 5, lambda f: f[:4] + ["unresolvedxy", "-0.5"])
-    _assert_rejected(path, "unknown outcome 'unresolvedx'")
+    _assert_rejected(path, "unknown outcome 'unresolvedxy' at row 5, column 5")
 
 
 def test_import_rejects_duplicated_cell(tmp_path):
@@ -248,11 +249,11 @@ def test_import_in_chunks_matches_one_parse(tmp_path, monkeypatch, block):
     grid = small_grid()
     path = _exported(tmp_path)
     head, rows = _cell_rows(path)
-    monkeypatch.setattr(gridio, "_BLOCK", 10**6)
+    monkeypatch.setattr(gridio, "_CHUNK", 10**6)
     _edit_row(path, 40, lambda f: ["1.5"] + f[1:])
     with pytest.raises(ConfigError, match="at row 40,") as whole:
         import_grid_csv(path)
-    monkeypatch.setattr(gridio, "_BLOCK", block)
+    monkeypatch.setattr(gridio, "_CHUNK", block * len(rows[0]))  # about `block` rows
     _assert_rejected(path, whole.value.args[0])
     random.Random(block).shuffle(rows)
     path.write_text("".join(head + rows))
@@ -264,9 +265,56 @@ def test_import_in_chunks_matches_one_parse(tmp_path, monkeypatch, block):
     _assert_rejected(path, "duplicated cell index")
 
 
+@pytest.mark.parametrize("fields", [[5], [7], [7, 5]])
+def test_import_rejects_field_count_after_chunk_boundary(tmp_path, monkeypatch, fields):
+    """A row of 5 or 7 fields opening a chunk is named, also when the next
+    row makes up the comma count."""
+    path = _exported(tmp_path)
+    _, rows = _cell_rows(path)
+    # _edit_row leaves LF line ends: a first read of this size stops just
+    # before row 39's LF and reads that LF on, so row 40 opens the second chunk
+    monkeypatch.setattr(gridio, "_CHUNK", len("".join(rows[:40])) - 1)
+    firsts, fill = [], gridio._fill
+    monkeypatch.setattr(gridio, "_fill", lambda *args: firsts.append(args[2]) or fill(*args))
+    for n, count in enumerate(fields, start=40):
+        _edit_row(path, n, lambda f: (f + ["0"])[:count])
+    _assert_rejected(path, f"expected 6 fields, found {fields[0]} at row 40$")
+    assert firsts == [0, 40]
+
+
+def test_import_reads_lf_line_ends(tmp_path):
+    grid = small_grid()
+    path = _exported(tmp_path)
+    crlf = path.read_bytes()
+    assert crlf.count(b"\r\n") == 12 * 10 + 1
+    path.write_bytes(crlf.replace(b"\r\n", b"\n"))
+    back = import_grid_csv(path)
+    assert back.same_cells(grid)
+    assert np.array_equal(back.lyap.view(np.uint64), grid.lyap.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_import_reads_exponents_with_float_bits(tmp_path_factory, value):
+    """Any finite double written .17g into a chaotic row imports with the
+    bits float() gives it."""
+    target = FamilyPlaneTarget(ModelMap("double_parabola", (0.0, 0.0)), "M1", "M2")
+    grid = SweepGrid(
+        spec=SweepSpec(target=target, plane=PlaneSpec("M1", 0, 0, "M2", 0, 0), nx=2, ny=2),
+        kind=np.full((2, 2), 2, dtype=np.uint8),
+        period=np.zeros((2, 2), dtype=np.int32),
+        lyap=np.full((2, 2), value),
+    )
+    path = export_grid_csv(grid, tmp_path_factory.getbasetemp() / "exponent.csv")
+    assert path.read_bytes().count(f",chaotic,{value:.17g}\r\n".encode()) == 4
+    back = import_grid_csv(path)
+    bits = np.float64(float(f"{value:.17g}")).view(np.uint64)
+    assert (back.lyap.view(np.uint64) == bits).all()
+
+
 def test_import_memory_is_bounded_by_a_chunk(tmp_path):
     """Importing 256x256 cells holds the output arrays and a few chunks'
-    worth of parsed rows, not every row of the file at once."""
+    worth of bytes and field arrays, not every row of the file at once."""
     n = 256
     rng = np.random.default_rng(3)
     kind = rng.integers(1, 5, (n, n)).astype(np.uint8)
@@ -286,4 +334,4 @@ def test_import_memory_is_bounded_by_a_chunk(tmp_path):
         tracemalloc.stop()
     assert back.same_cells(grid)
     outputs = back.kind.nbytes + back.period.nbytes + back.lyap.nbytes
-    assert peak < outputs + 3 * sweep._BLOCK * gridio._ROW.itemsize
+    assert peak < outputs + 8 * gridio._CHUNK
