@@ -243,10 +243,19 @@ def solve_codim1(
     """Solve {T^n(y) - y = 0, (T^n)'(y) -+ 1 = 0} in (y, params[free_index]).
 
     Newton stops when the residual is within NEWTON_TOL or, where round-off
-    keeps it above, when the step no longer moves (y, p)."""
+    keeps it above, when the step no longer moves (y, p).  FieldError on the
+    continue.* field of a bad kind, period, free_index or guess."""
     if kind not in (SN, PD):
         raise FieldError("kind", f"unknown bifurcation kind '{kind}'")
+    if period < 1:
+        raise FieldError("period", f"must be an integer >= 1, got '{period}'")
+    if not 0 <= free_index < ymap.arity:
+        raise FieldError("free_param", f"must be a parameter index in 0..{ymap.arity - 1}, "
+                         f"got '{free_index}'")
     y, p = float(guess[0]), float(guess[1])
+    for name, value in (("y_guess", y), ("param_guess", p)):
+        if not math.isfinite(value):
+            raise FieldError(name, f"must be finite, got '{value:g}'")
     params = list(float(q) for q in params)
     target = _multiplier_target(kind)
     for _ in range(NEWTON_MAX_ITER):
@@ -422,10 +431,16 @@ def continue_codim1(
 
     direction=+1 starts along grad r0 x grad r1, the cross product of the
     gradients of the two defining equations at the start, -1 against it.
-    FieldError on y_name if the plane's two axes are one parameter slot.
+    FieldError on plane.y_name if both axes are one parameter slot, and on
+    a step or bounds not finite and positive or max_points below 2.
     """
     if plane[0] == plane[1]:
-        raise FieldError("y_name", "a continuation plane needs two distinct parameters")
+        raise FieldError("y_name", "a plane needs two distinct parameters", section="plane")
+    for name, value in (("step", step), ("bounds", bounds)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise FieldError(name, f"must be finite and positive, got '{value:g}'")
+    if max_points < 2:
+        raise FieldError("max_points", f"must be an integer >= 2, got '{max_points}'")
     kind, period = start.kind, start.orbit.period
     params = list(float(q) for q in params)
     orbit = start.orbit

@@ -16,7 +16,6 @@ belongs to one point.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -85,47 +84,27 @@ def _cmd_sweep(cfg, outdir, force, workers):
     return [csv_path, pgm_path]
 
 
-def _setting(cfg, key, parse, valid, rule):
-    """The setting key read by parse; a ConfigError on key unless valid(value)."""
-    value = parse(cfg, key)
-    if not valid(value):
-        raise ConfigError(f"must be {rule}, got '{cfg[key]}'", key=key)
-    return value
-
-
-def _finite_positive(x):
-    return math.isfinite(x) and x > 0.0
-
-
-def _ks(cfg, key):
-    """The pass counts of key: a list of integers >= 1."""
-    return _setting(cfg, key, lambda c, k: _get_list(c, k, int), lambda ks: min(ks) >= 1,
-                    "integers >= 1")
+def _counts(cfg, key, counts, rule):
+    """counts, read from key; a ConfigError on key unless each is >= 1."""
+    if min(counts) < 1:
+        raise ConfigError(f"must be {rule} >= 1, got '{cfg[key]}'", key=key)
+    return counts
 
 
 def _continuation(cfg):
     model = build_model(cfg)
     ymap = FamilyYMap(model.family)
-    period = _setting(cfg, "continue.period", _get_int, lambda n: n >= 1, "an integer >= 1")
-    arity = len(model.params)
-    free = _setting(cfg, "continue.free_param", _get_int, lambda i: 0 <= i < arity,
-                    f"a parameter index in 0..{arity - 1}")
-    guess = tuple(_setting(cfg, key, _get_float, math.isfinite, "finite")
-                  for key in ("continue.y_guess", "continue.param_guess"))
-    step = _setting(cfg, "continue.step", _get_float, _finite_positive, "finite and positive")
-    max_points = _setting(cfg, "continue.max_points", _get_int, lambda n: n >= 2,
-                          "an integer >= 2")
-    bounds = _setting(cfg, "continue.bounds", _get_float, _finite_positive,
-                      "finite and positive")
     with keyed("plane"):
         plane = tuple(param_index(model.family, cfg[f"plane.{field}"], field)
                       for field in ("x_name", "y_name"))
-    with keyed("continue"):
-        start = solve_codim1(ymap, period, cfg["continue.kind"], free, guess,
-                             [*model.params, 0.0])
-    with keyed("plane"):
-        curve = continue_both_ways(ymap, start, plane, start.orbit.params, step=step,
-                                   max_points=max_points, bounds=bounds)
+    guess = (_get_float(cfg, "continue.y_guess"), _get_float(cfg, "continue.param_guess"))
+    with keyed("continue"):  # every continue.* value is checked where it is used
+        start = solve_codim1(ymap, _get_int(cfg, "continue.period"), cfg["continue.kind"],
+                             _get_int(cfg, "continue.free_param"), guess, [*model.params, 0.0])
+        curve = continue_both_ways(
+            ymap, start, plane, start.orbit.params, step=_get_float(cfg, "continue.step"),
+            max_points=_get_int(cfg, "continue.max_points"),
+            bounds=_get_float(cfg, "continue.bounds"))
     return curve, (cfg["plane.x_name"], cfg["plane.y_name"])
 
 
@@ -157,7 +136,7 @@ def _cmd_codim2(cfg, outdir, force, workers):
 
 
 def _cmd_rescale_verify(cfg, outdir, force, workers):
-    ks = _ks(cfg, "rescale.ks")
+    ks = _counts(cfg, "rescale.ks", _get_list(cfg, "rescale.ks"), "integers")
     radius, grid = _get_float(cfg, "rescale.radius"), _get_int(cfg, "rescale.grid")
     rows = []
     for k in ks:
@@ -184,7 +163,7 @@ def _cmd_rescale_verify(cfg, outdir, force, workers):
 
 
 def _cmd_sequence_plan(cfg, outdir, force, workers):
-    count = _setting(cfg, "plan.count", _get_int, lambda n: n >= 1, "an integer >= 1")
+    count = _counts(cfg, "plan.count", [_get_int(cfg, "plan.count")], "an integer")[0]
     s_values = [float(j) for j in range(1, count + 1)]
     gam = _get_float(cfg, "plan.gamma")
     if cfg["plan.kind"] == "saddle":
@@ -213,13 +192,13 @@ def _cmd_sequence_plan(cfg, outdir, force, workers):
 
 
 def _cmd_shrimp_predict(cfg, outdir, force, workers):
-    ks = _ks(cfg, "predict.ks")
-    m_event = tuple(_setting(cfg, key, _get_float, math.isfinite, "finite")
-                    for key in ("predict.m1", "predict.m2"))
+    ks = _counts(cfg, "predict.ks", _get_list(cfg, "predict.ks"), "integers")
+    m_event = (_get_float(cfg, "predict.m1"), _get_float(cfg, "predict.m2"))
     rows = []
     for k in ks:
         rcfg = build_return_config(cfg, k=k, m=k)
-        mu_pred = predict_shrimp_location(rcfg, m_event)
+        with keyed("predict"):
+            mu_pred = predict_shrimp_location(rcfg, m_event)
         try:
             mu_meas, _, rel = locate_fold(rcfg, m_event)
             measured = (_fmt(float(mu_meas[0])), _fmt(float(mu_meas[1])), _fmt(rel))

@@ -215,8 +215,6 @@ def local_iterate(
     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
 ):
     """n-fold forward application; exact powers in the linear case."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if n == 0:
         return x, y
     xn, yn, step = iterate_points(local, x, y, n, escape_radius)

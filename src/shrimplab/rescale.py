@@ -421,8 +421,11 @@ def predict_shrimp_location(cfg: ReturnMapConfig, m_event) -> tuple:
     Uses the analytic leading terms: the closed-form chart origins of the
     linear local map with the feedback through the a coefficients dropped,
     and the frame's parameter scales.  Returns (mu1, mu2) in the original
-    labeling.
+    labeling.  FieldError on m1 or m2 of m_event if it is not finite.
     """
+    for name, value in zip(("m1", "m2"), m_event):
+        if not math.isfinite(value):
+            raise FieldError(name, f"must be finite, got '{value:g}'")
     oc, swapped = _oriented(cfg)
     m_first, m_second = (m_event[1], m_event[0]) if swapped else (m_event[0], m_event[1])
     t1, t2 = (replace(t, a=np.zeros_like(t.a, dtype=float)) for t in (oc.t1, oc.t2))

@@ -144,13 +144,16 @@ class FamilyPlaneTarget:
 
     The axis name 'dummy' gives parameter-line sweeps a second axis: it
     resolves to the slot just past the family's parameters (param_index),
-    which the formulas never read, so its swept value is ignored.
+    which the formulas never read, so its swept value is ignored.  FieldError
+    on y_name if both axes name one slot, where y would overwrite x.
     """
 
     def __init__(self, template: ModelMap, x_name: str, y_name: str):
         self.template = template
         self.ix = param_index(template.family, x_name, "x_name")
         self.iy = param_index(template.family, y_name, "y_name")
+        if self.ix == self.iy:
+            raise FieldError("y_name", "a plane needs two distinct parameters")
 
     def _params(self, p1, p2):
         P = [*self.template.params, 0.0]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shrimplab.bifurcation import FamilyYMap, continue_codim1, solve_codim1
 from shrimplab.cli import COMMANDS, main
 from shrimplab.config import (
     BENCHMARK_DEFAULTS,
@@ -22,7 +23,8 @@ from shrimplab.config import (
     load_config,
     parse_config_lines,
 )
-from shrimplab.errors import ConfigError
+from shrimplab.errors import ConfigError, FieldError
+from shrimplab.rescale import predict_shrimp_location
 from shrimplab import sweep
 
 
@@ -279,6 +281,10 @@ DISSIPATIVE_FOCUS = ["plan.kind=saddle_focus", "plan.gamma=2.0", "plan.lambda=0.
         ("continue", ["plane.y_name=M1"], "plane.y_name"),
         ("codim2", ["plane.y_name=M1"], "plane.y_name"),
         ("continue", ["plane.x_name=dummy", "plane.y_name=dummy"], "plane.y_name"),
+        # so does a sweep plane (checked by FamilyPlaneTarget): y overwrote x,
+        # and exit 0 gave identical rows along i
+        ("sweep", ["plane.y_name=M1"], "plane.y_name"),
+        ("sweep", ["plane.x_name=dummy", "plane.y_name=dummy"], "plane.y_name"),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
@@ -294,12 +300,64 @@ def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
     assert key in BENCHMARK_DEFAULTS and f"key '{key}':" in message
 
 
-def test_cli_sweep_accepts_axes_of_one_parameter(tmp_path):
-    # only continuation needs two parameter slots
-    out = tmp_path / "one_slot"
-    assert run_cli(["sweep", "--out", str(out), "--set", "plane.y_name=M1",
-                    *(a for s in CHEAP for a in ("--set", s))]) == 0
-    assert "i,j,M1,M1,outcome,value" in (out / "grid.csv").read_text()
+DP_FOLD = dict(ymap=FamilyYMap("double_parabola"), period=1, kind="SN", free_index=1,
+               guess=(0.9, 1.0), params=(0.9, 0.0, 0.0))
+
+
+def _continue(plane=(0, 1), **options):
+    start = solve_codim1(**DP_FOLD)
+    return continue_codim1(DP_FOLD["ymap"], start, plane, start.orbit.params,
+                           **{"max_points": 20, **options})
+
+
+# each library function that takes a setting's value checks it, and the
+# section the CLI keys its errors with
+LIBRARY_CALLS = {
+    "solve": ("continue", lambda **bad: solve_codim1(**{**DP_FOLD, **bad})),
+    "continue": ("continue", _continue),
+    "predict": ("predict", lambda m_event: predict_shrimp_location(
+        build_return_config(load_config(None, []), k=8, m=8), m_event)),
+    "target": ("plane", lambda **names: sweep.FamilyPlaneTarget(
+        build_model(load_config(None, [])), **{"x_name": "M1", "y_name": "M2", **names})),
+}
+
+
+@pytest.mark.parametrize(
+    "call, bad, key",
+    [
+        # returned a "fold" at the guess with multiplier 1
+        ("solve", {"period": 0}, "continue.period"),
+        ("solve", {"period": -2}, "continue.period"),
+        # was an IndexError; 2 and -1 (the last index) name the dummy slot
+        ("solve", {"free_index": 5}, "continue.free_param"),
+        ("solve", {"free_index": 2}, "continue.free_param"),
+        ("solve", {"free_index": -1}, "continue.free_param"),
+        ("solve", {"guess": (float("nan"), 1.0)}, "continue.y_guess"),
+        ("solve", {"guess": (0.9, float("inf"))}, "continue.param_guess"),
+        # 20 copies of the start point, steps past max_step, bounds never hit
+        ("continue", {"step": 0.0}, "continue.step"),
+        ("continue", {"step": -0.01}, "continue.step"),
+        ("continue", {"step": float("nan")}, "continue.step"),
+        ("continue", {"bounds": float("nan")}, "continue.bounds"),
+        ("continue", {"bounds": -1.0}, "continue.bounds"),
+        ("continue", {"bounds": float("inf")}, "continue.bounds"),
+        # one point
+        ("continue", {"max_points": 0}, "continue.max_points"),
+        ("continue", {"max_points": 1}, "continue.max_points"),
+        # the plane's own section overrides the caller's
+        ("continue", {"plane": (1, 1)}, "plane.y_name"),
+        ("predict", {"m_event": (float("nan"), 0.0)}, "predict.m1"),
+        ("predict", {"m_event": (0.0, float("inf"))}, "predict.m2"),
+        ("target", {"y_name": "M1"}, "plane.y_name"),
+        ("target", {"x_name": "dummy", "y_name": "dummy"}, "plane.y_name"),
+    ],
+)
+def test_library_rejects_values_it_cannot_use(call, bad, key):
+    section, function = LIBRARY_CALLS[call]
+    with pytest.raises(FieldError) as err:
+        function(**bad)
+    assert f"{err.value.section or section}.{err.value.field}" == key
+    assert key in BENCHMARK_DEFAULTS
 
 
 def test_cli_continue_and_codim2(tmp_path):
