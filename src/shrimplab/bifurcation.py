@@ -9,8 +9,9 @@ needs it, and, given a parameter plane, the parameter derivatives of T^n and (T^
 along the same orbit, so one pass per Newton step gives the residual and the
 exact bordered Jacobian of the fold/flip defining system (on a period-1
 curve also the codim-2 test value).  The Newton loops run on Python floats,
-and each step's 2x2 or 3x3 system goes through one small pivoted
-elimination, _solve.  find_periodic_orbit, solve_codim1 and the
+check their parameters once per call, not once per pass, and solve each
+step's 2x2 or 3x3 system with _solve, a pivoted elimination written out for
+those two sizes.  find_periodic_orbit, solve_codim1 and the
 continuation corrector stop when the residual is within NEWTON_TOL or, where
 round-off keeps it above, when the Newton step no longer moves the point.
 A BifPoint's test_values hold both codim-2 test values of its cycle.
@@ -47,9 +48,10 @@ class FamilyYMap:
     Extra trailing parameters are ignored, so a family can be continued in a
     plane with a dummy axis: families.param_index gives it the slot just past
     the family's parameters, where jet's partials are (0, 0) and checked drops
-    it.  value and jet are one map step each and take params as given; every
-    orbit pass validates them once first, through checked.  A state that is
-    not finite, as when an orbit overflows, raises EscapeError.
+    it.  value and jet are one map step each and take params as given:
+    orbit_pass validates them first, through checked, and the solvers here
+    once per call, before their many passes.  A state that is not finite,
+    as when an orbit overflows, raises EscapeError.
     """
 
     def __init__(self, family: str):
@@ -89,8 +91,12 @@ def orbit_pass(ymap, y, params, period, plane=None, order=2):
     as two pairs (zeros without a plane): forward-mode propagation along one
     orbit of period map steps.  The third derivative is formed only for
     order=3 and is None for the default order=2; its overflow raises
-    ConvergenceError."""
-    params = ymap.checked(params)
+    ConvergenceError.  ValueError unless the family's params are finite."""
+    return _orbit_pass(ymap, y, ymap.checked(params), period, plane, order)
+
+
+def _orbit_pass(ymap, y, params, period, plane=None, order=2):
+    """orbit_pass on params its caller has checked."""
     v, d1, d2, d3 = y, 1.0, 0.0, (0.0 if order > 2 else None)
     va = vb = da = db = 0.0
     for _ in range(period):
@@ -123,7 +129,7 @@ def _root_distance(ymap, y, params, period):
     """Estimated distance from y to the nearest period-n point: the Newton
     step |T^n(y) - y| / |(T^n)'(y) - 1|, or sqrt(2 |T^n(y) - y| / |(T^n)''|)
     if smaller (near a fold); at least 1e-15 (1 + |y|), y's round-off."""
-    v, d1, d2 = orbit_pass(ymap, y, params, period)[:3]
+    v, d1, d2 = _orbit_pass(ymap, y, params, period)[:3]
     g, slope = abs(v - y), abs(d1 - 1.0)
     near = min(g / slope if slope else math.inf, math.sqrt(2.0 * g / abs(d2)) if d2 else math.inf)
     return max(near, 1.0e-15 * (1.0 + abs(y)))
@@ -157,7 +163,7 @@ class BifPoint:
 def _bif_point(ymap, kind, period, y, params) -> BifPoint:
     """The point y of a period-cycle at params, with both codim-2 test values
     (second orbit derivative, first Lyapunov)."""
-    _, d1, d2, d3, _, _ = orbit_pass(ymap, y, params, period, order=3)
+    _, d1, d2, d3, _, _ = _orbit_pass(ymap, y, params, period, order=3)
     orbit = PeriodicOrbit(period, float(y), float(d1), tuple(params))
     tests = {"second_derivative": d2, "lyapunov_1": _first_lyapunov(d2, d3)}
     return BifPoint(kind=kind, orbit=orbit, test_values=tests)
@@ -197,9 +203,10 @@ def find_periodic_orbit(
     if period < 1:
         raise ValueError("period must be >= 1")
     params = tuple(float(p) for p in params)
+    ymap.checked(params)
     y, f_before = float(y_guess), math.inf
     for _ in range(NEWTON_MAX_ITER):
-        v, d1 = orbit_pass(ymap, y, params, period)[:2]
+        v, d1 = _orbit_pass(ymap, y, params, period)[:2]
         f = v - y
         roundoff = min(32.0 * period * math.ulp(1.0) * (1.0 + abs(d1)), 1.0e-8) * (1.0 + abs(y))
         if abs(f) <= NEWTON_TOL or 0.5 * f_before < abs(f) <= roundoff:
@@ -257,11 +264,12 @@ def solve_codim1(
         if not math.isfinite(value):
             raise FieldError(name, f"must be finite, got '{value:g}'")
     params = list(float(q) for q in params)
+    params[free_index] = p
+    ymap.checked(params)
     target = _multiplier_target(kind)
     for _ in range(NEWTON_MAX_ITER):
-        params[free_index] = p
         # orbit_pass wants two parameters; the free one twice gives its column
-        v, d1, d2, _, (vp, _), (dp, _) = orbit_pass(
+        v, d1, d2, _, (vp, _), (dp, _) = _orbit_pass(
             ymap, y, params, period, (free_index, free_index))
         r = (v - y, d1 - target)
         if abs(r[0]) <= NEWTON_TOL and abs(r[1]) <= NEWTON_TOL:
@@ -270,11 +278,11 @@ def solve_codim1(
         if _stopped_moving(step, (y, p)):
             break
         y, p = y - step[0], p - step[1]
+        params[free_index] = p
         if not (math.isfinite(y) and math.isfinite(p)):
             raise ConvergenceError("codim-1 Newton diverged")
     else:
         raise ConvergenceError(f"codim-1 Newton did not converge in {NEWTON_MAX_ITER} steps")
-    params[free_index] = p
     point = _bif_point(ymap, kind, period, y, params)  # raises first if its jets overflow
     _reject_divisor_period(ymap, y, params, period, "codim-1 solution")
     return point
@@ -295,7 +303,7 @@ def _extended_system(ymap, period, kind, u, plane, params):
     representative, and the pass's d2 (and d3, formed for flips only) give
     the test value that _test_value would."""
     order = 3 if period == 1 and kind == PD else 2
-    v, d1, d2, d3, dv, dd = orbit_pass(
+    v, d1, d2, d3, dv, dd = _orbit_pass(
         ymap, u[0], _plane_params(u, plane, params), period, plane, order)
     r = (v - u[0], d1 - _multiplier_target(kind))
     test = _codim2_test(kind, d2, d3) if period == 1 else None
@@ -303,31 +311,49 @@ def _extended_system(ymap, period, kind, u, plane, params):
 
 
 def _solve(rows, rhs, singular):
-    """The solution x of the small square system rows . x = rhs, by Gaussian
-    elimination with partial pivoting; a zero or NaN pivot raises
+    """The solution x of the 2x2 or 3x3 system rows . x = rhs, by Gaussian
+    elimination with partial pivoting written out: the pivot is the first
+    row of largest |a|, each row update includes the right-hand side, and
+    back-substitution subtracts a[k][j] x[j] for j ascending.  A pivot that
+    is not > 0 in absolute value (zero or NaN) raises
     ConvergenceError(singular)."""
-    a = [[*row, b] for row, b in zip(rows, rhs)]
-    n = len(a)
-    for k in range(n):
-        piv = k
-        for i in range(k + 1, n):
-            if abs(a[i][k]) > abs(a[piv][k]):
-                piv = i
-        a[k], a[piv] = a[piv], a[k]
-        top = a[k]
-        if not abs(top[k]) > 0.0:
+    if len(rows) == 2:
+        (p0, p1), (q0, q1) = rows
+        pb, qb = rhs
+        if abs(q0) > abs(p0):
+            p0, p1, pb, q0, q1, qb = q0, q1, qb, p0, p1, pb
+        if not abs(p0) > 0.0:
             raise ConvergenceError(singular)
-        for row in a[k + 1 :]:
-            f = row[k] / top[k]
-            for j in range(k + 1, n + 1):
-                row[j] -= f * top[j]
-    x = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        s = a[k][n]
-        for j in range(k + 1, n):
-            s -= a[k][j] * x[j]
-        x[k] = s / a[k][k]
-    return x
+        f = q0 / p0
+        q1, qb = q1 - f * p1, qb - f * pb
+        if not abs(q1) > 0.0:
+            raise ConvergenceError(singular)
+        x1 = qb / q1
+        return (pb - p1 * x1) / p0, x1
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = rows
+    pb, qb, rb = rhs
+    q_leads = abs(q0) > abs(p0)
+    if abs(r0) > abs(q0 if q_leads else p0):
+        p0, p1, p2, pb, r0, r1, r2, rb = r0, r1, r2, rb, p0, p1, p2, pb
+    elif q_leads:
+        p0, p1, p2, pb, q0, q1, q2, qb = q0, q1, q2, qb, p0, p1, p2, pb
+    if not abs(p0) > 0.0:
+        raise ConvergenceError(singular)
+    f = q0 / p0
+    q1, q2, qb = q1 - f * p1, q2 - f * p2, qb - f * pb
+    f = r0 / p0
+    r1, r2, rb = r1 - f * p1, r2 - f * p2, rb - f * pb
+    if abs(r1) > abs(q1):
+        q1, q2, qb, r1, r2, rb = r1, r2, rb, q1, q2, qb
+    if not abs(q1) > 0.0:
+        raise ConvergenceError(singular)
+    f = r1 / q1
+    r2, rb = r2 - f * q2, rb - f * qb
+    if not abs(r2) > 0.0:
+        raise ConvergenceError(singular)
+    x2 = rb / r2
+    x1 = (qb - q2 * x2) / q1
+    return (pb - p1 * x1 - p2 * x2) / p0, x1, x2
 
 
 def _corrector(ymap, period, kind, u, plane, params, tangent, anchor, ds):
@@ -370,7 +396,6 @@ def _canonical_rep(ymap, y, params, period):
     along a continuation arc (two points of one cycle cannot cross without
     colliding), so test functions evaluated here cannot flip sign just
     because Newton converged to the other cycle point."""
-    params = ymap.checked(params)
     best = y
     v = y
     for _ in range(period - 1):
@@ -394,7 +419,7 @@ def _test_value(ymap, period, kind, u, plane, params, test):
         return test
     pfull = _plane_params(u, plane, params)
     rep = _canonical_rep(ymap, u[0], pfull, period)
-    _, _, d2, d3, _, _ = orbit_pass(ymap, rep, pfull, period, order=2 if kind == SN else 3)
+    _, _, d2, d3, _, _ = _orbit_pass(ymap, rep, pfull, period, order=2 if kind == SN else 3)
     return _codim2_test(kind, d2, d3)
 
 
@@ -442,9 +467,11 @@ def continue_codim1(
     if max_points < 2:
         raise FieldError("max_points", f"must be an integer >= 2, got '{max_points}'")
     kind, period = start.kind, start.orbit.period
-    params = list(float(q) for q in params)
     orbit = start.orbit
     u = (float(orbit.y), float(orbit.params[plane[0]]), float(orbit.params[plane[1]]))
+    # every pass puts its own plane coordinates in; the start's are checked
+    params = _plane_params(u, plane, map(float, params))
+    ymap.checked(params)
     curve = BifCurve(kind=kind, period=period, plane=tuple(plane))
     _, jac, mult, test = _extended_system(ymap, period, kind, u, plane, params)
     t = tuple(x * direction for x in _tangent(jac))
@@ -506,6 +533,8 @@ def _refine_codim2(ymap, curve, i, params):
     u, kept = ua, None
     for _ in range(NEWTON_MAX_ITER):
         trial = tuple((fb * a - fa * b) / (fb - fa) for a, b in zip(ua, ub))
+        if not all(map(math.isfinite, trial)):  # huge test values overflowed it
+            raise ConvergenceError("codim-2 regula falsi trial overflowed")
         t = _tangent(_extended_system(ymap, period, kind, trial, plane, params)[1])
         prev, (u, _, _, test) = u, _corrector(
             ymap, period, kind, trial, plane, params, t, trial, 0.0)
@@ -560,7 +589,9 @@ def detect_codim2(curve: BifCurve, ymap, params):
     curve (_refine_codim2); a bracket whose refinement fails is searched
     again in fine steps (_refine_in_fine_steps), and one that fails there
     too gives no hit; their number is set as curve.dropped_brackets.
+    ValueError unless params are finite, checked once before any pass.
     """
+    ymap.checked(params)
     hits, dropped = [], 0
     kind = CUSP if curve.kind == SN else DEGENERATE_FLIP
     tests = curve.test_values

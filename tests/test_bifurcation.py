@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from shrimplab.bifurcation import (
     NEWTON_TOL,
     PD,
     SN,
+    BifCurve,
+    BifPoint,
     FamilyYMap,
+    PeriodicOrbit,
     _extended_system,
     _solve,
     continue_both_ways,
@@ -147,6 +151,27 @@ def test_orbit_passes_reject_non_finite_params():
             orbit_pass(ymap, 0.1, params, 2, (0, 1))
 
 
+def test_solvers_reject_non_finite_params_once_per_call():
+    # the solvers check params at entry, not in every orbit pass; a NaN that
+    # a pass would read still raises, here in a slot outside the plane (0, 1)
+    # of shrimp3 (M3) or in the start's plane coordinates
+    nan = math.nan
+    s3_start = solve_codim1(S3, 1, SN, 1, (0.9, 1.0), (0.9, 0.0, 0.0))
+    bracket = BifCurve(SN, 1, (0, 1), points=[(0.7, 0.7), (0.8, 0.8)], y_values=[0.5, 0.5],
+                       multipliers=[1.0, 1.0], test_values=[1.0, -1.0])
+    calls = [
+        lambda: find_periodic_orbit(DP, 1, 0.5, (nan, 0.0)),
+        lambda: solve_codim1(DP, 1, SN, 1, (0.9, 1.0), (nan, 0.0)),
+        lambda: continue_codim1(DP, BifPoint(SN, PeriodicOrbit(1, 0.5, 1.0, (nan, 0.75))),
+                                (0, 1), (0.0, 0.0)),
+        lambda: continue_codim1(S3, s3_start, (0, 1), (0.9, 0.0, nan)),
+        lambda: detect_codim2(bracket, S3, (0.0, 0.0, nan)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 # Planes per family; index 1 of the parabola is a dummy axis.
 PLANES = {
     "parabola": [(0, 1)],
@@ -219,6 +244,23 @@ def test_continuation_map_steps_per_point(monkeypatch):
     curve = continue_codim1(DP, sn, (0, 1), sn.orbit.params, step=0.02, max_points=40, bounds=4.0)
     assert len(curve.points) == 40
     assert len(calls) <= 4 * len(curve.points)
+
+
+def test_continuation_checks_params_once_per_call(monkeypatch):
+    # continue_codim1 checks its start's parameter vector and detect_codim2
+    # its params, once each: 2 checks (as measured) for 10 points or 40,
+    # where checking in every orbit pass took one per Newton step
+    calls = []
+    checked = FamilyYMap.checked
+    monkeypatch.setattr(FamilyYMap, "checked",
+                        lambda self, *a: calls.append(1) or checked(self, *a))
+    sn = solve_codim1(DP, 1, SN, 1, (0.9, 1.0), (0.9, 0.0))
+    for max_points in (10, 40):
+        calls.clear()
+        curve = continue_codim1(DP, sn, (0, 1), sn.orbit.params, step=0.02,
+                                max_points=max_points, bounds=4.0)
+        assert len(curve.points) == max_points
+        assert len(calls) == 2
 
 
 # The seven fold and flip curves of the double parabola continued by the
@@ -338,6 +380,101 @@ def test_solve_matches_numpy(n, entries, zero_col, nan_at):
     rows[nan_at // 3 % n][nan_at % 3 % n] = math.nan
     with pytest.raises(ConvergenceError, match="^singular$"):
         _solve(rows, list(b), "singular")
+
+
+def _reference_solve(rows, rhs, singular):
+    """Gaussian elimination with partial pivoting as a loop over the pivot
+    index, for any n: the reference that _solve's written-out 2x2 and 3x3
+    cases must match bit for bit."""
+    a = [[*row, b] for row, b in zip(rows, rhs)]
+    n = len(a)
+    for k in range(n):
+        piv = k
+        for i in range(k + 1, n):
+            if abs(a[i][k]) > abs(a[piv][k]):
+                piv = i
+        a[k], a[piv] = a[piv], a[k]
+        top = a[k]
+        if not abs(top[k]) > 0.0:
+            raise ConvergenceError(singular)
+        for row in a[k + 1 :]:
+            f = row[k] / top[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= f * top[j]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        s = a[k][n]
+        for j in range(k + 1, n):
+            s -= a[k][j] * x[j]
+        x[k] = s / a[k][k]
+    return x
+
+
+def _solve_outcome(solve, rows, rhs):
+    """The bytes of solve's solution (-0.0 apart from 0.0, NaN bits kept),
+    or the message of its ConvergenceError."""
+    try:
+        return struct.pack(f"<{len(rhs)}d", *solve(rows, rhs, "singular"))
+    except ConvergenceError as err:
+        return str(err)
+
+
+# signed zeros, NaN, infinities, subnormals, values near 1e300 and the
+# overflow threshold, and small integers, whose magnitudes tie often
+SPECIAL_ENTRIES = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, math.nan, -math.nan, math.inf,
+                   -math.inf, 5e-324, -5e-324, 2.0**-1050, 1e300, -1e300, 1.5e308]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    entries=st.lists(st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(-4.0, 4.0),
+                               st.floats(allow_nan=True, allow_infinity=True)),
+                     min_size=12, max_size=12),
+    ties=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans()), max_size=3),
+)
+# opposite-sign ties in both pivot columns, and a -0.0 pivot
+@example(n=3, entries=[1.0, 2.0, 0.5, -1.0, 1.0, 3.0, 1.0, -3.0, 1.0, 1.0, 2.0, 3.0],
+         ties=[])
+@example(n=2, entries=[-0.0, 1.0, 0.0, 1.0] + [0.0] * 6 + [1.0, -0.0], ties=[])
+def test_solve_matches_reference_bitwise(n, entries, ties):
+    # each tie copies row 0's magnitude in column `col` to another row, with
+    # either sign: the pivot must be the first row of strictly largest |a|
+    rows = [entries[i * 3 : i * 3 + n] for i in range(n)]
+    for col, row, flip in ties:
+        col, row = col % n, 1 + row % (n - 1)
+        rows[row][col] = -rows[0][col] if flip else rows[0][col]
+    rhs = entries[9 : 9 + n]
+    assert _solve_outcome(_solve, rows, rhs) == _solve_outcome(_reference_solve, rows, rhs)
+
+
+def test_continuation_bytes_match_reference_solve(monkeypatch, tmp_path):
+    # the seven curves of the benchmark continued both ways, written as
+    # shipped and with the loop elimination: the same files and hits
+    runs = {}
+    for name in ("shipped", "reference"):
+        if name == "reference":
+            monkeypatch.setattr(bifurcation, "_solve", _reference_solve)
+        runs[name] = []
+        for curve_name, (period, kind, guess, params) in DP_CURVES.items():
+            start = solve_codim1(DP, period, kind, 1, guess, params)
+            curve = continue_both_ways(DP, start, (0, 1), start.orbit.params, **DP_CONTINUE)
+            path = tmp_path / f"{name}_{curve_name}.csv"
+            curve_to_csv(curve, path, ("M1", "M2"))
+            runs[name].append((path.read_bytes(), curve.stop_reasons, curve.dropped_brackets,
+                               curve.codim2_hits))
+    assert runs["shipped"] == runs["reference"]
+    assert sum(len(run[3]) for run in runs["shipped"]) > 0
+
+
+def test_overflowing_regula_falsi_trial_fails_its_refinement():
+    # test values near the overflow threshold make the regula falsi trial
+    # inf/inf: the refinement fails as any other does, and the bracket is
+    # counted as dropped, never reported as a bad parameter
+    curve = BifCurve(SN, 1, (0, 1), points=[(2.0, 2.0), (2.5, 2.5)], y_values=[0.5, 0.6],
+                     multipliers=[1.0, 1.0], test_values=[1.7e308, -1.7e308])
+    assert detect_codim2(curve, DP, (0.0, 0.0)) == []
+    assert curve.dropped_brackets == 1
 
 
 def _numpy_corrector(ymap, period, kind, u, plane, params, tangent, anchor, ds, tol=NEWTON_TOL):
