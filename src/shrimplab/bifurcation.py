@@ -8,12 +8,13 @@ composition to second order, or to third where the first Lyapunov value
 needs it, and, given a parameter plane, the parameter derivatives of T^n and (T^n)'
 along the same orbit, so one pass per Newton step gives the residual and the
 exact bordered Jacobian of the fold/flip defining system (on a period-1
-curve also the codim-2 test value).  The Newton loops run on Python floats,
-check their parameters once per call, not once per pass, and solve each
-step's 2x2 or 3x3 system with _solve, a pivoted elimination written out for
-those two sizes.  find_periodic_orbit, solve_codim1 and the
-continuation corrector stop when the residual is within NEWTON_TOL or, where
-round-off keeps it above, when the Newton step no longer moves the point.
+curve also the codim-2 test value).  The Newton loops run on Python floats
+and check their parameters once per call, not once per pass.  The fold/flip
+system has one, the continuation corrector, which solves each step's 3x3
+system with _solve, a pivoted elimination written out; solve_codim1 pins
+its third unknown to a dummy parameter slot.  find_periodic_orbit and the
+corrector stop when the residual is within NEWTON_TOL or, where round-off
+keeps it above, when the Newton step no longer moves the point.
 A BifPoint's test_values hold both codim-2 test values of its cycle.
 
 Codimension-2 points (cusps on fold curves, degenerate flips on flip curves)
@@ -249,9 +250,9 @@ def solve_codim1(
 ) -> BifPoint:
     """Solve {T^n(y) - y = 0, (T^n)'(y) -+ 1 = 0} in (y, params[free_index]).
 
-    Newton stops when the residual is within NEWTON_TOL or, where round-off
-    keeps it above, when the step no longer moves (y, p).  FieldError on the
-    continue.* field of a bad kind, period, free_index or guess."""
+    Newton is the continuation corrector with its third unknown pinned, so it
+    stops as the corrector does.  FieldError on the continue.* field of a bad
+    kind, period, free_index or guess."""
     if kind not in (SN, PD):
         raise FieldError("kind", f"unknown bifurcation kind '{kind}'")
     if period < 1:
@@ -266,23 +267,12 @@ def solve_codim1(
     params = list(float(q) for q in params)
     params[free_index] = p
     ymap.checked(params)
-    target = _multiplier_target(kind)
-    for _ in range(NEWTON_MAX_ITER):
-        # orbit_pass wants two parameters; the free one twice gives its column
-        v, d1, d2, _, (vp, _), (dp, _) = _orbit_pass(
-            ymap, y, params, period, (free_index, free_index))
-        r = (v - y, d1 - target)
-        if abs(r[0]) <= NEWTON_TOL and abs(r[1]) <= NEWTON_TOL:
-            break
-        step = _solve(((d1 - 1.0, vp), (d2, dp)), r, "singular bordered system")
-        if _stopped_moving(step, (y, p)):
-            break
-        y, p = y - step[0], p - step[1]
-        params[free_index] = p
-        if not (math.isfinite(y) and math.isfinite(p)):
-            raise ConvergenceError("codim-1 Newton diverged")
-    else:
-        raise ConvergenceError(f"codim-1 Newton did not converge in {NEWTON_MAX_ITER} steps")
+    # u is its own anchor at ds = 0 along (0, 0, 1): the arclength row pins the
+    # dummy slot, whose partials are zero, so each step is Newton's in (y, p)
+    u = (y, p, 0.0)
+    (y, p, _), _, _, _ = _corrector(ymap, period, kind, u, (free_index, ymap.arity),
+                                    [*params, 0.0], (0.0, 0.0, 1.0), u, 0.0)
+    params[free_index] = p
     point = _bif_point(ymap, kind, period, y, params)  # raises first if its jets overflow
     _reject_divisor_period(ymap, y, params, period, "codim-1 solution")
     return point
@@ -311,25 +301,12 @@ def _extended_system(ymap, period, kind, u, plane, params):
 
 
 def _solve(rows, rhs, singular):
-    """The solution x of the 2x2 or 3x3 system rows . x = rhs, by Gaussian
+    """The solution x of the 3x3 system rows . x = rhs, by Gaussian
     elimination with partial pivoting written out: the pivot is the first
     row of largest |a|, each row update includes the right-hand side, and
     back-substitution subtracts a[k][j] x[j] for j ascending.  A pivot that
     is not > 0 in absolute value (zero or NaN) raises
     ConvergenceError(singular)."""
-    if len(rows) == 2:
-        (p0, p1), (q0, q1) = rows
-        pb, qb = rhs
-        if abs(q0) > abs(p0):
-            p0, p1, pb, q0, q1, qb = q0, q1, qb, p0, p1, pb
-        if not abs(p0) > 0.0:
-            raise ConvergenceError(singular)
-        f = q0 / p0
-        q1, qb = q1 - f * p1, qb - f * pb
-        if not abs(q1) > 0.0:
-            raise ConvergenceError(singular)
-        x1 = qb / q1
-        return (pb - p1 * x1) / p0, x1
     (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = rows
     pb, qb, rb = rhs
     q_leads = abs(q0) > abs(p0)
@@ -360,21 +337,23 @@ def _corrector(ymap, period, kind, u, plane, params, tangent, anchor, ds):
     """Newton on the extended system plus the arclength equation; returns the
     converged u with the Jacobian, multiplier and test value of its last
     orbit pass.  Converged means all three residuals within NEWTON_TOL or,
-    where round-off keeps one above it, a Newton step that no longer moves u."""
+    where round-off keeps one above it, a Newton step that no longer moves u,
+    within NEWTON_MAX_ITER passes.  The one Newton loop of the fold/flip
+    system: continuation steps, codim-2 trial points and solve_codim1."""
     t0, t1, t2 = tangent
-    for _ in range(25):
+    for _ in range(NEWTON_MAX_ITER):
         r, jac, mult, test = _extended_system(ymap, period, kind, u, plane, params)
         y, pi, pj = u
         arc = t0 * (y - anchor[0]) + t1 * (pi - anchor[1]) + t2 * (pj - anchor[2]) - ds
         if abs(r[0]) <= NEWTON_TOL and abs(r[1]) <= NEWTON_TOL and abs(arc) <= NEWTON_TOL:
             return u, jac, mult, test
-        step = _solve((*jac, tangent), (*r, arc), "continuation corrector singular")
+        step = _solve((*jac, tangent), (*r, arc), "fold/flip Newton step singular")
         if _stopped_moving(step, u):
             return u, jac, mult, test
         u = (y - step[0], pi - step[1], pj - step[2])
         if not all(map(math.isfinite, u)):
-            raise ConvergenceError("continuation corrector diverged")
-    raise ConvergenceError("continuation corrector did not converge")
+            raise ConvergenceError("fold/flip Newton diverged")
+    raise ConvergenceError(f"fold/flip Newton did not converge in {NEWTON_MAX_ITER} steps")
 
 
 def _tangent(jac, prev=None):

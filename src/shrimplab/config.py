@@ -112,6 +112,22 @@ _SADDLE_FOCUS_VECTOR_DEFAULTS = {
 }
 
 
+def _setting(line: str, source: str, lineno=None):
+    """(key, value) of one `section.key = value` line, a trailing `# ...`
+    dropped from the value: the rule for config-file lines and --set items
+    alike.  ConfigError, naming the key once there is one, otherwise."""
+    if "=" not in line:
+        raise ConfigError(f"expected 'section.key = value' in {source}", line=lineno)
+    key, _, value = line.partition("=")
+    key = key.strip()
+    value = value.split("#", 1)[0].strip()
+    if "." not in key:
+        raise ConfigError(f"key must be section.key in {source}", key=key, line=lineno)
+    if not value:
+        raise ConfigError(f"empty value in {source}", key=key, line=lineno)
+    return key, value
+
+
 def parse_config_lines(text: str, source: str = "<config>"):
     """Parse `section.key = value` lines; returns (values, line numbers)."""
     out = {}
@@ -120,40 +136,23 @@ def parse_config_lines(text: str, source: str = "<config>"):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'section.key = value' in {source}", line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.split("#", 1)[0].strip()
-        if "." not in key:
-            raise ConfigError(
-                f"key must be section.key in {source}", key=key, line=lineno
-            )
-        if not value:
-            raise ConfigError(f"empty value in {source}", key=key, line=lineno)
+        key, value = _setting(line, source, lineno)
         out[key] = value
         lines[key] = lineno
     return out, lines
 
 
 def load_config(path=None, overrides=()) -> dict:
-    """Defaults, then the config file, then key=value overrides."""
+    """Defaults, then the config file, then the --set items in overrides."""
     file_cfg, file_lines = {}, {}
     if path is not None:
         try:
-            with open(path) as fh:
-                file_cfg, file_lines = parse_config_lines(fh.read(), source=str(path))
-        except OSError as err:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config: {err}", key=str(path)) from err
-    override_cfg = {}
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError("override must be key=value", key=item)
-        key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if "." not in key or not value:
-            raise ConfigError("override must be section.key=value", key=item)
-        override_cfg[key] = value
+        file_cfg, file_lines = parse_config_lines(text, source=str(path))
+    override_cfg = dict(_setting(item, "--set") for item in overrides)
 
     cfg = dict(BENCHMARK_DEFAULTS)
     kind = override_cfg.get(
@@ -163,8 +162,7 @@ def load_config(path=None, overrides=()) -> dict:
         cfg.update(_SADDLE_FOCUS_VECTOR_DEFAULTS)
     cfg.update(file_cfg)
     cfg.update(override_cfg)
-    known = set(BENCHMARK_DEFAULTS) | set(_SADDLE_FOCUS_VECTOR_DEFAULTS)
-    for key in sorted(set(cfg) - known):
+    for key in sorted(set(cfg) - set(BENCHMARK_DEFAULTS)):
         raise ConfigError("unknown key", key=key, line=file_lines.get(key))
     return cfg
 

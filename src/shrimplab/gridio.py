@@ -157,7 +157,10 @@ def import_grid_csv(path) -> SweepGrid:
             if not line.startswith(b"#"):
                 header = line
                 break
-            body = line[1:].decode().strip()
+            try:
+                body = line[1:].decode().strip()
+            except UnicodeDecodeError as err:
+                raise ConfigError(f"metadata line is not UTF-8: {err}", key=str(path)) from err
             if "=" in body:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from shrimplab import bifurcation
 from shrimplab.bifurcation import (
+    NEWTON_MAX_ITER,
     NEWTON_TOL,
     PD,
     SN,
@@ -350,16 +351,17 @@ def test_continuation_retraceable():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    n=st.sampled_from([2, 3]),
     entries=st.lists(st.floats(-4.0, 4.0), min_size=12, max_size=12),
     zero_col=st.integers(0, 2),
     nan_at=st.integers(0, 8),
 )
-# a subnormal right-hand side whose exact solution, 2.5e-324, is not a float
-@example(n=2, entries=[0.0, 1.0, 2.0, 0.0] + [0.0] * 6 + [5e-324, 0.0], zero_col=0, nan_at=0)
-def test_solve_matches_numpy(n, entries, zero_col, nan_at):
-    a = np.array(entries[: n * n]).reshape(n, n)
-    b = np.array(entries[9 : 9 + n])
+# a subnormal right-hand side whose exact solution, 2.5e-324, is not a float,
+# in a block-diagonal system
+@example(entries=[0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 5e-324, 0.0], zero_col=0,
+         nan_at=0)
+def test_solve_matches_numpy(entries, zero_col, nan_at):
+    a = np.array(entries[:9]).reshape(3, 3)
+    b = np.array(entries[9:])
     rows = [list(r) for r in a]
     if np.linalg.cond(a) < 1.0e3:
         x = np.array(_solve(rows, list(b), "singular"))
@@ -374,18 +376,18 @@ def test_solve_matches_numpy(n, entries, zero_col, nan_at):
         assert np.max(np.abs(x - ref)) <= 1.0e-12 * (1.0 + np.max(np.abs(ref)))
     # an exact zero pivot and a NaN end in ConvergenceError, never in a
     # ZeroDivisionError
-    zeroed = [[0.0 if j == zero_col % n else v for j, v in enumerate(r)] for r in rows]
+    zeroed = [[0.0 if j == zero_col else v for j, v in enumerate(r)] for r in rows]
     with pytest.raises(ConvergenceError, match="^singular$"):
         _solve(zeroed, list(b), "singular")
-    rows[nan_at // 3 % n][nan_at % 3 % n] = math.nan
+    rows[nan_at // 3][nan_at % 3] = math.nan
     with pytest.raises(ConvergenceError, match="^singular$"):
         _solve(rows, list(b), "singular")
 
 
 def _reference_solve(rows, rhs, singular):
     """Gaussian elimination with partial pivoting as a loop over the pivot
-    index, for any n: the reference that _solve's written-out 2x2 and 3x3
-    cases must match bit for bit."""
+    index, for any n: the reference that _solve's written-out 3x3 case must
+    match bit for bit."""
     a = [[*row, b] for row, b in zip(rows, rhs)]
     n = len(a)
     for k in range(n):
@@ -427,24 +429,22 @@ SPECIAL_ENTRIES = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, math.nan, -math.nan, ma
 
 @settings(max_examples=400, deadline=None)
 @given(
-    n=st.sampled_from([2, 3]),
     entries=st.lists(st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(-4.0, 4.0),
                                st.floats(allow_nan=True, allow_infinity=True)),
                      min_size=12, max_size=12),
     ties=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans()), max_size=3),
 )
-# opposite-sign ties in both pivot columns, and a -0.0 pivot
-@example(n=3, entries=[1.0, 2.0, 0.5, -1.0, 1.0, 3.0, 1.0, -3.0, 1.0, 1.0, 2.0, 3.0],
-         ties=[])
-@example(n=2, entries=[-0.0, 1.0, 0.0, 1.0] + [0.0] * 6 + [1.0, -0.0], ties=[])
-def test_solve_matches_reference_bitwise(n, entries, ties):
+# opposite-sign ties in both pivot columns, and a -0.0 pivot in a
+# block-diagonal system
+@example(entries=[1.0, 2.0, 0.5, -1.0, 1.0, 3.0, 1.0, -3.0, 1.0, 1.0, 2.0, 3.0], ties=[])
+@example(entries=[-0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, -0.0], ties=[])
+def test_solve_matches_reference_bitwise(entries, ties):
     # each tie copies row 0's magnitude in column `col` to another row, with
     # either sign: the pivot must be the first row of strictly largest |a|
-    rows = [entries[i * 3 : i * 3 + n] for i in range(n)]
+    rows = [entries[i * 3 : i * 3 + 3] for i in range(3)]
     for col, row, flip in ties:
-        col, row = col % n, 1 + row % (n - 1)
-        rows[row][col] = -rows[0][col] if flip else rows[0][col]
-    rhs = entries[9 : 9 + n]
+        rows[1 + row % 2][col] = -rows[0][col] if flip else rows[0][col]
+    rhs = entries[9:]
     assert _solve_outcome(_solve, rows, rhs) == _solve_outcome(_reference_solve, rows, rhs)
 
 
@@ -465,6 +465,70 @@ def test_continuation_bytes_match_reference_solve(monkeypatch, tmp_path):
                                curve.codim2_hits))
     assert runs["shipped"] == runs["reference"]
     assert sum(len(run[3]) for run in runs["shipped"]) > 0
+
+
+def _reference_solve_codim1(ymap, period, kind, free_index, guess, params):
+    """solve_codim1 for valid arguments as its own Newton loop on (y, p),
+    with a 2x2 loop elimination: the reference that the corrector with its
+    third unknown pinned must match bit for bit."""
+    y, p = float(guess[0]), float(guess[1])
+    params = [float(q) for q in params]
+    params[free_index] = p
+    target = 1.0 if kind == SN else -1.0
+    for _ in range(NEWTON_MAX_ITER):
+        # orbit_pass wants two parameters; the free one twice gives its column
+        v, d1, d2, _, (vp, _), (dp, _) = orbit_pass(
+            ymap, y, params, period, (free_index, free_index))
+        r = (v - y, d1 - target)
+        if abs(r[0]) <= NEWTON_TOL and abs(r[1]) <= NEWTON_TOL:
+            break
+        step = _reference_solve(((d1 - 1.0, vp), (d2, dp)), r, "singular bordered system")
+        if max(map(abs, step)) <= 1.0e-15 * (1.0 + max(abs(y), abs(p))):
+            break
+        y, p = y - step[0], p - step[1]
+        params[free_index] = p
+        if not (math.isfinite(y) and math.isfinite(p)):
+            raise ConvergenceError("codim-1 Newton diverged")
+    else:
+        raise ConvergenceError(f"codim-1 Newton did not converge in {NEWTON_MAX_ITER} steps")
+    point = bifurcation._bif_point(ymap, kind, period, y, params)
+    bifurcation._reject_divisor_period(ymap, y, params, period, "codim-1 solution")
+    return point
+
+
+def _codim1_outcome(solve, *args):
+    """The bits of the BifPoint solve returns (y, params, multiplier and both
+    test values), or "error" for a ShrimplabError."""
+    try:
+        point = solve(*args)
+    except ShrimplabError:
+        return "error"
+    orbit, tests = point.orbit, point.test_values
+    values = (orbit.y, *orbit.params, orbit.multiplier, *(tests[k] for k in sorted(tests)))
+    return point.kind, orbit.period, struct.pack(f"<{len(values)}d", *values)
+
+
+# solve_codim1 starts: the benchmark's curves of the double parabola, the
+# same starts on shrimp3 slices, and the parabola's fold in a dummy plane,
+# as (ymap, period, kind, free_index, guess, params)
+CODIM1_STARTS = [
+    *((DP, period, kind, 1, guess, params) for period, kind, guess, params in DP_CURVES.values()),
+    *((S3, period, kind, 1, guess, (*params, m3)) for period, kind, guess, params
+      in DP_CURVES.values() for m3 in (-1.2, 0.5, 1.0001)),
+    (PAR, 1, SN, 0, (-0.4, -0.3), (0.0, 0.0)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.sampled_from(CODIM1_STARTS),
+    jitter=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+)
+@example(start=CODIM1_STARTS[0], jitter=(0.0, 0.0))
+def test_solve_codim1_matches_reference_bitwise(start, jitter):
+    ymap, period, kind, free_index, guess, params = start
+    args = (ymap, period, kind, free_index, (guess[0] + jitter[0], guess[1] + jitter[1]), params)
+    assert _codim1_outcome(solve_codim1, *args) == _codim1_outcome(_reference_solve_codim1, *args)
 
 
 def test_overflowing_regula_falsi_trial_fails_its_refinement():

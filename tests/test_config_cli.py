@@ -174,6 +174,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "sweep.unknown_key" in message
 
 
+def test_cli_config_file_not_utf8(tmp_path, capsys):
+    # was a UnicodeDecodeError traceback
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"local.lambda = 0.4\xff\n")
+    assert run_cli(["continue", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+    message = capsys.readouterr().err
+    assert message.count("\n") == 1 and "Traceback" not in message
+    assert f"key '{bad}': cannot read config" in message
+
+
 DISSIPATIVE_FOCUS = ["plan.kind=saddle_focus", "plan.gamma=2.0", "plan.lambda=0.4"]
 
 
@@ -285,6 +295,9 @@ DISSIPATIVE_FOCUS = ["plan.kind=saddle_focus", "plan.gamma=2.0", "plan.lambda=0.
         # and exit 0 gave identical rows along i
         ("sweep", ["plane.y_name=M1"], "plane.y_name"),
         ("sweep", ["plane.x_name=dummy", "plane.y_name=dummy"], "plane.y_name"),
+        # an empty value: was an error on the key 'local.kind=', which does
+        # not exist
+        ("continue", ["local.kind="], "local.kind"),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):
@@ -504,7 +517,7 @@ CHEAP = ["sweep.nx=6", "sweep.ny=6", "sweep.transient=32", "sweep.samples=32",
          "sweep.max_period=4", "rescale.grid=3", "rescale.ks=6", "plan.count=3",
          "predict.ks=8", "continue.max_points=20"]
 DRAWN_VALUES = ["nan", "inf", "-inf", "-1", "0", "2", "1e308", "x", "1,2", "0,0;0,0",
-                "saddle_focus", "test_cubic", "M3", "dummy"]
+                "saddle_focus", "test_cubic", "M3", "dummy", ""]
 
 
 @settings(max_examples=200, deadline=None)
@@ -526,6 +539,9 @@ def test_cli_exit_code_contract(command, key, value):
     assert [str(w.message) for w in caught] == []
     message = err.getvalue()
     assert message == "" if code == 0 else message.count("\n") == 1
+    # a key that a settings error names is one that exists
+    if code == 1:
+        assert set(re.findall(r"key '([^']*)'", message)) <= set(BENCHMARK_DEFAULTS)
 
 
 def test_cli_shrimp_predict(tmp_path):

@@ -235,6 +235,13 @@ def test_import_rejects_malformed_metadata_value(tmp_path):
     _assert_rejected(path, "key 'sweep.nx': not an integer: 'abc'")
 
 
+def test_import_rejects_metadata_not_utf8(tmp_path):
+    # was a UnicodeDecodeError
+    path = _exported(tmp_path)
+    path.write_bytes(b"# plane.x_lo = \xff\n" + path.read_bytes())
+    _assert_rejected(path, "metadata line is not UTF-8")
+
+
 def _cell_rows(path):
     """The file's lines before the cell rows, and the cell rows."""
     lines = path.read_text().splitlines(keepends=True)
