@@ -596,10 +596,6 @@ def detect_codim2(curve: BifCurve, ymap, params):
 def curve_to_csv(curve: BifCurve, path, param_names=("p_i", "p_j"), header_lines=()):
     """Write a continuation curve as CSV with '#' metadata lines."""
     columns = ["kind", "period", param_names[0], param_names[1], "Y", "multiplier", "test_value"]
-    rows = (
-        [curve.kind, curve.period, *(f"{x:.17g}" for x in (pi, pj, y, mult, tv))]
-        for (pi, pj), y, mult, tv in zip(
-            curve.points, curve.y_values, curve.multipliers, curve.test_values
-        )
-    )
+    rows = ([curve.kind, curve.period, pi, pj, y, mult, tv] for (pi, pj), y, mult, tv
+            in zip(curve.points, curve.y_values, curve.multipliers, curve.test_values))
     write_table(path, header_lines, columns, rows)

@@ -68,12 +68,6 @@ def _write_output(cfg, outdir, force, name, columns, rows):
     return [path]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 def _cmd_sweep(cfg, outdir, force, workers):
     spec = build_sweep_spec(cfg)
     grid = plane_sweep(spec, workers=workers)
@@ -118,16 +112,9 @@ def _cmd_continue(cfg, outdir, force, workers):
 def _cmd_codim2(cfg, outdir, force, workers):
     curve, plane_names = _continuation(cfg)
     rows = [
-        (
-            hit.kind,
-            hit.orbit.period,
-            _fmt(hit.orbit.params[0]),
-            _fmt(hit.orbit.params[1]),
-            _fmt(hit.orbit.y),
-            _fmt(hit.orbit.multiplier),
-            _fmt(hit.test_values["second_derivative"]),
-            _fmt(hit.test_values["lyapunov_1"]),
-        )
+        [hit.kind, hit.orbit.period, *(hit.orbit.params[i] for i in curve.plane),
+         hit.orbit.y, hit.orbit.multiplier,
+         hit.test_values["second_derivative"], hit.test_values["lyapunov_1"]]
         for hit in curve.codim2_hits
     ]
     columns = ["kind", "period", plane_names[0], plane_names[1], "Y", "multiplier",
@@ -146,17 +133,8 @@ def _cmd_rescale_verify(cfg, outdir, force, workers):
         with keyed("rescale"):
             report = limit_map_deviation(frame, radius, grid)
         measured = measured_y_linear_coeff(frame)
-        rows.append(
-            (
-                k,
-                k,
-                _fmt(report.err_two_param),
-                _fmt(report.err_three_param),
-                _fmt(frame.m3_coeff),
-                _fmt(measured),
-                report.skipped,
-            )
-        )
+        rows.append((k, k, report.err_two_param, report.err_three_param, frame.m3_coeff,
+                     measured, report.skipped))
     columns = ["k", "m", "err_two_param", "err_three_param", "linear_coeff",
                "linear_coeff_measured", "skipped"]
     return _write_output(cfg, outdir, force, "rescale.csv", columns, rows)
@@ -169,24 +147,18 @@ def _cmd_sequence_plan(cfg, outdir, force, workers):
     if cfg["plan.kind"] == "saddle":
         with keyed("plan"):
             plan = plan_modulus_sequence(_get_float(cfg, "plan.theta0"), gam, s_values)
-        rows = []
-        for e in plan.entries:
-            g1, g2 = modulus_endpoint_gains(e, gam)
-            rows.append((e.j, e.k, e.m, "", _fmt(e.lo), _fmt(e.hi), _fmt(e.s),
-                         _fmt(g1), _fmt(g2)))
+        ends = lambda e: modulus_endpoint_gains(e, gam)
     elif cfg["plan.kind"] == "saddle_focus":
         lam = _get_float(cfg, "plan.lambda")
         amp = _get_float(cfg, "plan.amplitude")
         with keyed("plan"):
             plan = plan_rotation_sequence(
                 _get_float(cfg, "plan.phi0"), lam, gam, s_values, amplitude=amp)
-        rows = []
-        for e in plan.entries:
-            c1, c2, _ = rotation_endpoint_coefficients(e, lam, gam, amplitude=amp)
-            rows.append((e.j, e.k, e.m, e.n, _fmt(e.lo), _fmt(e.hi), _fmt(e.s),
-                         _fmt(c1), _fmt(c2)))
+        ends = lambda e: rotation_endpoint_coefficients(e, lam, gam, amplitude=amp)[:2]
     else:
         raise ConfigError(f"unknown plan kind '{cfg['plan.kind']}'", key="plan.kind")
+    # a saddle entry's n is None, an empty field
+    rows = [(e.j, e.k, e.m, e.n, e.lo, e.hi, e.s, *ends(e)) for e in plan.entries]
     columns = ["j", "k", "m", "n", "interval_lo", "interval_hi", "s", "endpoint_1", "endpoint_2"]
     return _write_output(cfg, outdir, force, "plan.csv", columns, rows)
 
@@ -201,12 +173,10 @@ def _cmd_shrimp_predict(cfg, outdir, force, workers):
             mu_pred = predict_shrimp_location(rcfg, m_event)
         try:
             mu_meas, _, rel = locate_fold(rcfg, m_event)
-            measured = (_fmt(float(mu_meas[0])), _fmt(float(mu_meas[1])), _fmt(rel))
+            measured = (*mu_meas, rel)
         except (ConvergenceError, NumericalError, FieldError):  # no frame, no fold
-            measured = ("", "", "")
-        rows.append(
-            (k, k, _fmt(mu_pred[0]), _fmt(mu_pred[1])) + measured
-        )
+            measured = (None, None, None)
+        rows.append((k, k, *mu_pred, *measured))
     columns = ["k", "m", "mu1_predicted", "mu2_predicted", "mu1_measured",
                "mu2_measured", "relative_offset"]
     return _write_output(cfg, outdir, force, "predict.csv", columns, rows)

@@ -8,9 +8,9 @@ max_period, hence the gray just above).  CSV files carry '#'-prefixed
 metadata lines followed by a header row and one row per cell; the value
 column holds a period cell's period, a chaotic or unresolved cell's
 Lyapunov exponent (.17g, so it imports back to the same bits), and nothing
-for an escaped cell.
-write_table writes every other CSV output (curves, codim-2 points, rescale
-checks, plans, predictions) in the same '#'-header form.
+for an escaped cell.  write_table writes every other CSV output (curves,
+codim-2 points, rescale checks, plans, predictions) in the same '#'-header
+form, and is the one place their numbers become text, also .17g.
 """
 from __future__ import annotations
 
@@ -31,13 +31,15 @@ from .sweep import (
 
 
 def write_table(path, header_lines, columns, rows):
-    """Write '#'-prefixed header lines, then a CSV header row and the rows."""
+    """Write '#'-prefixed header lines, then a CSV header row and the rows: a
+    float cell (np.float64 included) as .17g, which reads back to the same
+    bits, and any other as csv.writer writes it (None as an empty field)."""
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows(rows)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def gray_for(outcome_kind: str, period: int, max_period: int) -> int:

@@ -480,4 +480,4 @@ def _fold_seed(m1: float, m2: float) -> float:
     g'(Y) = 4 Y (m1 - Y^2) = 1 whose fixed-point residual against m2 is
     smallest (seed for the 2D solve)."""
     roots = [r.real for r in np.roots([-4.0, 0.0, 4.0 * m1, -1.0]) if abs(r.imag) < 1.0e-9]
-    return min(roots, key=lambda y: abs(m2 - (m1 - y * y) ** 2 - y))
+    return min(roots, key=lambda y: abs(FAMILIES[DOUBLE_PARABOLA].value((m1, m2), y) - y))

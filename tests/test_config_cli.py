@@ -391,6 +391,32 @@ def test_cli_continue_and_codim2(tmp_path):
     assert "cusp" in body
 
 
+def _codim2_rows(tmp_path, x_name, y_name):
+    out = tmp_path / f"{x_name}_{y_name}"
+    assert run_cli([
+        "codim2", "--out", str(out),
+        "--set", "model.family=shrimp3", "--set", "model.params=0.9,0,0.2",
+        "--set", "continue.y_guess=0.9", "--set", "continue.param_guess=1.0",
+        "--set", f"plane.x_name={x_name}", "--set", f"plane.y_name={y_name}",
+    ]) == 0
+    lines = [l for l in (out / "codim2.csv").read_text().splitlines() if not l.startswith("#")]
+    assert lines[0].split(",")[2:4] == [x_name, y_name]
+    return [l.split(",") for l in lines[1:]]
+
+
+def test_cli_codim2_columns_are_the_plane_axes(tmp_path):
+    # the shrimp3 cusps of a fixed M2 lie on M1 = 3 Y^2, M3 = 1 - 8 Y^3
+    rows = _codim2_rows(tmp_path, "M1", "M3")
+    assert [row[0] for row in rows].count("cusp") >= 1
+    for row in rows:
+        m1, m3, y = float(row[2]), float(row[3]), float(row[4])
+        assert abs(m1 - 3.0 * y**2) < 1e-9 and abs(m3 - (1.0 - 8.0 * y**3)) < 1e-9
+    # swapping the axes swaps the two parameter fields, nothing else
+    swapped = _codim2_rows(tmp_path, "M2", "M1")
+    default = _codim2_rows(tmp_path, "M1", "M2")
+    assert swapped and swapped == [[*row[:2], row[3], row[2], *row[4:]] for row in default]
+
+
 def test_cli_continue_from_point_at_round_off_floor(tmp_path):
     # a point of the period-3 flip where (T^3)'(y) + 1 cannot get below
     # NEWTON_TOL; the start solve stops once its step no longer moves (y, M2)

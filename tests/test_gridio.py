@@ -10,7 +10,7 @@ from shrimplab import gridio
 from shrimplab.errors import ConfigError
 from shrimplab.families import ModelMap
 from shrimplab.gridio import (
-    export_grid, export_grid_csv, gray_for, grid_metadata, import_grid_csv,
+    export_grid, export_grid_csv, gray_for, grid_metadata, import_grid_csv, write_table,
 )
 from shrimplab.sweep import (
     FamilyPlaneTarget, PlaneSpec, SweepGrid, SweepSpec, plane_sweep,
@@ -342,3 +342,36 @@ def test_import_memory_is_bounded_by_a_chunk(tmp_path):
     assert back.same_cells(grid)
     outputs = back.kind.nbytes + back.period.nbytes + back.lyap.nbytes
     assert peak < outputs + 8 * gridio._CHUNK
+
+
+_CELLS = st.one_of(
+    st.floats(),  # -0.0, subnormals, +-1e308, +-inf and NaN among them
+    st.sampled_from([0.1, -0.0, 5e-324, -1e308, 1e308, float("inf"), -float("inf")]),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.text().filter(lambda text: "\x00" not in text),  # csv reads no NUL before 3.11
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_CELLS, min_size=1, max_size=6), max_size=4))
+def test_write_table_writes_each_float_17g(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    write_table(path, ["a = 1"], ["c"], rows)
+    with open(path, newline="") as fh:
+        assert fh.readline() == "# a = 1\n"
+        read = list(csv.reader(fh))
+    assert read[0] == ["c"] and len(read) == len(rows) + 1
+    for row, fields in zip(rows, read[1:]):
+        assert len(fields) == len(row)
+        for value, text in zip(row, fields):
+            if isinstance(value, float):
+                assert text == format(value, ".17g")
+                if np.isfinite(value):
+                    back = np.float64(float(text))
+                    assert back.tobytes() == np.float64(value).tobytes()
+            elif value is None:
+                assert text == ""
+            else:
+                assert text == str(value)
