@@ -1,18 +1,19 @@
 """Periodic orbits, fold/flip points, and codimension-2 detection for 1D maps.
 
-Everything here works on a scalar map exposing value-plus-jet evaluation at a
-parameter vector; the polynomial families provide exact jets in Y and exact
+Everything here works on FamilyYMap, the scalar view of a polynomial
+family at a parameter vector; the families provide exact jets in Y and exact
 first derivatives of value and slope in each parameter.  orbit_pass is the
-one chain-rule loop: it propagates the Y-derivatives of the n-fold
-composition to second order, or to third where the first Lyapunov value
-needs it, and, given a parameter plane, the parameter derivatives of T^n and (T^n)'
-along the same orbit, so one pass per Newton step gives the residual and the
-exact bordered Jacobian of the fold/flip defining system (on a period-1
-curve also the codim-2 test value).  The Newton loops run on Python floats
-and check their parameters once per call, not once per pass.  The fold/flip
-system has one, the continuation corrector, which solves each step's 3x3
-system with _solve, a pivoted elimination written out; solve_codim1 pins
-its third unknown to a dummy parameter slot.  find_periodic_orbit and the
+one chain-rule loop, reading the family formulas directly: it propagates
+the Y-derivatives of the n-fold composition to second order, or to third
+where the first Lyapunov value needs it, and, given a parameter plane, the
+parameter derivatives of T^n and (T^n)' along the same orbit, so one pass
+per Newton step gives the residual and the exact bordered Jacobian of the
+fold/flip defining system (on a period-1 curve also the codim-2 test
+value).  The Newton loops run on Python floats and check their parameters
+once per call, not once per pass.  The fold/flip system has one, the
+continuation corrector, which solves each step's 3x3 system with _solve, a
+pivoted elimination written out; solve_codim1 pins its third unknown to a
+dummy parameter slot.  find_periodic_orbit and the
 corrector stop when the residual is within NEWTON_TOL or, where round-off
 keeps it above, when the Newton step no longer moves the point.
 A BifPoint's test_values hold both codim-2 test values of its cycle.
@@ -52,7 +53,9 @@ class FamilyYMap:
     it.  value and jet are one map step each and take params as given:
     orbit_pass validates them first, through checked, and the solvers here
     once per call, before their many passes.  A state that is not finite,
-    as when an orbit overflows, raises EscapeError.
+    as when an orbit overflows, raises EscapeError.  jet is the one-step
+    view for callers; orbit_pass does not call it but reads the family's
+    formulas directly, with the same operations and checks per step.
     """
 
     def __init__(self, family: str):
@@ -97,21 +100,32 @@ def orbit_pass(ymap, y, params, period, plane=None, order=2):
 
 
 def _orbit_pass(ymap, y, params, period, plane=None, order=2):
-    """orbit_pass on params its caller has checked."""
+    """orbit_pass on params its caller has checked: each map step is the one
+    FamilyYMap.jet gives, its formulas called directly."""
+    formulas = ymap._formulas
+    value, slope, higher, partials = (
+        formulas.value, formulas.slope, formulas.higher, formulas.partials)
+    if plane:  # a slot at or beyond the arity is a dummy axis: partials (0, 0)
+        i, j = plane
+        i_dummy, j_dummy = i >= ymap.arity, j >= ymap.arity
     v, d1, d2, d3 = y, 1.0, 0.0, (0.0 if order > 2 else None)
     va = vb = da = db = 0.0
     for _ in range(period):
-        jet = ymap.jet(v, params, order, plane)
-        fv, f1, f2 = jet[:3]
+        if not math.isfinite(v):
+            raise EscapeError("orbit state is not finite", value=v)
+        fv, f1, high = value(params, v), slope(params, v), higher(params, v)
+        f2 = high[0]
         if plane:
-            (fa, fya), (fb, fyb) = jet[order + 1 :]
+            dp = partials(params, v)
+            fa, fya = (0.0, 0.0) if i_dummy else dp[i]
+            fb, fyb = (0.0, 0.0) if j_dummy else dp[j]
             da = (f2 * va + fya) * d1 + f1 * da
             db = (f2 * vb + fyb) * d1 + f1 * db
             va = f1 * va + fa
             vb = f1 * vb + fb
         if order > 2:
             try:  # a float power overflows with an error, not to inf
-                d3 = jet[3] * d1**3 + 3.0 * f2 * d1 * d2 + f1 * d3
+                d3 = high[1] * d1**3 + 3.0 * f2 * d1 * d2 + f1 * d3
             except OverflowError as err:
                 raise ConvergenceError("third orbit derivative overflowed") from err
         d2 = f2 * d1 * d1 + f1 * d2
@@ -341,18 +355,20 @@ def _corrector(ymap, period, kind, u, plane, params, tangent, anchor, ds):
     within NEWTON_MAX_ITER passes.  The one Newton loop of the fold/flip
     system: continuation steps, codim-2 trial points and solve_codim1."""
     t0, t1, t2 = tangent
+    y, pi, pj = u
     for _ in range(NEWTON_MAX_ITER):
-        r, jac, mult, test = _extended_system(ymap, period, kind, u, plane, params)
-        y, pi, pj = u
+        (r0, r1), jac, mult, test = _extended_system(ymap, period, kind, u, plane, params)
         arc = t0 * (y - anchor[0]) + t1 * (pi - anchor[1]) + t2 * (pj - anchor[2]) - ds
-        if abs(r[0]) <= NEWTON_TOL and abs(r[1]) <= NEWTON_TOL and abs(arc) <= NEWTON_TOL:
+        if abs(r0) <= NEWTON_TOL and abs(r1) <= NEWTON_TOL and abs(arc) <= NEWTON_TOL:
             return u, jac, mult, test
-        step = _solve((*jac, tangent), (*r, arc), "fold/flip Newton step singular")
-        if _stopped_moving(step, u):
+        s0, s1, s2 = _solve((*jac, tangent), (r0, r1, arc), "fold/flip Newton step singular")
+        # _stopped_moving(step, u), on the three floats
+        if max(abs(s0), abs(s1), abs(s2)) <= 1.0e-15 * (1.0 + max(abs(y), abs(pi), abs(pj))):
             return u, jac, mult, test
-        u = (y - step[0], pi - step[1], pj - step[2])
-        if not all(map(math.isfinite, u)):
+        y, pi, pj = y - s0, pi - s1, pj - s2
+        if not (math.isfinite(y) and math.isfinite(pi) and math.isfinite(pj)):
             raise ConvergenceError("fold/flip Newton diverged")
+        u = (y, pi, pj)
     raise ConvergenceError(f"fold/flip Newton did not converge in {NEWTON_MAX_ITER} steps")
 
 
@@ -459,7 +475,7 @@ def continue_codim1(
 
     stop = "max_points"
     while len(curve.points) < max_points:
-        predictor = tuple(x + ds * dx for x, dx in zip(u, t))
+        predictor = (u[0] + ds * t[0], u[1] + ds * t[1], u[2] + ds * t[2])
         try:
             u_new, jac, mult, test = _corrector(
                 ymap, period, kind, predictor, plane, params, t, u, ds)
@@ -544,7 +560,7 @@ def _refine_in_fine_steps(ymap, curve, i, params):
     sub = BifCurve(kind, period, plane)
     _record_point(sub, ymap, u, mult, test, params)
     for _ in range(_FINE_STEPS):
-        predictor = tuple(x + ds * dx for x, dx in zip(u, t))
+        predictor = (u[0] + ds * t[0], u[1] + ds * t[1], u[2] + ds * t[2])
         u, jac, mult, test = _corrector(ymap, period, kind, predictor, plane, params, t, u, ds)
         t = _tangent(jac, prev=t)
         _record_point(sub, ymap, u, mult, test, params)

@@ -26,7 +26,7 @@ from shrimplab.bifurcation import (
     orbit_pass,
     solve_codim1,
 )
-from shrimplab.errors import ConvergenceError, ShrimplabError
+from shrimplab.errors import ConvergenceError, EscapeError, ShrimplabError
 
 DP = FamilyYMap("double_parabola")
 PAR = FamilyYMap("parabola")
@@ -233,16 +233,18 @@ def test_first_tangent_follows_gradient_cross_product(direction):
     assert direction * float(first @ cross) > 0.0
 
 
-def test_continuation_map_steps_per_point(monkeypatch):
+def test_continuation_map_steps_per_point():
     # one orbit pass per Newton step, and on a period-1 curve the last one
     # also gives the test value: under 4 map steps per point on this fold,
-    # where finite-difference Jacobians took 27
+    # where finite-difference Jacobians took 27.  Every map step evaluates
+    # the family's slope once, so its calls count the steps.
     calls = []
-    jet = FamilyYMap.jet
-    monkeypatch.setattr(FamilyYMap, "jet", lambda self, *a, **k: calls.append(1) or jet(self, *a, **k))
-    sn = solve_codim1(DP, 1, SN, 1, (0.9, 1.0), (0.9, 0.0))
+    dp = FamilyYMap("double_parabola")
+    slope = dp._formulas.slope
+    dp._formulas = dp._formulas._replace(slope=lambda p, y: calls.append(1) or slope(p, y))
+    sn = solve_codim1(dp, 1, SN, 1, (0.9, 1.0), (0.9, 0.0))
     calls.clear()
-    curve = continue_codim1(DP, sn, (0, 1), sn.orbit.params, step=0.02, max_points=40, bounds=4.0)
+    curve = continue_codim1(dp, sn, (0, 1), sn.orbit.params, step=0.02, max_points=40, bounds=4.0)
     assert len(curve.points) == 40
     assert len(calls) <= 4 * len(curve.points)
 
@@ -529,6 +531,80 @@ def test_solve_codim1_matches_reference_bitwise(start, jitter):
     ymap, period, kind, free_index, guess, params = start
     args = (ymap, period, kind, free_index, (guess[0] + jitter[0], guess[1] + jitter[1]), params)
     assert _codim1_outcome(solve_codim1, *args) == _codim1_outcome(_reference_solve_codim1, *args)
+
+
+def _reference_orbit_pass(ymap, y, params, period, plane=None, order=2):
+    """The orbit pass as a loop over FamilyYMap.jet, one call per map step:
+    the reference that _orbit_pass, which calls the family formulas
+    directly, must match bit for bit."""
+    v, d1, d2, d3 = y, 1.0, 0.0, (0.0 if order > 2 else None)
+    va = vb = da = db = 0.0
+    for _ in range(period):
+        jet = ymap.jet(v, params, order, plane)
+        fv, f1, f2 = jet[:3]
+        if plane:
+            (fa, fya), (fb, fyb) = jet[order + 1 :]
+            da = (f2 * va + fya) * d1 + f1 * da
+            db = (f2 * vb + fyb) * d1 + f1 * db
+            va = f1 * va + fa
+            vb = f1 * vb + fb
+        if order > 2:
+            try:
+                d3 = jet[3] * d1**3 + 3.0 * f2 * d1 * d2 + f1 * d3
+            except OverflowError as err:
+                raise ConvergenceError("third orbit derivative overflowed") from err
+        d2 = f2 * d1 * d1 + f1 * d2
+        d1 = f1 * d1
+        v = fv
+    return v, d1, d2, d3, (va, vb), (da, db)
+
+
+def _pass_outcome(orbit_pass_fn, *args):
+    """The bytes of an orbit pass's results (-0.0 apart from 0.0, NaN bits
+    kept; d3 None for order 2), or the type of the ShrimplabError it raised."""
+    try:
+        v, d1, d2, d3, (va, vb), (da, db) = orbit_pass_fn(*args)
+    except ShrimplabError as err:
+        return type(err)
+    values = (v, d1, d2, *(() if d3 is None else (d3,)), va, vb, da, db)
+    return d3 is None, struct.pack(f"<{len(values)}d", *values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    family=st.sampled_from(sorted(PLANES)),
+    plane_pick=st.integers(0, 5),
+    period=st.integers(1, 4),
+    order=st.sampled_from([2, 3]),
+    # states from the unit interval to far enough out that an orbit overflows
+    y=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0]), st.floats(-1e80, 1e80)),
+    params=st.lists(st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0])),
+                    min_size=4, max_size=4),
+)
+def test_orbit_pass_matches_jet_reference_bitwise(family, plane_pick, period, order, y, params):
+    # no plane, a plane of the family's parameters, or one holding the slot
+    # just past them, the dummy axis
+    ymap = FamilyYMap(family)
+    planes = [None, *PLANES[family], (0, ymap.arity), (ymap.arity, 0)]
+    plane = planes[plane_pick % len(planes)]
+    args = (ymap, y, params, period, plane, order)
+    assert _pass_outcome(bifurcation._orbit_pass, *args) == _pass_outcome(
+        _reference_orbit_pass, *args)
+
+
+@pytest.mark.parametrize("family, y, period, order, error", [
+    # parabola: 0 - (1e200)^2 is -inf, which the second step refuses
+    ("parabola", 1e200, 2, 2, EscapeError),
+    # cubic_plus: (T^1)' = 3e120, whose cube in the second step's d3 overflows
+    ("cubic_plus", 1e60, 3, 3, ConvergenceError),
+    ("cubic_plus", 1e60, 3, 2, EscapeError),
+])
+def test_orbit_pass_raises_as_jet_reference(family, y, period, order, error):
+    ymap = FamilyYMap(family)
+    for plane in (None, PLANES[family][0]):
+        args = (ymap, y, (0.0, 0.0), period, plane, order)
+        assert _pass_outcome(bifurcation._orbit_pass, *args) is error
+        assert _pass_outcome(_reference_orbit_pass, *args) is error
 
 
 def test_overflowing_regula_falsi_trial_fails_its_refinement():
