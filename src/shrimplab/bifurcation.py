@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, EscapeError, FieldError, NumericalError
-from .families import FAMILIES, FAMILY_ARITY, family_params
+from .families import FAMILIES, family_params
 from .gridio import write_table
 
 SN = "SN"
@@ -60,8 +60,8 @@ class FamilyYMap:
 
     def __init__(self, family: str):
         self.family = family
-        self.arity = FAMILY_ARITY[family]
         self._formulas = FAMILIES[family]
+        self.arity = self._formulas.arity
 
     def checked(self, params) -> tuple:
         """The family's parameters out of params as floats; ValueError unless
@@ -70,7 +70,7 @@ class FamilyYMap:
 
     def value(self, y, params):
         if not math.isfinite(y):
-            raise EscapeError("orbit state is not finite", value=y)
+            raise EscapeError("orbit state is not finite")
         return self._formulas.value(params, y)
 
     def jet(self, y, params, order=3, plane=()):
@@ -78,7 +78,7 @@ class FamilyYMap:
         for each parameter index in plane the pair (df/dp, df_y/dp); an index
         at or beyond the arity, a dummy axis, gives (0.0, 0.0)."""
         if not math.isfinite(y):
-            raise EscapeError("orbit state is not finite", value=y)
+            raise EscapeError("orbit state is not finite")
         formulas = self._formulas
         out = (formulas.value(params, y), formulas.slope(params, y))
         if order > 1:
@@ -112,7 +112,7 @@ def _orbit_pass(ymap, y, params, period, plane=None, order=2):
     va = vb = da = db = 0.0
     for _ in range(period):
         if not math.isfinite(v):
-            raise EscapeError("orbit state is not finite", value=v)
+            raise EscapeError("orbit state is not finite")
         fv, f1, high = value(params, v), slope(params, v), higher(params, v)
         f2 = high[0]
         if plane:

@@ -33,7 +33,7 @@ from .config import (
     _get_int,
     _get_list,
 )
-from .errors import ConfigError, ConvergenceError, FieldError, NumericalError, ShrimplabError
+from .errors import ConfigError, ConvergenceError, NumericalError, ShrimplabError
 from .families import param_index
 from .gridio import export_grid, write_table
 from .rescale import (
@@ -174,7 +174,7 @@ def _cmd_shrimp_predict(cfg, outdir, force, workers):
         try:
             mu_meas, _, rel = locate_fold(rcfg, m_event)
             measured = (*mu_meas, rel)
-        except (ConvergenceError, NumericalError, FieldError):  # no frame, no fold
+        except (ConvergenceError, NumericalError):  # no fold
             measured = (None, None, None)
         rows.append((k, k, *mu_pred, *measured))
     columns = ["k", "m", "mu1_predicted", "mu2_predicted", "mu1_measured",
@@ -204,23 +204,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override a config key (repeatable)",
     )
-    parser.add_argument("--workers", default=None, help="sweep worker processes (>= 1)")
+    parser.add_argument("--workers", default="1", help="sweep worker processes (>= 1)")
     parser.add_argument("--force", action="store_true", help="overwrite existing outputs")
     return parser
 
 
-def _worker_count(flag) -> int:
-    """Worker count from --workers, else SHRIMPLAB_WORKERS, else 1."""
-    if flag is not None:
-        source, raw = "--workers", flag
-    else:
-        source, raw = "SHRIMPLAB_WORKERS", os.environ.get("SHRIMPLAB_WORKERS", "1")
+def _worker_count(raw) -> int:
+    """The --workers count; a ConfigError on --workers unless it is >= 1."""
     try:
         workers = int(raw)
     except ValueError:
         workers = 0
     if workers < 1:
-        raise ConfigError(f"expected an integer >= 1, got {raw!r}", key=source)
+        raise ConfigError(f"expected an integer >= 1, got {raw!r}", key="--workers")
     return workers
 
 

@@ -30,16 +30,9 @@ class ConfigError(ShrimplabError):
 class EscapeError(ShrimplabError):
     """An orbit left the trusted radius during iteration."""
 
-    def __init__(self, message, stage=None, step=None, value=None):
-        self.stage = stage
+    def __init__(self, message, step=None):
         self.step = step
-        self.value = value
-        detail = message
-        if stage is not None:
-            detail += f" (stage {stage})"
-        if step is not None:
-            detail += f" (step {step})"
-        super().__init__(detail)
+        super().__init__(message if step is None else f"{message} (step {step})")
 
 
 class ConvergenceError(ShrimplabError):

@@ -126,9 +126,6 @@ FAMILIES = {
         _quartic_higher, lambda p, y: _double_parabola_partials(p, y) + ((y, 1.0),)),
 }
 
-FAMILY_ARITY = {name: family.arity for name, family in FAMILIES.items()}
-
-
 def trap_radius(family: Family, params):
     """Per parameter point, the family's trap radius R*: outside it one step
     at least doubles |y|, so an orbit that has left R* never comes back.
@@ -169,12 +166,11 @@ class ModelMap:
 def family_params(family: str, params) -> tuple:
     """params as a tuple of floats; FieldError on family unless it is known,
     on params unless they are as many finite numbers as it has parameters."""
-    if family not in FAMILY_ARITY:
+    if family not in FAMILIES:
         raise FieldError("family", f"unknown family '{family}'")
-    params = tuple(map(float, params))
-    if len(params) != FAMILY_ARITY[family]:
-        raise FieldError(
-            "params", f"{family} takes {FAMILY_ARITY[family]} parameters, got {len(params)}")
+    params, arity = tuple(map(float, params)), FAMILIES[family].arity
+    if len(params) != arity:
+        raise FieldError("params", f"{family} takes {arity} parameters, got {len(params)}")
     if not all(map(math.isfinite, params)):
         raise FieldError("params", "parameters must be finite")
     return params
@@ -184,7 +180,7 @@ def param_index(family: str, name: str, field: str) -> int:
     """Slot of parameter `name` (M1, M2, M3) in the family's vector; for
     'dummy', an axis no parameter reads, the slot just past them, which the
     family's formulas never read.  FieldError on field if there is none."""
-    names = ("M1", "M2", "M3")[: FAMILY_ARITY[family]] + ("dummy",)
+    names = ("M1", "M2", "M3")[: FAMILIES[family].arity] + ("dummy",)
     if name not in names:
         raise FieldError(field, f"{family} has no parameter {name}")
     return names.index(name)

@@ -220,8 +220,7 @@ def local_iterate(
     xn, yn, step = iterate_points(local, x, y, n, escape_radius)
     linear = local.nonlinearity == LINEAR
     if step:
-        value = yn if linear else (float(xn), float(yn))
-        raise EscapeError("local orbit left the escape radius", step=int(step), value=value)
+        raise EscapeError("local orbit left the escape radius", step=int(step))
     return (xn, yn) if linear else (float(xn), float(yn))
 
 

@@ -256,12 +256,25 @@ def _parameter_scales(oc: ReturnMapConfig):
     return m1_scale, m2_scale
 
 
-def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
-    """Build the affine frame for cfg (orientation handled internally);
-    FieldError on gamma of cfg.local unless gamma > 1, and on b of cfg.t1 or
-    cfg.t2 if a saddle-focus b[0] = 0 (its section names the part)."""
+def _check_frame_settings(cfg: ReturnMapConfig):
+    """FieldError on gamma of cfg.local unless gamma > 1, and unless the
+    products d1*d1*d2 and d1*d2*d2 of the frame's scales are nonzero and
+    finite, on the d of cfg.t1 or cfg.t2 with the larger |log|d||.  The
+    section names the part, whichever orientation the frame takes."""
     if cfg.local.gamma <= 1.0:
         raise FieldError("gamma", "rescale frames require gamma > 1", section="local")
+    d1, d2 = float(cfg.t1.d), float(cfg.t2.d)
+    if not all(0.0 < abs(p) < math.inf for p in (d2 * d1 * d1, d1 * d2 * d2)):
+        name = "t1" if abs(math.log(abs(d1))) >= abs(math.log(abs(d2))) else "t2"
+        raise FieldError("d", "rescale frames need d1*d1*d2 and d1*d2*d2 nonzero and finite",
+                         section=name)
+
+
+def rescale_frame(cfg: ReturnMapConfig) -> RescaleFrame:
+    """Build the affine frame for cfg (orientation handled internally);
+    FieldError as _check_frame_settings says, and on b of cfg.t1 or cfg.t2
+    if a saddle-focus b[0] = 0 (its section names the part)."""
+    _check_frame_settings(cfg)
     for name in ("t1", "t2") if cfg.local.kind == SADDLE_FOCUS else ():
         if np.asarray(getattr(cfg, name).b)[0] == 0.0:
             raise FieldError("b", "frame charts need a nonzero first component of b", section=name)
@@ -341,10 +354,10 @@ def _pipeline(frame: RescaleFrame, X, Y, mu1, mu2, tangent=None):
 def _usable(out, k: int):
     """The _pipeline output out of one point, after raising what
     rescaled_return raises when the point's composition is unusable."""
-    xbar, ybar, status, inside, _ = out
+    _, _, status, inside, _ = out
     raise_unsolved(status, k)
     if not inside:
-        raise EscapeError("rescaled return escaped", value=(xbar, ybar))
+        raise EscapeError("rescaled return escaped")
     return out
 
 
@@ -421,8 +434,10 @@ def predict_shrimp_location(cfg: ReturnMapConfig, m_event) -> tuple:
     Uses the analytic leading terms: the closed-form chart origins of the
     linear local map with the feedback through the a coefficients dropped,
     and the frame's parameter scales.  Returns (mu1, mu2) in the original
-    labeling.  FieldError on m1 or m2 of m_event if it is not finite.
+    labeling.  FieldError as _check_frame_settings says, then on m1 or m2 of
+    m_event if it is not finite.
     """
+    _check_frame_settings(cfg)
     for name, value in zip(("m1", "m2"), m_event):
         if not math.isfinite(value):
             raise FieldError(name, f"must be finite, got '{value:g}'")

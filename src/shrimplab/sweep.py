@@ -139,6 +139,20 @@ class PlaneSpec:
         return np.linspace(self.y_lo, self.y_hi, ny)
 
 
+def _maps(target, p1, p2):
+    """The value and slope of target.stepper's step, as functions of y that
+    leave y alone, one parameter point per cell (the sweep steps in place)."""
+    step = target.stepper(p1, p2)
+
+    def f(y, slope=False):
+        y = np.array(y, dtype=float)
+        dy = np.empty_like(y) if slope else None
+        step(y, dy)
+        return dy if slope else y
+
+    return f, partial(f, slope=True)
+
+
 class FamilyPlaneTarget:
     """Sweep target: a polynomial family with two of its parameters swept.
 
@@ -160,16 +174,12 @@ class FamilyPlaneTarget:
         P[self.ix], P[self.iy] = p1, p2
         return P
 
-    def maps(self, p1, p2):
-        """The family's value and slope (families.FAMILIES), one parameter point per cell."""
-        family = FAMILIES[self.template.family]
-        P = self._params(p1, p2)
-        return partial(family.value, P), partial(family.slope, P)
-
     def stepper(self, p1, p2):
         """The family's in-place step(y, dy=None) (families.FAMILIES), one parameter
         point per cell."""
         return partial(FAMILIES[self.template.family].step, self._params(p1, p2))
+
+    maps = _maps
 
     def trap(self, p1, p2):
         """The largest trap radius of the cells (families.trap_radius); NaN if one is."""
@@ -220,17 +230,7 @@ class RescaledPlaneTarget:
 
         return step
 
-    def maps(self, m1, m2):
-        """The value and slope of stepper's composition, as functions of y."""
-        step = self.stepper(m1, m2)
-
-        def f(y, slope=False):
-            y = np.array(y, dtype=float)
-            dy = np.empty_like(y) if slope else None
-            step(y, dy)
-            return dy if slope else y
-
-        return f, partial(f, slope=True)
+    maps = _maps
 
     def meta(self):
         oc = self.cfg
@@ -672,16 +672,24 @@ class _Scan:
         self.lyap[cells[~esc]] = lam[~esc]
 
 
-def _scan_cells(spec: SweepSpec, n: int, params):
-    """Classify the cells 0..n-1 with parameters params(cells): a head per
-    block of _BLOCK cells, the tails, the Newton refinement and the
-    Lyapunov stage in pooled batches of up to _BLOCK."""
+def _sweep_cells(spec: SweepSpec, lo: int, hi: int):
+    """Classify the grid cells lo..hi-1 of the flat (raveled, x-major) order:
+    a head per block of _BLOCK cells, the tails, the Newton refinement and
+    the Lyapunov stage in pooled batches of up to _BLOCK.  The parameters
+    of a batch of cells are looked up when it runs."""
+    xs, ys = spec.plane.x_values(spec.nx), spec.plane.y_values(spec.ny)
+
+    def params(cells):
+        i, j = np.divmod(cells + lo, spec.ny)
+        return xs[i], ys[j]
+
+    n = hi - lo
     scan = _Scan(spec, n, params)
     # a fault in one cell's arithmetic must not abort the sweep: the cell's
     # inf or NaN is classified like any other value
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo in range(0, n, _BLOCK):
-            cells = np.arange(lo, min(lo + _BLOCK, n))
+        for start in range(0, n, _BLOCK):
+            cells = np.arange(start, min(start + _BLOCK, n))
             scan.head(cells, np.full(cells.size, spec.seed()))
         # a tail batch queues candidates, and a refinement deep or nudged cells
         while scan.tail.size or scan.candidates.size or scan.deep.size:
@@ -690,18 +698,6 @@ def _scan_cells(spec: SweepSpec, n: int, params):
             scan.deep.flush(scan._deep)
         scan.unlabelled.flush(scan._lyapunov)
     return scan.kind, scan.period, scan.lyap
-
-
-def _sweep_cells(spec: SweepSpec, lo: int, hi: int):
-    """Classify the grid cells lo..hi-1 of the flat (raveled, x-major) order;
-    the parameters of a batch of cells are looked up when it runs."""
-    xs, ys = spec.plane.x_values(spec.nx), spec.plane.y_values(spec.ny)
-
-    def params(cells):
-        i, j = np.divmod(cells + lo, spec.ny)
-        return xs[i], ys[j]
-
-    return _scan_cells(spec, hi - lo, params)
 
 
 def plane_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:

@@ -139,20 +139,8 @@ def test_cli_identical_bytes_across_workers_and_runs(tmp_path, monkeypatch, pool
     assert pgms[0] == pgms[1] == pgms[2]
 
 
-def test_cli_workers_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SHRIMPLAB_WORKERS", "2")
-    out = tmp_path / "env"
-    assert run_cli(sweep_args(out)) == 0
-
-
-def test_cli_rejects_bad_worker_counts(tmp_path, monkeypatch, capsys):
+def test_cli_rejects_bad_worker_counts(tmp_path, capsys):
     for value in ("abc", "0", "-2"):
-        monkeypatch.setenv("SHRIMPLAB_WORKERS", value)
-        assert run_cli(sweep_args(tmp_path / f"env{value}")) == 1
-        message = capsys.readouterr().err
-        assert message.count("\n") == 1 and "SHRIMPLAB_WORKERS" in message
-    monkeypatch.delenv("SHRIMPLAB_WORKERS")
-    for value in ("abc", "0"):
         assert run_cli(sweep_args(tmp_path / f"flag{value}", ("--workers", value))) == 1
         message = capsys.readouterr().err
         assert message.count("\n") == 1 and "--workers" in message
@@ -298,6 +286,16 @@ DISSIPATIVE_FOCUS = ["plan.kind=saddle_focus", "plan.gamma=2.0", "plan.lambda=0.
         # an empty value: was an error on the key 'local.kind=', which does
         # not exist
         ("continue", ["local.kind="], "local.kind"),
+        # the frame's settings, which predict_shrimp_location checks too:
+        # shrimp-predict was exit 0
+        ("shrimp-predict", ["local.gamma=-2"], "local.gamma"),
+        # d1*d1*d2 or d1*d2*d2 zero or not finite: were exit 2, on the d of
+        # larger |log|d||, and on the setting's own key when k < m
+        ("rescale-verify", ["t1.d=1e-320"], "t1.d"),
+        ("shrimp-predict", ["t2.d=5e-324"], "t2.d"),
+        ("rescale-verify", ["t1.d=1e200"], "t1.d"),
+        ("sweep", ["sweep.target=rescaled_return", "return.k=5", "return.m=10", "t2.d=1e-320"],
+         "t2.d"),
     ],
 )
 def test_cli_rejects_invalid_spec(tmp_path, capsys, command, settings, named):

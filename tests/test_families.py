@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from shrimplab.bifurcation import FamilyYMap, orbit_pass
 from shrimplab.errors import EscapeError
-from shrimplab.families import FAMILIES as FAMILY_TABLE, FAMILY_ARITY, ModelMap, trap_radius
+from shrimplab.families import FAMILIES as FAMILY_TABLE, ModelMap, trap_radius
 
-FAMILIES = list(FAMILY_ARITY)
+FAMILIES = list(FAMILY_TABLE)
 DP = FamilyYMap("double_parabola")
 S3 = FamilyYMap("shrimp3")
 PAR = FamilyYMap("parabola")
 
 
 def random_params(rng, family):
-    return tuple(rng.uniform(-1.5, 1.5, FAMILY_ARITY[family]))
+    return tuple(rng.uniform(-1.5, 1.5, FAMILY_TABLE[family].arity))
 
 
 def test_eval_examples():
